@@ -449,9 +449,18 @@ def constructive_bound(
 
 
 @lru_cache(maxsize=None)
+def empirical_policy(alpha: Fraction, limit: int) -> GapPolicy:
+    """Empirical policy with the floor established by sieve up to limit.
+
+    Built once per (alpha, limit) per process: the gap scan behind it is the
+    most expensive step of any bound request that uses it.
+    """
+    return GapPolicy.empirical_from_sieve(alpha, limit)
+
+
 def default_empirical_policy(limit: int = DEFAULT_SIEVE_LIMIT) -> GapPolicy:
     """Empirical 2/3 policy with the floor established by sieve up to limit."""
-    return GapPolicy.empirical_from_sieve(Fraction(2, 3), limit)
+    return empirical_policy(Fraction(2, 3), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _build_policy(args) -> primes.GapPolicy:
             raise ValueError("alpha is fixed at 21/40 by the bhp policy")
         return primes.GapPolicy.bhp()
     alpha = _parse_alpha(args.alpha) if args.alpha else Fraction(2, 3)
-    return primes.GapPolicy.empirical_from_sieve(alpha, args.sieve_limit)
+    return bounds.empirical_policy(alpha, args.sieve_limit)
 
 
 def _render_text(doc, indent: int = 0) -> str:

@@ -153,11 +153,15 @@ def family_data(p: int, l: int) -> CurveFamilyData:
 
 
 def check_rr_hypothesis(q: int, n: int, g: int) -> bool:
-    """Decide 2g+1 <= q**((n-1)/2) * (sqrt(q)-1) exactly.
+    """Decide 2g+1 <= q**((n-1)/2) * (sqrt(q)-1) exactly, in integers.
 
-    The single half-integer power is isolated and the inequality squared once,
-    so the decision is pure big-integer arithmetic.  For odd n the condition
-    becomes (2g+1 + q**((n-1)/2))**2 <= q**n; for even n it becomes
+    For q >= 4, sqrt(q)-1 >= 1 and q**((n-1)/2) >= 2**(k*(n-1)/2) with
+    k = q.bit_length()-1, so (2g+1).bit_length() <= k*(n-1)//2 proves the
+    inequality from bit lengths alone.  That settles the bound pipeline's
+    cases, where g grows linearly in n and the right side exponentially,
+    without building q**n.  Otherwise the single half-integer power is
+    isolated and the inequality squared once: for odd n it becomes
+    (2g+1 + q**((n-1)/2))**2 <= q**n; for even n it becomes
     q**(n/2) - (2g+1) >= 0 and (q**(n/2) - (2g+1))**2 >= q**(n-1).
     """
     if n < 1:
@@ -165,6 +169,8 @@ def check_rr_hypothesis(q: int, n: int, g: int) -> bool:
     if q < 2 or g < 0:
         raise ValueError("q must be >= 2 and g >= 0")
     a = 2 * g + 1
+    if q >= 4 and a.bit_length() <= (q.bit_length() - 1) * (n - 1) // 2:
+        return True
     if n % 2 == 1:
         m = (n - 1) // 2
         return (a + q**m) ** 2 <= q**n

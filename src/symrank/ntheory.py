@@ -1,17 +1,20 @@
 """Elementary integer number theory shared across the package.
 
 Everything here is exact integer arithmetic.  The primality test is the
-deterministic Miller-Rabin variant with the fixed witness set that is proven
-correct for all n < 3.3 * 10**24, far beyond the single-word moduli this
-package supports.
+deterministic Miller-Rabin variant with the first 13 prime bases (2..41),
+which is proven correct for all n below psi_13 = 3317044064679887385961981,
+about 3.3 * 10**24 (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+bases", Math. Comp. 2017).  The first 12 bases alone stop at
+psi_12 = 318665857834031151167461, which is itself a strong pseudoprime to
+all of them.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-# Witnesses proving Miller-Rabin deterministic for n < 3_317_044_064_679_887_385_961_981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses proving Miller-Rabin deterministic for n < _MR_LIMIT (psi_13).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -20,7 +23,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n below the Miller-Rabin witness limit."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:

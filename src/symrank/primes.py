@@ -1,5 +1,10 @@
-"""Prime generation, gap-condition scanning, and selection of the consecutive
+"""Prime navigation, gap-condition scanning, and selection of the consecutive
 prime pair that realizes the bound pipeline's threshold inequalities.
+
+Neighbouring primes are found by stepping with the deterministic
+Miller-Rabin test (`prev_prime`, `next_prime`), so pair selection costs about
+one prime gap of primality tests and no table; the Eratosthenes sieve serves
+only the exhaustive gap scan.
 
 A gap policy is a pair (alpha, x_alpha) asserting that consecutive primes
 satisfy l_{k+1} - l_k <= l_k**alpha from x_alpha on.  Three policies are
@@ -32,6 +37,23 @@ class PairSelectionError(ValueError):
     """Pair selection cannot proceed (threshold below 2)."""
 
 
+def prev_prime(x: int) -> int:
+    """Largest prime <= x."""
+    if x < 2:
+        raise ValueError(f"no prime <= {x}")
+    while not is_prime(x):
+        x -= 1
+    return x
+
+
+def next_prime(x: int) -> int:
+    """Smallest prime > x."""
+    x += 1
+    while not is_prime(x):
+        x += 1
+    return x
+
+
 def _sieve_flags(limit: int) -> bytearray:
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
@@ -49,10 +71,6 @@ class PrimeTable:
 
     limit: int
     primes: tuple[int, ...]
-
-    def __contains__(self, n: int) -> bool:
-        i = bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
 
     def prev_prime(self, x: int) -> int:
         """Largest prime <= x."""
@@ -244,8 +262,7 @@ class GapPolicy:
         """Empirical policy whose floor is the smallest prime from which the
         gap condition is violation-free up to `limit`."""
         scan = verify_gaps(limit, Fraction(alpha))
-        table = sieve(max(100, (scan.violations[-1] if scan.violations else 2) + 200))
-        floor = table.next_prime(scan.violations[-1]) if scan.violations else 2
+        floor = next_prime(scan.violations[-1]) if scan.violations else 2
         return cls.empirical(alpha, floor, limit)
 
     def to_json_dict(self) -> dict:
@@ -318,7 +335,10 @@ def select_pair(
     l_k is the largest non-degenerate prime <= T and l_{k+1} the next
     non-degenerate prime after it; the threshold comparison is exact rational
     arithmetic, and l_k = T is accepted (the defining inequality at l_k is
-    non-strict).
+    non-strict).  Both primes are found by stepping from floor(T) with the
+    deterministic primality test, so every integer passed over is proven
+    composite or a listed skip.  `table` is accepted for compatibility and is
+    no longer consulted.
     """
     family.validate_p(p)
     threshold = family.threshold(p, n)
@@ -326,20 +346,17 @@ def select_pair(
         raise PairSelectionError(
             f"n too small for family: threshold {threshold} < 2 (p={p}, n={n}, {family.value})"
         )
-    t_floor = int(threshold)  # threshold >= 2 > 0, so int() floors
-    if table is None or table.limit < 2 * t_floor + 2000:
-        table = sieve(max(100, 2 * t_floor + 2000))
     skips = family.skip_set(p)
     skipped = []
-    l_k = table.prev_prime(t_floor)
+    l_k = prev_prime(int(threshold))  # threshold >= 2 > 0, so int() floors
     while l_k in skips:
         skipped.append(l_k)
-        l_k = table.prev_prime(l_k - 1)
-    l_k1 = table.next_prime(l_k)
+        l_k = prev_prime(l_k - 1)
+    l_k1 = next_prime(l_k)
     while l_k1 in skips:
         if l_k1 not in skipped:
             skipped.append(l_k1)
-        l_k1 = table.next_prime(l_k1)
+        l_k1 = next_prime(l_k1)
     assert l_k <= threshold < l_k1
     return PrimePair(l_k, l_k1, threshold, l_k1 - l_k, tuple(sorted(set(skipped))))
 

@@ -36,6 +36,18 @@ class TestBoundCommand:
         methods = [r.get("method") for r in doc["reports"]]
         assert methods == ["closed_prime", "constructive"]
 
+    def test_constructive_large_n(self, capsys):
+        # pair selection steps with the primality test, so no table is built
+        code, out = run(
+            capsys, "bound", "--p", "5", "--n", "1000000000", "--method", "constructive",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["witnesses"]["l_k"] == 999999937
+        assert doc["witnesses"]["l_k1"] == 1000000007
+        assert doc["witnesses"]["genus"] == 1000000007
+        assert doc["value_int"] == 3000000006
+
     def test_too_small_n_is_infeasible(self, capsys):
         code, out = run(capsys, "bound", "--p", "5", "--n", "3", "--method", "constructive")
         assert code == 2

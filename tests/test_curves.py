@@ -116,6 +116,29 @@ class TestRrHypothesis:
             rhs = dq ** (Decimal(n - 1) / 2) * (dq.sqrt() - 1)
             assert check_rr_hypothesis(q, n, g) == (Decimal(2 * g + 1) <= rhs)
 
+    def test_matches_squared_decision_at_boundaries(self):
+        """The bit-length shortcut never changes the exact decision, including
+        q in {2, 3}, where sqrt(q)-1 < 1 and it must not apply."""
+
+        def squared(q, n, g):
+            a = 2 * g + 1
+            if n % 2 == 1:
+                return (a + q ** ((n - 1) // 2)) ** 2 <= q**n
+            lhs = q ** (n // 2) - a
+            return lhs >= 0 and lhs * lhs >= q ** (n - 1)
+
+        for q in (2, 3, 4, 5, 7, 8, 9, 25, 49, 121, 169, 289):
+            k = q.bit_length() - 1
+            for n in range(1, 40):
+                lo, hi = 0, q ** (n // 2 + 1)  # squared(q, n, hi) is False
+                while hi - lo > 1:  # last g that passes, or 0
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if squared(q, n, mid) else (lo, mid)
+                shortcut_edge = 2 ** (k * (n - 1) // 2) // 2  # first g it cannot settle
+                for centre in (0, lo, shortcut_edge):
+                    for g in range(max(centre - 3, 0), centre + 4):
+                        assert check_rr_hypothesis(q, n, g) == squared(q, n, g), (q, n, g)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             check_rr_hypothesis(25, 0, 1)

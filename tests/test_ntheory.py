@@ -31,6 +31,8 @@ def test_is_prime_large_known():
     assert not is_prime(2**61 + 1)
     assert is_prime(1_000_000_007)
     assert not is_prime(3_215_031_751)  # strong pseudoprime to bases 2,3,5,7
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+    assert is_prime(318665857834031151167461) is False
 
 
 def test_factorize_and_divisors():

@@ -9,7 +9,9 @@ from symrank.primes import (
     GapPolicy,
     PairFamily,
     PairSelectionError,
+    next_prime,
     policy_floor,
+    prev_prime,
     select_pair,
     sieve,
     verify_gaps,
@@ -37,7 +39,14 @@ class TestSieve:
         assert t.next_prime(89) == 97
         assert t.count_between(89, 97) == 0
         assert t.count_between(7, 23) == 4  # 11, 13, 17, 19 (endpoints excluded)
-        assert 89 in t and 91 not in t
+        assert 89 in t.primes and 91 not in t.primes
+        # stepping by primality test agrees with the table
+        for x in range(2, 97):
+            assert prev_prime(x) == t.prev_prime(x)
+            assert next_prime(x) == t.next_prime(x)
+        assert next_prime(0) == next_prime(1) == 2
+        with pytest.raises(ValueError):
+            prev_prime(1)
 
 
 class TestVerifyGaps:
@@ -143,6 +152,7 @@ class TestSelectPair:
                     if pair.skipped:
                         continue
                     lk, lk1 = pair.l_k, pair.l_k1
+                    assert (lk, lk1) == (table.prev_prime(int(pair.threshold)), table.next_prime(lk))
                     assert (p - 1) * (lk1 + 1) > 2 * n + 2 * lk1 - 2
                     assert (p - 1) * (lk + 1) <= 2 * n + 2 * lk - 2
                     assert table.count_between(lk, lk1) == 0
