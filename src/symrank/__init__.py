@@ -21,7 +21,6 @@ from .fields import (
     PrimeField,
     SingularMatrixError,
     count_places_rational_ff,
-    field_arith,
     find_irreducible,
     invert,
     make_field,

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .ntheory import divisors, euler_phi, factorize, is_prime
+from .ntheory import factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,16 @@ def genus_X0(N: int) -> Gamma0Data:
     """
     if N < 1:
         raise ValueError("level must be >= 1")
-    fac = factorize(N) if N > 1 else {}
+    return _gamma0_data(N, factorize(N) if N > 1 else {})
+
+
+def _gamma0_data(N: int, fac: dict[int, int]) -> Gamma0Data:
+    """genus_X0 from the factorization {prime: exponent} of N.
+
+    Every count derives from `fac`.  The cusp count
+    sum over d | N of phi(gcd(d, N/d)) is multiplicative, so it is the
+    product over p**e || N of sum_{k<=e} phi(p**min(k, e-k)).
+    """
     mu = N
     for p in fac:
         mu = mu // p * (p + 1)
@@ -84,7 +92,13 @@ def genus_X0(N: int) -> Gamma0Data:
         nu3 = 1
         for p in fac:
             nu3 *= 1 + _sym_minus_three(p)
-    nu_inf = sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
+    nu_inf = 1
+    for p, e in fac.items():
+        local = 0
+        for k in range(e + 1):
+            m = min(k, e - k)
+            local += p ** (m - 1) * (p - 1) if m else 1  # phi(p**m)
+        nu_inf *= local
     genus = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
     if genus.denominator != 1 or genus < 0:
         raise AssertionError(f"genus formula produced {genus} for N={N}")
@@ -130,7 +144,9 @@ def family_data(p: int, l: int) -> CurveFamilyData:
     p != 11 selects the 11l family (genus l, N1 over GF(p^2) at least
     (p-1)(l+1)); p = 11 selects the 23l family (genus 2l+1, bound
     2(p-1)(l+1)).  Degenerate l (= p, or the family's fixed factor) is
-    rejected.  The genus closed form is cross-checked against genus_X0.
+    rejected.  The genus closed form is cross-checked against the Gamma_0
+    formula, fed the known factorization {fixed factor: 1, l: 1} (l is a
+    prime other than the fixed factor), so no trial division runs.
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
@@ -139,14 +155,15 @@ def family_data(p: int, l: int) -> CurveFamilyData:
     if p == 11:
         if l in (23, 11):
             raise ValueError(f"degenerate level factor l={l} for the 23l family")
-        family, N, genus = "23l", 23 * l, 2 * l + 1
+        family, fixed, genus = "23l", 23, 2 * l + 1
         n1 = 2 * (p - 1) * (l + 1)
     else:
         if l in (11, p):
             raise ValueError(f"degenerate level factor l={l} for the 11l family (p={p})")
-        family, N, genus = "11l", 11 * l, l
+        family, fixed, genus = "11l", 11, l
         n1 = (p - 1) * (l + 1)
-    check = genus_X0(N).genus
+    N = fixed * l
+    check = _gamma0_data(N, {fixed: 1, l: 1}).genus
     if check != genus:
         raise AssertionError(f"family genus {genus} disagrees with formula {check} at N={N}")
     return CurveFamilyData(family, l, N, genus, p, n1, n1)

@@ -192,8 +192,9 @@ class PrimeField:
 class ExtensionField:
     """A degree-n extension of a base field in polynomial basis.
 
-    The modulus must be monic irreducible of degree n over the base; it is
-    verified on construction.  Values are tuples of n base values.
+    A supplied modulus must be monic irreducible of degree n over the base,
+    and is verified on construction; by default the canonical modulus is
+    found.  Values are tuples of n base values.
     """
 
     __slots__ = ("base", "degree", "modulus", "zero", "one", "_reduction")
@@ -205,11 +206,12 @@ class ExtensionField:
         self.degree = degree
         if modulus is None:
             modulus = find_irreducible(base, degree)
-        modulus = tuple(modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != base.one:
-            raise ValueError("modulus must be monic of degree equal to the extension degree")
-        if not is_irreducible(base, modulus):
-            raise ValueError("modulus is reducible over the base field")
+        else:
+            modulus = tuple(modulus)
+            if len(modulus) != degree + 1 or modulus[-1] != base.one:
+                raise ValueError("modulus must be monic of degree equal to the extension degree")
+            if not is_irreducible(base, modulus):
+                raise ValueError("modulus is reducible over the base field")
         self.modulus = modulus
         self.zero = (base.zero,) * degree
         self.one = (base.one,) + (base.zero,) * (degree - 1)
@@ -343,27 +345,6 @@ def make_field(q: int) -> Field:
     if s == 1:
         return PrimeField(p)
     return ExtensionField(PrimeField(p), s)
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one arithmetic operation: add | sub | mul | inv | div.
-
-    For op == "inv" the second operand is ignored.
-    """
-    if a.field != b.field:
-        raise ValueError("operands live in different fields")
-    f = a.field
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "inv":
-        return FieldElement(f, f.inv(a.value))
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

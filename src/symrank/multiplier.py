@@ -31,6 +31,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .fields import (
     Field,
     FieldElement,
     Matrix,
-    find_irreducible,
+    PrimeField,
     invert,
     irreducible_polys,
     make_field,
@@ -50,6 +51,9 @@ from .fields import (
 EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
+CODE_TABLE_CAP = 256  # vectorized verification iff the base field has q <= this
+CODE_DTYPE = np.uint8  # holds every code below CODE_TABLE_CAP
+RANDOM_CHUNK = 1 << 16  # random-mode pairs per vectorized pass
 
 
 class InfeasiblePlanError(ValueError):
@@ -263,8 +267,6 @@ def build_algorithm(
         raise ValueError("rational nodes must be distinct")
     if len(set(plan.deg2_places)) != len(plan.deg2_places):
         raise ValueError("degree-2 places must be distinct")
-    if modulus is None:
-        modulus = find_irreducible(base, n)
     ext = ExtensionField(base, n, modulus)
     prod_len = 2 * n - 1
 
@@ -329,7 +331,7 @@ def build_algorithm(
     for j in range(prod_len):
         for i, c in enumerate(cur):
             reduce_q[i, j] = c
-        cur = poly_mod(base, (base.zero,) + cur, modulus)
+        cur = poly_mod(base, (base.zero,) + cur, ext.modulus)
 
     recon = reduce_q @ left_inv @ s_mat
     assert rank >= 2 * n - 1  # classical lower bound, structural here
@@ -394,7 +396,9 @@ def verify(
     Exhaustive over all q**(2n) operand pairs when that count is at most
     2**24 (and "auto" resolves accordingly); otherwise a seeded stream of
     random pairs.  Any mismatch raises VerificationError carrying the
-    offending pair.
+    offending pair, the first one in code order or stream order.  Over base
+    fields with q <= CODE_TABLE_CAP both modes run the vectorized code-table
+    kernel; above it each pair goes through the scalar routes.
     """
     q, n = algo.q, algo.n
     pair_count = q ** (2 * n)
@@ -406,117 +410,228 @@ def verify(
                 f"exhaustive verification capped at {EXHAUSTIVE_PAIR_CAP} pairs; "
                 f"q**(2n) = {pair_count}"
             )
-        _exhaustive_check(algo)
+        if q <= CODE_TABLE_CAP:
+            _exhaustive_check(algo)
+        else:
+            _scalar_check(algo, itertools.product(range(algo.ext.order), repeat=2))
         return VerificationReport("exhaustive", pair_count, 0, algo.rank, algo.envelope())
     if mode != "random":
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
         raise ValueError("random verification needs at least one trial")
-    ext = algo.ext
     rng = random.Random(seed)
-    order = ext.order
-    for _ in range(trials):
-        xc = rng.randrange(order)
-        yc = rng.randrange(order)
-        xv = ext.from_int(xc)
-        yv = ext.from_int(yc)
-        got = _apply_raw(algo, xv, yv)
-        expected = ext.mul(xv, yv)
-        if got != expected:
-            raise VerificationError(q, n, xc, yc, ext.to_int(expected), ext.to_int(got))
+    if q <= CODE_TABLE_CAP:
+        _random_check(algo, rng, trials)
+    else:
+        order = algo.ext.order
+        _scalar_check(algo, ((rng.randrange(order), rng.randrange(order)) for _ in range(trials)))
     return VerificationReport("random", trials, 0, algo.rank, algo.envelope(), seed)
 
 
-def _exhaustive_check(algo: BilinearAlgorithm) -> None:
-    """Vectorized exhaustive check of the bilinear identity.
-
-    Both routes run on integer element codes with base-field add/mul lookup
-    tables: the reference route is schoolbook convolution of coefficient
-    vectors followed by reduction, the tensor route is forms, pointwise
-    products and reconstruction.  Semantics match the scalar path exactly.
-    """
-    base = algo.base
+def _mismatch(algo: BilinearAlgorithm, x_code: int, y_code: int) -> VerificationError:
+    """The error for a failing pair, both products taken by the scalar routes."""
     ext = algo.ext
-    q, n = algo.q, algo.n
-    qn = q**n
-    prod_len = 2 * n - 1
-    elems = list(base.elements())
-    add_t = np.array(
-        [[base.to_int(base.add(a, b)) for b in elems] for a in elems], dtype=np.int64
-    )
-    mul_t = np.array(
-        [[base.to_int(base.mul(a, b)) for b in elems] for a in elems], dtype=np.int64
-    )
-    # all coefficient vectors by code: row k = digits of k base q, low index first
-    codes = np.arange(qn, dtype=np.int64)
-    coeffs = np.empty((qn, n), dtype=np.int64)
-    rest = codes.copy()
+    xv = ext.from_int(x_code)
+    yv = ext.from_int(y_code)
+    expected = ext.to_int(ext.mul(xv, yv))
+    got = ext.to_int(_apply_raw(algo, xv, yv))
+    return VerificationError(algo.q, algo.n, x_code, y_code, expected, got)
+
+
+def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
+    """Check (x code, y code) pairs one at a time, in the given order."""
+    ext = algo.ext
+    for xc, yc in pairs:
+        xv = ext.from_int(xc)
+        yv = ext.from_int(yc)
+        if _apply_raw(algo, xv, yv) != ext.mul(xv, yv):
+            raise _mismatch(algo, xc, yc)
+
+
+# ---------------------------------------------------------------------------
+# the integer-code kernel: both routes as gathers in add/mul tables over
+# canonical base-field codes
+
+
+@lru_cache(maxsize=None)
+def _code_tables(base: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only add and mul tables of a base field over its canonical codes.
+
+    Built on first use and kept for the process, only for q <= CODE_TABLE_CAP
+    (at most 2**16 entries each).  A prime field's tables are residue
+    arithmetic.  An extension adds digitwise in its own base's table and
+    multiplies through logarithms to a generator.  The tables are filled in
+    Python lists: they are small, and numpy arithmetic here would page in
+    library code that verification does not otherwise touch, which shows in
+    peak RSS.
+    """
+    q = base.order
+    if q > CODE_TABLE_CAP:
+        raise ValueError(f"code tables are built only for q <= {CODE_TABLE_CAP}, got {q}")
+    if isinstance(base, PrimeField):
+        add_rows = [[(a + b) % q for b in range(q)] for a in range(q)]
+        mul_rows = [[a * b % q for b in range(q)] for a in range(q)]
+    else:
+        p = base.base.order
+        digit_add = _code_tables(base.base)[0].tolist()
+        add_rows = digit_add
+        m = p  # add_rows covers codes below m; extend it by one digit at a time
+        while m < q:
+            add_rows = [
+                [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
+                for a in range(m * p)
+            ]
+            m *= p
+        exp = _generator_powers(base)
+        log = [0] * q
+        for k, c in enumerate(exp):
+            log[c] = k
+        mul_rows = [
+            [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)]
+            for a in range(q)
+        ]
+    tables = np.array(add_rows, dtype=CODE_DTYPE), np.array(mul_rows, dtype=CODE_DTYPE)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _generator_powers(field: ExtensionField) -> list[int]:
+    """Codes of g**k for k < q-1, g the smallest-code generator of the
+    multiplicative group, by scalar multiplication."""
+    for code in range(2, field.order):
+        g = field.from_int(code)
+        powers = [field.one]
+        cur = g
+        while cur != field.one:
+            powers.append(cur)
+            cur = field.mul(cur, g)
+        if len(powers) == field.order - 1:
+            return [field.to_int(v) for v in powers]
+    raise AssertionError("unreachable: the multiplicative group is cyclic")
+
+
+def _code_digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Base-q digits, low first, of element codes: shape codes.shape + (n,)."""
+    out = np.empty(codes.shape + (n,), dtype=CODE_DTYPE)
     for j in range(n):
-        coeffs[:, j] = rest % q
-        rest //= q
-    forms_c = np.array(algo.forms.to_int_lists(), dtype=np.int64)
-    recon_c = np.array(algo.recon.to_int_lists(), dtype=np.int64)
-    # u**k mod modulus for k < 2n-1, as coordinate rows of codes
-    curp = (base.one,)
-    all_rows = []
-    for _ in range(prod_len):
-        all_rows.append([base.to_int(c) for c in curp] + [0] * (n - len(curp)))
-        curp = poly_mod(base, (base.zero,) + curp, ext.modulus)
-    red = np.array(all_rows, dtype=np.int64)  # prod_len x n
+        out[..., j] = codes % q
+        codes = codes // q
+    return out
 
-    rank = algo.rank
-    phi = np.zeros((qn, rank), dtype=np.int64)
-    for i in range(rank):
-        acc = np.zeros(qn, dtype=np.int64)
-        for j in range(n):
-            fij = forms_c[i, j]
-            if fij:
-                acc = add_t[acc, mul_t[fij, coeffs[:, j]]]
-        phi[:, i] = acc
 
+def _reduction_codes(ext: ExtensionField) -> np.ndarray:
+    """Codes of u**k mod the modulus, one row per k in [n, 2n-2]."""
+    n = ext.degree
+    rows = [[ext.base.to_int(c) for c in ext._reduction[k]] for k in range(n, 2 * n - 1)]
+    return np.array(rows, dtype=CODE_DTYPE).reshape(n - 1, n)
+
+
+@dataclass(frozen=True)
+class _CodeKernel:
+    """An algorithm's tensor route, checked against the reference route, as
+    gathers in its base field's code tables.
+
+    Coefficient arrays end in an axis of n codes and form-value arrays in an
+    axis of rank codes; leading shapes broadcast, so the exhaustive check
+    passes (B,1,n) x (1,q**n,n) chunks and random verification aligned (T,n)
+    arrays.
+    """
+
+    tables: tuple[np.ndarray, np.ndarray]
+    forms: np.ndarray  # rank x n
+    recon: np.ndarray  # n x rank
+    red: np.ndarray  # u**k mod modulus, k in [n, 2n-2]
+
+    @classmethod
+    def of(cls, algo: BilinearAlgorithm) -> "_CodeKernel":
+        return cls(
+            _code_tables(algo.base),
+            np.array(algo.forms.to_int_lists(), dtype=CODE_DTYPE),
+            np.array(algo.recon.to_int_lists(), dtype=CODE_DTYPE),
+            _reduction_codes(algo.ext),
+        )
+
+    def form_values(self, coeffs: np.ndarray) -> np.ndarray:
+        """The linear forms at coefficient codes."""
+        add_t, mul_t = self.tables
+        out = np.zeros(coeffs.shape[:-1] + (self.forms.shape[0],), dtype=CODE_DTYPE)
+        for i, row in enumerate(self.forms):
+            acc = np.zeros(coeffs.shape[:-1], dtype=CODE_DTYPE)
+            for j, fij in enumerate(row):
+                if fij:
+                    acc = add_t[acc, mul_t[fij, coeffs[..., j]]]
+            out[..., i] = acc
+        return out
+
+    def reference(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Schoolbook convolution of coefficient codes, then reduction by the
+        rows u**k mod modulus."""
+        add_t, mul_t = self.tables
+        n = x.shape[-1]
+        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        conv = np.zeros(shape + (2 * n - 1,), dtype=CODE_DTYPE)
+        for i in range(n):
+            for j in range(n):
+                conv[..., i + j] = add_t[conv[..., i + j], mul_t[x[..., i], y[..., j]]]
+        out = conv[..., :n].copy()
+        for k in range(n, 2 * n - 1):
+            hk = conv[..., k]
+            for j, rkj in enumerate(self.red[k - n]):
+                if rkj:
+                    out[..., j] = add_t[out[..., j], mul_t[rkj, hk]]
+        return out
+
+    def first_mismatch(self, x, y, fx, fy) -> np.ndarray | None:
+        """Leading index, first in C order, where pointwise products of the
+        form values fx, fy, reconstructed, differ from the reference product
+        of x and y; None when they agree everywhere."""
+        ref = self.reference(x, y)
+        add_t, mul_t = self.tables
+        got = np.zeros(ref.shape, dtype=CODE_DTYPE)
+        for k in range(self.recon.shape[1]):
+            wk = mul_t[fx[..., k], fy[..., k]]
+            for j, cjk in enumerate(self.recon[:, k]):
+                if cjk:
+                    got[..., j] = add_t[got[..., j], mul_t[cjk, wk]]
+        # the passing case compares byte images, which pages in no numpy
+        # comparison or reduction code (it shows in peak RSS)
+        if memoryview(ref) == memoryview(got):
+            return None
+        return np.argwhere((ref != got).any(axis=-1))[0]
+
+
+def _exhaustive_check(algo: BilinearAlgorithm) -> None:
+    """All pairs, x-major in code order: chunks of B x codes against all q**n."""
+    kernel = _CodeKernel.of(algo)
+    qn = algo.ext.order
+    coeffs = _code_digits(np.arange(qn, dtype=np.int64), algo.q, algo.n)
+    phi = kernel.form_values(coeffs)  # form values of every element
     chunk = max(1, (1 << 20) // qn)  # keeps per-chunk arrays tens of MB at worst
     for start in range(0, qn, chunk):
         stop = min(qn, start + chunk)
-        cx = coeffs[start:stop]  # B x n
-        b = stop - start
-        # reference route: convolution then reduction
-        conv = np.zeros((b, qn, prod_len), dtype=np.int64)
-        for i in range(n):
-            col = cx[:, i][:, None]  # B x 1 codes
-            for j in range(n):
-                prod = mul_t[col, coeffs[None, :, j]]
-                conv[:, :, i + j] = add_t[conv[:, :, i + j], prod]
-        ref = conv[:, :, :n].copy()
-        for k in range(n, prod_len):
-            hk = conv[:, :, k]
-            for j in range(n):
-                rkj = red[k, j]
-                if rkj:
-                    ref[:, :, j] = add_t[ref[:, :, j], mul_t[rkj, hk]]
-        # tensor route: pointwise products of forms, then reconstruction
-        px = phi[start:stop]  # B x rank
-        got = np.zeros((b, qn, n), dtype=np.int64)
-        for k in range(rank):
-            wk = mul_t[px[:, k][:, None], phi[None, :, k]]
-            for j in range(n):
-                cjk = recon_c[j, k]
-                if cjk:
-                    got[:, :, j] = add_t[got[:, :, j], mul_t[cjk, wk]]
-        bad = (ref != got).any(axis=2)
-        if bad.any():
-            bx, by = np.argwhere(bad)[0]
-            x_code = int(codes[start + bx])
-            y_code = int(codes[by])
-            xv = ext.from_int(x_code)
-            yv = ext.from_int(y_code)
-            raise VerificationError(
-                q,
-                n,
-                x_code,
-                y_code,
-                ext.to_int(ext.mul(xv, yv)),
-                ext.to_int(_apply_raw(algo, xv, yv)),
-            )
+        bad = kernel.first_mismatch(
+            coeffs[start:stop, None], coeffs[None], phi[start:stop, None], phi[None]
+        )
+        if bad is not None:
+            bx, by = bad
+            raise _mismatch(algo, start + int(bx), int(by))
+
+
+def _random_check(algo: BilinearAlgorithm, rng: random.Random, trials: int) -> None:
+    """`trials` pairs from rng (x, then y, per trial), RANDOM_CHUNK at a time."""
+    kernel = _CodeKernel.of(algo)
+    order = algo.ext.order
+    dtype = np.int64 if order <= 1 << 63 else object  # larger codes stay Python ints
+    for start in range(0, trials, RANDOM_CHUNK):
+        count = 2 * min(RANDOM_CHUNK, trials - start)
+        codes = np.fromiter((rng.randrange(order) for _ in range(count)), dtype=dtype, count=count)
+        x = _code_digits(codes[0::2], algo.q, algo.n)
+        y = _code_digits(codes[1::2], algo.q, algo.n)
+        bad = kernel.first_mismatch(x, y, kernel.form_values(x), kernel.form_values(y))
+        if bad is not None:
+            (i,) = bad
+            raise _mismatch(algo, int(codes[2 * i]), int(codes[2 * i + 1]))
 
 
 def emit_tensor(algo: BilinearAlgorithm) -> str:

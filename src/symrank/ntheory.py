@@ -19,6 +19,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+class PrimalityLimitError(ValueError):
+    """is_prime was asked about an n at or past its proven limit."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below the Miller-Rabin witness limit."""
     if n < 2:
@@ -27,7 +31,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality test limited to n < {_MR_LIMIT}")
+        raise PrimalityLimitError(f"primality test limited to n < {_MR_LIMIT}")
     d = n - 1
     r = 0
     while d % 2 == 0:

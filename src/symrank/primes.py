@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ntheory import is_prime
+from .ntheory import PrimalityLimitError, is_prime
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
 SIEVE_MEMORY_CAP = 1_000_000_000
@@ -34,7 +34,8 @@ DUDEK_X_ALPHA_EXPR = "exp(exp(33.3))"
 
 
 class PairSelectionError(ValueError):
-    """Pair selection cannot proceed (threshold below 2)."""
+    """Pair selection cannot proceed (threshold below 2, or a pair past the
+    primality test's proven limit)."""
 
 
 def prev_prime(x: int) -> int:
@@ -348,15 +349,21 @@ def select_pair(
         )
     skips = family.skip_set(p)
     skipped = []
-    l_k = prev_prime(int(threshold))  # threshold >= 2 > 0, so int() floors
-    while l_k in skips:
-        skipped.append(l_k)
-        l_k = prev_prime(l_k - 1)
-    l_k1 = next_prime(l_k)
-    while l_k1 in skips:
-        if l_k1 not in skipped:
-            skipped.append(l_k1)
-        l_k1 = next_prime(l_k1)
+    try:
+        l_k = prev_prime(int(threshold))  # threshold >= 2 > 0, so int() floors
+        while l_k in skips:
+            skipped.append(l_k)
+            l_k = prev_prime(l_k - 1)
+        l_k1 = next_prime(l_k)
+        while l_k1 in skips:
+            if l_k1 not in skipped:
+                skipped.append(l_k1)
+            l_k1 = next_prime(l_k1)
+    except PrimalityLimitError as exc:
+        raise PairSelectionError(
+            f"n too large for family: primes near threshold {threshold} cannot be proven, "
+            f"{exc} (p={p}, n={n}, {family.value})"
+        ) from exc
     assert l_k <= threshold < l_k1
     return PrimePair(l_k, l_k1, threshold, l_k1 - l_k, tuple(sorted(set(skipped))))
 

@@ -48,6 +48,16 @@ class TestBoundCommand:
         assert doc["witnesses"]["genus"] == 1000000007
         assert doc["value_int"] == 3000000006
 
+    def test_past_primality_limit_is_infeasible(self, capsys):
+        # threshold about 1e25, past the proven Miller-Rabin range psi_13
+        code, out = run(
+            capsys, "bound", "--p", "5", "--n", str(10**25), "--method", "constructive",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "infeasible" and doc["failed_check"] == "pair_selection"
+        assert "3317044064679887385961981" in doc["reason"]
+
     def test_too_small_n_is_infeasible(self, capsys):
         code, out = run(capsys, "bound", "--p", "5", "--n", "3", "--method", "constructive")
         assert code == 2

@@ -1,9 +1,12 @@
 import random
 from decimal import Decimal, getcontext
+from math import gcd
 
 import pytest
 
-from symrank.curves import check_rr_hypothesis, family_data, genus_X0
+from symrank.bounds import constructive_bound
+from symrank.curves import _gamma0_data, check_rr_hypothesis, family_data, genus_X0
+from symrank.ntheory import divisors, euler_phi
 from symrank.primes import sieve
 
 
@@ -37,13 +40,16 @@ class TestGenusX0:
         for l in sieve(1000).primes:
             if l != 11:
                 assert genus_X0(11 * l).genus == l
+                assert _gamma0_data(11 * l, {11: 1, l: 1}) == genus_X0(11 * l)
             if l != 23:
                 assert genus_X0(23 * l).genus == 2 * l + 1
+                assert _gamma0_data(23 * l, {23: 1, l: 1}) == genus_X0(23 * l)
 
     def test_consistency_identity_sample(self):
         for n in range(1, 2001):
             d = genus_X0(n)
             assert 12 * d.genus - 12 + 3 * d.nu2 + 4 * d.nu3 + 6 * d.nu_inf == d.mu
+            assert d.nu_inf == sum(euler_phi(gcd(k, n // k)) for k in divisors(n))
 
 
 class TestFamilyData:
@@ -77,6 +83,14 @@ class TestFamilyData:
             family_data(3, 7)  # p < 5
         with pytest.raises(ValueError):
             family_data(5, 9)  # l not prime
+
+    def test_large_level_needs_no_factorization(self):
+        # the genus cross-check of X0(11*l) must not trial-divide 11*l
+        # (O(sqrt l): minutes at this n)
+        report = constructive_bound(5, 10**20)
+        assert report.witnesses.pair.l_k1 == 100000000000000000039
+        assert report.witnesses.curve.genus == 100000000000000000039
+        assert report.value_int == 2 * 10**20 + 100000000000000000039 - 1
 
     def test_json_shape(self):
         doc = family_data(5, 13).to_json_dict()

@@ -9,7 +9,6 @@ from symrank.fields import (
     SingularMatrixError,
     all_monic_polys,
     count_places_rational_ff,
-    field_arith,
     find_irreducible,
     invert,
     is_irreducible,
@@ -91,17 +90,6 @@ class TestFieldArithmetic:
         with pytest.raises(ZeroDivisionError):
             f4.inv(f4.zero)
 
-    def test_field_arith_dispatch(self):
-        f4 = make_field(4)
-        a, b = f4.element(2), f4.element(3)
-        assert field_arith(a, b, "add").to_int() == 1
-        assert field_arith(a, b, "sub").to_int() == 1
-        assert field_arith(a, b, "mul").to_int() == 1  # t*(1+t) = t+t^2 = 1
-        assert field_arith(a, b, "div") * b == a
-        assert field_arith(b, b, "inv") * b == f4.element(1)
-        with pytest.raises(ValueError):
-            field_arith(a, b, "pow")
-
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ValueError):
             make_field(4).element(1) + make_field(5).element(1)
@@ -153,6 +141,22 @@ class TestFieldArithmetic:
             ExtensionField(f2, 2, (1, 0, 1))  # u^2+1 = (u+1)^2
         with pytest.raises(ValueError):
             ExtensionField(f2, 2, (1, 1))  # wrong degree
+
+    def test_irreducibility_checked_only_for_supplied_moduli(self, monkeypatch):
+        # the canonical modulus comes from find_irreducible and is not re-proven
+        import symrank.fields as fields_mod
+
+        calls = []
+        real = fields_mod.is_irreducible
+        monkeypatch.setattr(fields_mod, "find_irreducible", lambda f, n: (1, 1, 0, 1))
+        monkeypatch.setattr(
+            fields_mod, "is_irreducible", lambda f, poly: calls.append(poly) or real(f, poly)
+        )
+        f2 = make_field(2)
+        assert ExtensionField(f2, 3).modulus == (1, 1, 0, 1)
+        assert calls == []
+        ExtensionField(f2, 3, (1, 0, 1, 1))
+        assert calls == [(1, 0, 1, 1)]
 
 
 class TestLinearAlgebra:

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from symrank.fields import Matrix, make_field, poly_eval
+from symrank import multiplier
+from symrank.fields import make_field, poly_eval
 from symrank.multiplier import (
     BilinearAlgorithm,
     EvalPlan,
@@ -16,6 +17,40 @@ from symrank.multiplier import (
     plan_evaluation,
     verify,
 )
+
+
+def corrupted(algo, j=0, k=0):
+    """A copy of algo with recon[j, k] moved by one."""
+    recon = algo.recon.copy()
+    recon[j, k] = algo.base.add(recon[j, k], algo.base.one)
+    return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, recon, algo.contributions)
+
+
+def seeded_pairs(order, seed, trials):
+    """The random-mode operand stream: x, then y, per trial."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        xc = rng.randrange(order)
+        yc = rng.randrange(order)
+        yield xc, yc
+
+
+def scalar_first_failure(algo, pairs):
+    """(x, y, expected, got) codes at the first pair where the scalar tensor
+    route disagrees with ext.mul, or None."""
+    ext = algo.ext
+    for xc, yc in pairs:
+        x, y = ext.element(xc), ext.element(yc)
+        expected = ext.mul(x.value, y.value)
+        got = multiply(algo, x, y).value
+        if got != expected:
+            return xc, yc, ext.to_int(expected), ext.to_int(got)
+    return None
+
+
+def reported(exc_info):
+    err = exc_info.value
+    return err.x_code, err.y_code, err.expected, err.got
 
 
 class TestPlanEvaluation:
@@ -172,18 +207,19 @@ class TestMultiply:
         with pytest.raises(ValueError):
             multiply(algo, other.element(1), other.element(2))
 
-    @pytest.mark.parametrize("q,n", [(3, 2), (4, 2)])
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3)])
     def test_scalar_loop_agrees_with_vectorized_engine(self, q, n):
         # the scalar route over every pair reaches the same verdict as the
-        # table-driven exhaustive engine
+        # table-driven exhaustive engine, and for a corrupted algorithm the
+        # engine reports the scalar loop's first failure in code order
         algo = build_algorithm(q, n)
-        ext = algo.ext
-        for xc in range(ext.order):
-            x = ext.element(xc)
-            for yc in range(ext.order):
-                y = ext.element(yc)
-                assert multiply(algo, x, y).value == ext.mul(x.value, y.value)
+        every_pair = [(xc, yc) for xc in range(algo.ext.order) for yc in range(algo.ext.order)]
+        assert scalar_first_failure(algo, every_pair) is None
         assert verify(algo, "exhaustive").failures == 0
+        bad = corrupted(algo, n - 1, algo.rank - 1)
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == scalar_first_failure(bad, every_pair)
 
 
 class TestVerify:
@@ -215,32 +251,70 @@ class TestVerify:
         assert a == b
 
     def test_corrupted_recon_detected_exhaustive(self):
-        algo = build_algorithm(2, 2)
-        bad_recon = Matrix(algo.recon.field, 2, 3, list(algo.recon.entries))
-        bad_recon[0, 0] = algo.base.add(bad_recon[0, 0], algo.base.one)
-        bad = BilinearAlgorithm(
-            algo.ext, algo.plan, algo.rank, algo.forms, bad_recon, algo.contributions
-        )
+        bad = corrupted(build_algorithm(2, 2))
         with pytest.raises(VerificationError) as exc:
             verify(bad, "exhaustive")
         doc = exc.value.to_json_dict()
         assert doc["error"] == "verification_failure" and "reason" in doc
 
     def test_corrupted_recon_detected_random(self):
-        algo = build_algorithm(5, 3)
-        bad_recon = Matrix(algo.recon.field, algo.n, algo.rank, list(algo.recon.entries))
-        bad_recon[1, 2] = algo.base.add(bad_recon[1, 2], algo.base.one)
-        bad = BilinearAlgorithm(
-            algo.ext, algo.plan, algo.rank, algo.forms, bad_recon, algo.contributions
-        )
-        with pytest.raises(VerificationError):
-            verify(bad, "random", trials=500, seed=3)
+        # prime and extension bases, codes past int64 (251**8) and a base
+        # above the table cap: the reported pair and both products are the
+        # scalar loop's first failure in stream order
+        for q, n in ((5, 3), (4, 4), (9, 3), (251, 8), (257, 2)):
+            bad = corrupted(build_algorithm(q, n), 1, 2)
+            with pytest.raises(VerificationError) as exc:
+                verify(bad, "random", trials=500, seed=3)
+            first = scalar_first_failure(bad, seeded_pairs(bad.ext.order, 3, 500))
+            assert reported(exc) == first
+
+    def test_random_chunks_keep_stream_order(self, monkeypatch):
+        # with tiny chunks the first failure lies past the first chunk and is
+        # still the stream's first failure
+        monkeypatch.setattr(multiplier, "RANDOM_CHUNK", 4)
+        bad = corrupted(build_algorithm(2, 3), 2, 5)
+        pairs = list(seeded_pairs(bad.ext.order, 6, 40))
+        first = scalar_first_failure(bad, pairs)
+        assert pairs.index(first[:2]) >= 8
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "random", trials=40, seed=6)
+        assert reported(exc) == first
+
+    def test_random_just_past_one_chunk(self):
+        trials = multiplier.RANDOM_CHUNK + 1
+        report = verify(build_algorithm(2, 2), "random", trials=trials, seed=9)
+        assert report.pairs_checked == trials and report.failures == 0
+
+    def test_above_table_cap_runs_scalar_routes(self):
+        algo = build_algorithm(257, 2)
+        assert algo.q > multiplier.CODE_TABLE_CAP
+        report = verify(algo, "random", trials=50)
+        assert report.mode == "random" and report.pairs_checked == 50
+        # only n = 1 keeps q**(2n) within the exhaustive cap above q = 256
+        line = build_algorithm(257, 1, EvalPlan(257, 1, (0,), False, (), 1))
+        report = verify(line)
+        assert report.mode == "exhaustive" and report.pairs_checked == 257**2
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
             verify(build_algorithm(2, 2), "random", trials=0)
         with pytest.raises(ValueError):
             verify(build_algorithm(2, 2), "sometimes")
+
+
+class TestCodeTables:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 81, 251, 256])
+    def test_tables_match_scalar_arithmetic(self, q):
+        base = make_field(q)
+        elems = list(base.elements())
+        add_t, mul_t = multiplier._code_tables(base)
+        assert add_t.tolist() == [[base.to_int(base.add(a, b)) for b in elems] for a in elems]
+        assert mul_t.tolist() == [[base.to_int(base.mul(a, b)) for b in elems] for a in elems]
+        assert not add_t.flags.writeable and not mul_t.flags.writeable
+
+    def test_no_tables_above_cap(self):
+        with pytest.raises(ValueError):
+            multiplier._code_tables(make_field(257))
 
 
 class TestTensorSerialization:

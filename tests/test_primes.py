@@ -131,6 +131,15 @@ class TestSelectPair:
         with pytest.raises(PairSelectionError):
             select_pair(5, 3, PairFamily.QUADRATIC_GENERIC)
 
+    def test_past_primality_limit(self):
+        # psi_13 bounds the proven primality test; n - 3 is the generic
+        # threshold for p = 5.  Past it l_k cannot be found; just below it
+        # l_k is found but the search for l_{k+1} crosses the limit.
+        psi13 = 3317044064679887385961981
+        for n in (10**25, psi13 + 2):
+            with pytest.raises(PairSelectionError, match=str(psi13)):
+                select_pair(5, n, PairFamily.QUADRATIC_GENERIC)
+
     def test_family_p_consistency(self):
         with pytest.raises(ValueError):
             select_pair(11, 100, PairFamily.QUADRATIC_GENERIC)
