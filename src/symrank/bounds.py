@@ -520,7 +520,8 @@ def compare_all(
         raise ValueError(f"p must be a prime >= 5, got {p}")
     policy = policy or GapPolicy.dudek()
     emp = default_empirical_policy(empirical_limit)
-    result: dict = {"p": p, "n": n}
+    # the "p" key holds the GF(p) block, so the prime itself goes under "prime"
+    result: dict = {"prime": p, PRIME: None, "n": n}
     for field, priors, closed in (
         (QUADRATIC, ("v", "vi"), closed_form_quadratic),
         (PRIME, ("iii", "iv"), closed_form_prime),

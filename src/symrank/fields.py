@@ -11,6 +11,11 @@ Representation conventions, used everywhere in the package:
 * Every field value has a canonical integer code: the residue itself for a
   prime field, and sum(code(c_i) * q**i) for an extension over a field of
   order q.  Codes order the elements and serialize them.
+* A field with at most CODE_TABLE_CAP elements also has a code form,
+  `code_field(field)`: the same field on its codes, every operation a lookup
+  in tables built once per process.  The modulus search, the interpolation
+  solve of the multiplier and its vectorized verifier all run on these
+  tables; larger fields use the raw values above.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -24,12 +29,17 @@ intermediate products.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 from .ntheory import is_prime, mobius, prime_power_split
 
 MAX_PRIME = 1 << 61
+CODE_TABLE_CAP = 256  # fields with at most this many elements get code tables
+CODE_DTYPE = np.uint8  # holds every code below CODE_TABLE_CAP
 
 Value = Union[int, tuple]  # raw field value: int residue or tuple of base values
 
@@ -348,6 +358,125 @@ def make_field(q: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
+# small fields on canonical codes: one set of cached tables per field
+
+
+class CodeField:
+    """A field with at most CODE_TABLE_CAP elements on its canonical codes.
+
+    It has PrimeField's arithmetic methods, so the polynomial and matrix
+    routines below run on it unchanged; every operation is a lookup in
+    Python-list tables: add_rows[a][b], mul_rows[a][b], negs[a] and invs[a] (invs[0] is
+    0 and never read).  Build it with code_field, which keeps one per field.
+    """
+
+    __slots__ = ("field", "add_rows", "mul_rows", "negs", "invs")
+
+    zero = 0
+    one = 1
+
+    def __init__(self, field, add_rows: list, mul_rows: list):
+        self.field = field
+        self.add_rows = add_rows
+        self.mul_rows = mul_rows
+        self.negs = [row.index(0) for row in add_rows]
+        self.invs = [0] + [row.index(1) for row in mul_rows[1:]]
+
+    @property
+    def order(self) -> int:
+        return self.field.order
+
+    def add(self, a: int, b: int) -> int:
+        return self.add_rows[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add_rows[a][self.negs[b]]
+
+    def neg(self, a: int) -> int:
+        return self.negs[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.mul_rows[a][b]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in {self}")
+        return self.invs[a]
+
+    def from_int(self, code: int) -> int:
+        return code
+
+    def to_int(self, a: int) -> int:
+        return a
+
+    def __repr__(self):
+        return f"codes of {self.field}"
+
+
+@lru_cache(maxsize=None)
+def code_field(field: Field) -> CodeField:
+    """The code form of a field with at most CODE_TABLE_CAP elements.
+
+    Built on first use and kept for the process.  A prime field's tables are
+    residue arithmetic.  An extension adds digitwise in its own base's table
+    and multiplies through logarithms to a generator.
+    """
+    q = field.order
+    if q > CODE_TABLE_CAP:
+        raise ValueError(f"code tables are built only for q <= {CODE_TABLE_CAP}, got {q}")
+    if isinstance(field, PrimeField):
+        add_rows = [[(a + b) % q for b in range(q)] for a in range(q)]
+        mul_rows = [[a * b % q for b in range(q)] for a in range(q)]
+        return CodeField(field, add_rows, mul_rows)
+    p = field.base.order
+    digit_add = code_field(field.base).add_rows
+    add_rows = digit_add
+    m = p  # add_rows covers codes below m; extend it by one digit at a time
+    while m < q:
+        add_rows = [
+            [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
+            for a in range(m * p)
+        ]
+        m *= p
+    exp = _generator_powers(field)
+    log = [0] * q
+    for k, c in enumerate(exp):
+        log[c] = k
+    mul_rows = [
+        [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)] for a in range(q)
+    ]
+    return CodeField(field, add_rows, mul_rows)
+
+
+def _generator_powers(field: ExtensionField) -> list[int]:
+    """Codes of g**k for k < q-1, g the smallest-code generator of the
+    multiplicative group, by scalar multiplication."""
+    for code in range(2, field.order):
+        g = field.from_int(code)
+        powers = [field.one]
+        cur = g
+        while cur != field.one:
+            powers.append(cur)
+            cur = field.mul(cur, g)
+        if len(powers) == field.order - 1:
+            return [field.to_int(v) for v in powers]
+    raise AssertionError("unreachable: the multiplicative group is cyclic")
+
+
+@lru_cache(maxsize=None)
+def _code_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only numpy copies of code_field(field)'s add and mul tables, for
+    vectorized gathers.  Filled from the Python lists: numpy arithmetic here
+    would page in library code that verification does not otherwise touch,
+    which shows in peak RSS."""
+    cf = code_field(field)
+    tables = np.array(cf.add_rows, dtype=CODE_DTYPE), np.array(cf.mul_rows, dtype=CODE_DTYPE)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+# ---------------------------------------------------------------------------
 # polynomial arithmetic over an arbitrary field
 # (coefficient tuples, low degree first, trailing zeros trimmed)
 
@@ -474,7 +603,8 @@ def is_irreducible(field, poly: tuple) -> bool:
     """Irreducibility over the field, by gcd with x**(q**d) - x for d <= n/2.
 
     x**(q**d) - x is the product of all monic irreducibles of degree dividing
-    d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.
+    d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.  Over
+    a field with code tables the test runs on the monic multiple's code list.
     """
     n = poly_deg(poly)
     if n < 1:
@@ -484,6 +614,11 @@ def is_irreducible(field, poly: tuple) -> bool:
     if poly[-1] == field.zero:
         raise ValueError("polynomial must have nonzero leading coefficient")
     q = field.order
+    if q <= CODE_TABLE_CAP:
+        cf = code_field(field)
+        codes = [field.to_int(c) for c in poly]
+        lead_inv = cf.inv(codes[-1])
+        return _irreducible_codes(cf, [cf.mul(lead_inv, c) for c in codes])
     x = (field.zero, field.one)
     w = x
     for _ in range(n // 2):
@@ -499,13 +634,22 @@ def find_irreducible(field, n: int) -> tuple:
     A monic candidate c_0 + c_1 u + ... + u**n is ranked by the integer
     sum(code(c_i) * q**i); candidates are scanned in that order and the first
     irreducible one is returned.  Deterministic, and existence is guaranteed
-    for every q and n >= 1.
+    for every q and n >= 1.  Over a field with code tables the candidates are
+    code lists, and only the one returned is made a tuple of field values.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
         return (field.zero, field.one)
     q = field.order
+    if q <= CODE_TABLE_CAP:
+        cf = code_field(field)
+        for high in itertools.product(range(q), repeat=n - 1):  # c_{n-1}, ..., c_1
+            rest = [*reversed(high), 1]
+            for c0 in range(1, q):  # c_0 = 0: divisible by u
+                if _irreducible_codes(cf, [c0, *rest]):
+                    return tuple(field.from_int(c) for c in [c0, *rest])
+        raise AssertionError("unreachable: irreducibles exist for every degree")
     for code in range(q**n):
         coeffs = []
         k = code
@@ -518,6 +662,73 @@ def find_irreducible(field, n: int) -> tuple:
         if is_irreducible(field, cand):
             return cand
     raise AssertionError("unreachable: irreducibles exist for every degree")
+
+
+# is_irreducible on code lists: f monic of degree n, a residue mod f is a list
+# of n codes, and negf holds the negated low coefficients of f
+
+
+def _irreducible_codes(cf: CodeField, f: list) -> bool:
+    """is_irreducible's test for a monic code list f of degree >= 2."""
+    add, mul, neg = cf.add_rows, cf.mul_rows, cf.negs
+    n = len(f) - 1
+    negf = [neg[c] for c in f[:n]]
+    w = [0, 1] + [0] * (n - 2)  # x
+    for _ in range(n // 2):
+        w = _powmod_codes(add, mul, negf, w, cf.order)
+        if _common_factor_codes(cf, f, [w[0], add[w[1]][neg[1]], *w[2:]]):
+            return False
+    return True
+
+
+def _mulmod_codes(add: list, mul: list, negf: list, a: list, b: list) -> list:
+    n = len(negf)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            row = mul[ai]
+            for k, bj in enumerate(b, i):
+                prod[k] = add[prod[k]][row[bj]]
+    for k in range(2 * n - 2, n - 1, -1):  # u**k = u**(k-n) * (-low part of f)
+        c = prod[k]
+        if c:
+            row = mul[c]
+            for j, fj in enumerate(negf, k - n):
+                prod[j] = add[prod[j]][row[fj]]
+    del prod[n:]
+    return prod
+
+
+def _powmod_codes(add: list, mul: list, negf: list, a: list, e: int) -> list:
+    out = a
+    for bit in bin(e)[3:]:  # left to right, below the leading one
+        out = _mulmod_codes(add, mul, negf, out, out)
+        if bit == "1":
+            out = _mulmod_codes(add, mul, negf, out, a)
+    return out
+
+
+def _common_factor_codes(cf: CodeField, f: list, g: list) -> bool:
+    """Whether gcd(f, g) has degree >= 1, by Euclid on code lists (g may
+    carry trailing zeros; g = 0 shares all of f)."""
+    add, mul, neg, inv = cf.add_rows, cf.mul_rows, cf.negs, cf.invs
+    a, b = list(f), list(g)
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        db = len(b) - 1
+        lead_inv = inv[b[-1]]
+        for i in range(len(a) - 1 - db, -1, -1):  # a mod b, in place
+            c = a[i + db]
+            if c:
+                row = mul[neg[mul[c][lead_inv]]]
+                for k, bj in enumerate(b, i):
+                    a[k] = add[a[k]][row[bj]]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) > 1
 
 
 def count_places_rational_ff(q: int, d: int) -> int:
@@ -604,20 +815,15 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         f = self.field
-        out = Matrix.zero(f, self.rows, other.cols)
+        other_rows = [other.row(k) for k in range(other.rows)]
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == f.zero:
-                    continue
-                obase = k * other.cols
-                tbase = i * other.cols
-                for j in range(other.cols):
-                    out.entries[tbase + j] = f.add(
-                        out.entries[tbase + j], f.mul(a, other.entries[obase + j])
-                    )
-        return out
+            acc = [f.zero] * other.cols
+            for a, orow in zip(self.row(i), other_rows):
+                if a != f.zero:
+                    acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, orow)]
+            out.extend(acc)
+        return Matrix(f, self.rows, other.cols, out)
 
     def matvec(self, vec: Sequence) -> list:
         if len(vec) != self.cols:
@@ -650,33 +856,19 @@ def solve_linear(m: Matrix, rhs: Matrix) -> Matrix:
         raise ValueError("rhs row count mismatch")
     f = m.field
     n = m.rows
-    a = m.copy()
-    b = rhs.copy()
+    rows = [m.row(i) + rhs.row(i) for i in range(n)]  # augmented [m | rhs]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r, col] != f.zero), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != f.zero), None)
         if pivot is None:
             raise SingularMatrixError(col)
-        if pivot != col:
-            for j in range(n):
-                a[col, j], a[pivot, j] = a[pivot, j], a[col, j]
-            for j in range(b.cols):
-                b[col, j], b[pivot, j] = b[pivot, j], b[col, j]
-        inv = f.inv(a[col, col])
-        for j in range(col, n):
-            a[col, j] = f.mul(inv, a[col, j])
-        for j in range(b.cols):
-            b[col, j] = f.mul(inv, b[col, j])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = f.inv(rows[col][col])
+        prow = rows[col] = [f.mul(inv, x) for x in rows[col]]
         for r in range(n):
-            if r == col:
-                continue
-            factor = a[r, col]
-            if factor == f.zero:
-                continue
-            for j in range(col, n):
-                a[r, j] = f.sub(a[r, j], f.mul(factor, a[col, j]))
-            for j in range(b.cols):
-                b[r, j] = f.sub(b[r, j], f.mul(factor, b[col, j]))
-    return b
+            factor = rows[r][col]
+            if r != col and factor != f.zero:
+                rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], prow)]
+    return Matrix(f, n, rhs.cols, [x for row in rows for x in row[n:]])
 
 
 def invert(m: Matrix) -> Matrix:

@@ -31,18 +31,21 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fields import (
+    CODE_DTYPE,
+    CODE_TABLE_CAP,
     ExtensionField,
     Field,
     FieldElement,
     Matrix,
-    PrimeField,
+    _code_tables,
+    code_field,
     invert,
     irreducible_polys,
+    is_irreducible,
     make_field,
     poly_mod,
     select_independent_rows,
@@ -51,8 +54,6 @@ from .fields import (
 EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
-CODE_TABLE_CAP = 256  # vectorized verification iff the base field has q <= this
-CODE_DTYPE = np.uint8  # holds every code below CODE_TABLE_CAP
 RANDOM_CHUNK = 1 << 16  # random-mode pairs per vectorized pass
 
 
@@ -219,14 +220,14 @@ class BilinearAlgorithm:
         return 2 * n - 1 if self.plan.case == 1 else 3 * n
 
 
-def _node_powers(base: Field, a, count: int) -> list:
+def _node_powers(base, a, count: int) -> list:
     out = [base.one]
     for _ in range(count - 1):
         out.append(base.mul(out[-1], a))
     return out
 
 
-def _residue_rows(base: Field, pi: tuple, count: int) -> list[list]:
+def _residue_rows(base, pi: tuple, count: int) -> list[list]:
     """Rows of u**j mod pi for j < count, as two coordinate lists."""
     rows = []
     cur = (base.one,)
@@ -249,7 +250,9 @@ def build_algorithm(
     The defining modulus defaults to the canonical irreducible of degree n.
     The interpolation system is inverted on the first full-rank square row
     subsystem in canonical order (for the canonical plans the system is
-    square already), which cannot be singular for distinct places.
+    square already), which cannot be singular for distinct places.  Over a
+    base field with q <= CODE_TABLE_CAP the whole interpolation runs on
+    canonical codes, and only the returned matrices hold raw values.
     """
     base = make_field(q)
     if plan is None:
@@ -267,39 +270,65 @@ def build_algorithm(
         raise ValueError("rational nodes must be distinct")
     if len(set(plan.deg2_places)) != len(plan.deg2_places):
         raise ValueError("degree-2 places must be distinct")
+    for pi in plan.deg2_places:
+        if len(pi) != 3 or pi[-1] != base.one or not is_irreducible(base, pi):
+            raise ValueError("degree-2 places must be monic irreducible quadratics")
     ext = ExtensionField(base, n, modulus)
+    arith = code_field(base) if q <= CODE_TABLE_CAP else base
+
+    def encode(v):
+        return arith.from_int(base.to_int(v))
+
+    def decode(m: Matrix) -> Matrix:
+        return Matrix(base, m.rows, m.cols, [base.from_int(arith.to_int(v)) for v in m.entries])
+
+    forms, recon = _interpolate(arith, encode, plan, tuple(map(encode, ext.modulus)))
+    contributions = (1,) * plan.rational_slots + (3,) * len(plan.deg2_places)
+    assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
+    return BilinearAlgorithm(ext, plan, forms.rows, decode(forms), decode(recon), contributions)
+
+
+def _interpolate(base, encode, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
+    """The forms and recon matrices of a plan over `base`, the base field on
+    codes or on raw values; `encode` takes the plan's raw values to those of
+    `base`, and the modulus is given in them.
+
+    A degree-2 place composes the residue map with the canonical rank-3
+    algorithm of its residue field, built here from a rational-only plan on 3
+    slots (feasible for every q since q+1 >= 3, and never recursing further).
+    """
+    n = plan.n
     prod_len = 2 * n - 1
 
     forms_rows: list[list] = []
     eval_rows: list[list] = []  # joint-evaluation functionals on product coeffs
     s_blocks: list[tuple[int, list[list]]] = []  # (product count, rows over products)
-    contributions: list[int] = []
 
-    for a in plan.rational_nodes:
+    for a in map(encode, plan.rational_nodes):
         forms_rows.append(_node_powers(base, a, n))
         eval_rows.append(_node_powers(base, a, prod_len))
         s_blocks.append((1, [[base.one]]))
-        contributions.append(1)
     if plan.use_infinity:
         forms_rows.append([base.zero] * (n - 1) + [base.one])
         eval_rows.append([base.zero] * (prod_len - 1) + [base.one])
         s_blocks.append((1, [[base.one]]))
-        contributions.append(1)
     for pi in plan.deg2_places:
-        sub = _degree2_subalgorithm(q, pi)
+        pi = tuple(map(encode, pi))
+        sub_forms, sub_recon = _interpolate(
+            base, encode, plan_evaluation(plan.q, 2, allow_deg2=False), pi
+        )
         res_n = _residue_rows(base, pi, n)  # n rows of 2 coords
         # compose the three sub-forms with the residue map: rows over x coords
         for srow in range(3):
-            s0 = sub.forms[srow, 0]
-            s1 = sub.forms[srow, 1]
+            s0 = sub_forms[srow, 0]
+            s1 = sub_forms[srow, 1]
             forms_rows.append(
                 [base.add(base.mul(s0, res_n[j][0]), base.mul(s1, res_n[j][1])) for j in range(n)]
             )
         res_prod = _residue_rows(base, pi, prod_len)
         for coord in range(2):
             eval_rows.append([res_prod[j][coord] for j in range(prod_len)])
-        s_blocks.append((3, [[sub.recon[i, j] for j in range(3)] for i in range(2)]))
-        contributions.append(3)
+        s_blocks.append((3, [sub_recon.row(i) for i in range(2)]))
 
     rank = len(forms_rows)
     forms = Matrix.from_rows(base, forms_rows)
@@ -331,21 +360,9 @@ def build_algorithm(
     for j in range(prod_len):
         for i, c in enumerate(cur):
             reduce_q[i, j] = c
-        cur = poly_mod(base, (base.zero,) + cur, ext.modulus)
+        cur = poly_mod(base, (base.zero,) + cur, modulus)
 
-    recon = reduce_q @ left_inv @ s_mat
-    assert rank >= 2 * n - 1  # classical lower bound, structural here
-    return BilinearAlgorithm(ext, plan, rank, forms, recon, tuple(contributions))
-
-
-def _degree2_subalgorithm(q: int, pi: tuple) -> BilinearAlgorithm:
-    """Canonical rank-3 symmetric algorithm for the residue field at pi.
-
-    Rational-only plan on 3 slots; feasible for every q since q+1 >= 3, and
-    never recursing further.
-    """
-    plan = plan_evaluation(q, 2, allow_deg2=False)
-    return build_algorithm(q, 2, plan, modulus=pi)
+    return forms, reduce_q @ left_inv @ s_mat
 
 
 def multiply(algo: BilinearAlgorithm, x: FieldElement, y: FieldElement) -> FieldElement:
@@ -451,64 +468,6 @@ def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
 # ---------------------------------------------------------------------------
 # the integer-code kernel: both routes as gathers in add/mul tables over
 # canonical base-field codes
-
-
-@lru_cache(maxsize=None)
-def _code_tables(base: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only add and mul tables of a base field over its canonical codes.
-
-    Built on first use and kept for the process, only for q <= CODE_TABLE_CAP
-    (at most 2**16 entries each).  A prime field's tables are residue
-    arithmetic.  An extension adds digitwise in its own base's table and
-    multiplies through logarithms to a generator.  The tables are filled in
-    Python lists: they are small, and numpy arithmetic here would page in
-    library code that verification does not otherwise touch, which shows in
-    peak RSS.
-    """
-    q = base.order
-    if q > CODE_TABLE_CAP:
-        raise ValueError(f"code tables are built only for q <= {CODE_TABLE_CAP}, got {q}")
-    if isinstance(base, PrimeField):
-        add_rows = [[(a + b) % q for b in range(q)] for a in range(q)]
-        mul_rows = [[a * b % q for b in range(q)] for a in range(q)]
-    else:
-        p = base.base.order
-        digit_add = _code_tables(base.base)[0].tolist()
-        add_rows = digit_add
-        m = p  # add_rows covers codes below m; extend it by one digit at a time
-        while m < q:
-            add_rows = [
-                [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
-                for a in range(m * p)
-            ]
-            m *= p
-        exp = _generator_powers(base)
-        log = [0] * q
-        for k, c in enumerate(exp):
-            log[c] = k
-        mul_rows = [
-            [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)]
-            for a in range(q)
-        ]
-    tables = np.array(add_rows, dtype=CODE_DTYPE), np.array(mul_rows, dtype=CODE_DTYPE)
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
-def _generator_powers(field: ExtensionField) -> list[int]:
-    """Codes of g**k for k < q-1, g the smallest-code generator of the
-    multiplicative group, by scalar multiplication."""
-    for code in range(2, field.order):
-        g = field.from_int(code)
-        powers = [field.one]
-        cur = g
-        while cur != field.one:
-            powers.append(cur)
-            cur = field.mul(cur, g)
-        if len(powers) == field.order - 1:
-            return [field.to_int(v) for v in powers]
-    raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
 def _code_digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -310,6 +310,13 @@ class TestCompareAll:
         assert asym["p"]["new"] == "5"
         assert asym["p"]["dominates_priors"] is True
 
+    def test_prime_named_apart_from_field_blocks(self):
+        # "p" holds the GF(p) block, so the prime itself is under "prime"
+        doc = compare_all(7, 60)
+        assert list(doc) == ["prime", "p", "n", "p2", "asymptotic"]
+        assert doc["prime"] == 7 and doc["n"] == 60
+        assert set(doc["p"]) == set(doc["p2"]) == {"methods", "smallest"}
+
     def test_infeasible_constructive_reported(self):
         doc = compare_all(5, 4)
         quad = doc["p2"]

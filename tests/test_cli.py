@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -246,3 +248,23 @@ class TestUsageAndDeterminism:
         code2, out2 = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_cached_parser_matches_fresh_processes(self, capsys):
+        # one parser serves every call of a process; after a usage error the
+        # replies still equal those of fresh processes
+        assert cli._build_parser() is cli._build_parser()
+        sequence = [
+            ("bound", "--p", "5"),
+            ("bound", "--p", "5", "--n", "100", "--method", "all"),
+            ("mult", "--q", "3", "--n", "2"),
+            ("table", "--p-set", "5", "--n-range", "30:40:10", "--format", "csv"),
+        ]
+        in_process = [run(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            proc = subprocess.run(
+                [sys.executable, "-m", "symrank.cli", *argv], capture_output=True, check=False
+            )
+            fresh.append((proc.returncode, proc.stdout.decode()))
+        assert in_process == fresh
+        assert [code for code, _ in fresh] == [1, 0, 0, 0]

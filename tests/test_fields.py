@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from symrank.fields import (
+    CODE_TABLE_CAP,
     ExtensionField,
     Matrix,
     PrimeField,
     SingularMatrixError,
     all_monic_polys,
+    code_field,
     count_places_rational_ff,
     find_irreducible,
     invert,
@@ -65,6 +68,144 @@ class TestFindIrreducible:
         # exhaustive factor check up to the q**n = 2**16 verification boundary
         f = make_field(q)
         assert brute_irreducible(f, find_irreducible(f, n))
+
+
+def reducible_codes(f, d):
+    """Codes (coefficient codes, low first) of the reducible monic degree-d
+    polynomials: every product of two monic factors of degree >= 1, taken
+    with add and mul tables built here from the field's scalar arithmetic."""
+    elems = list(f.elements())
+    add = [[f.to_int(f.add(a, b)) for b in elems] for a in elems]
+    mul = [[f.to_int(f.mul(a, b)) for b in elems] for a in elems]
+    q = f.order
+
+    def monic(k):
+        return [list(c) + [1] for c in itertools.product(range(q), repeat=k)]
+
+    out = set()
+    for k in range(1, d // 2 + 1):
+        for a in monic(k):
+            for b in monic(d - k):
+                prod = [0] * (d + 1)
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        prod[i + j] = add[prod[i + j]][mul[ai][bj]]
+                out.add(tuple(prod))
+    return out
+
+
+def coded(m):
+    """The same matrix over the code form of its field."""
+    return Matrix(code_field(m.field), m.rows, m.cols, [m.field.to_int(v) for v in m.entries])
+
+
+def decoded(m, f):
+    return Matrix(f, m.rows, m.cols, [f.from_int(c) for c in m.entries])
+
+
+def outcome(fn, *args):
+    """fn's result, or the pivot column of the SingularMatrixError it raised."""
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return ("singular", exc.pivot_col)
+
+
+def random_matrix(f, rng, rows, cols, dependent):
+    """A seeded random matrix; with `dependent`, one row is a combination of
+    earlier rows (or zero), so it has rank below min(rows, cols) when square."""
+    m = Matrix(f, rows, cols, [f.random(rng) for _ in range(rows * cols)])
+    if dependent:
+        i = rng.randrange(rows)
+        acc = [f.zero] * cols
+        for k in range(i):
+            c = f.random(rng)
+            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, m.row(k))]
+        for j in range(cols):
+            m[i, j] = acc[j]
+    return m
+
+
+class TestCodeField:
+    @pytest.mark.parametrize("q", [4, 5, 8, 9, 16])
+    def test_is_irreducible_on_codes_against_factor_products(self, q):
+        f = make_field(q)
+        assert q <= CODE_TABLE_CAP
+        for d in (2, 3, 4):
+            reducible = reducible_codes(f, d)
+            for c in itertools.product(range(q), repeat=d):
+                poly = tuple(f.from_int(k) for k in c) + (f.one,)
+                assert is_irreducible(f, poly) == ((*c, 1) not in reducible), (q, c)
+
+    def test_non_monic_polynomial(self):
+        f9 = make_field(9)
+        for code in range(9**3):
+            poly = tuple(f9.from_int(k) for k in (code % 9, code // 9 % 9, code // 81)) + (f9.one,)
+            scaled = tuple(f9.mul(f9.from_int(5), c) for c in poly)
+            assert is_irreducible(f9, scaled) == is_irreducible(f9, poly)
+
+    def test_above_cap_stays_on_raw_values(self):
+        # x^2 + c is irreducible over GF(257) iff -c is a non-residue
+        f = make_field(257)
+        assert f.order > CODE_TABLE_CAP
+        with pytest.raises(ValueError):
+            code_field(f)
+        for c in range(1, 257):
+            assert is_irreducible(f, (c, 0, 1)) == (pow(-c % 257, 128, 257) == 256)
+        assert find_irreducible(f, 2) == (3, 0, 1)
+        assert brute_irreducible(f, find_irreducible(f, 3))
+
+    def test_tables(self):
+        for q in (2, 9, 16, 64):
+            f = make_field(q)
+            cf = code_field(f)
+            assert cf is code_field(f)
+            for a in f.elements():
+                ca = f.to_int(a)
+                assert cf.neg(ca) == f.to_int(f.neg(a))
+                if ca:
+                    assert cf.inv(ca) == f.to_int(f.inv(a))
+            with pytest.raises(ZeroDivisionError):
+                cf.inv(0)
+
+    @pytest.mark.parametrize("q", [9, 16])
+    def test_solve_and_invert_match_raw_values(self, q):
+        f = make_field(q)
+        rng = random.Random(q * 7 + 1)
+        singular = 0
+        for trial in range(60):
+            n = rng.randrange(1, 7)
+            m = random_matrix(f, rng, n, n, dependent=trial % 3 == 0)
+            rhs = Matrix(f, n, 2, [f.random(rng) for _ in range(2 * n)])
+            raw = outcome(solve_linear, m, rhs)
+            codes = outcome(solve_linear, coded(m), coded(rhs))
+            if isinstance(raw, tuple):
+                singular += 1
+                assert codes == raw
+                assert outcome(invert, coded(m)) == outcome(invert, m) == raw
+            else:
+                assert decoded(codes, f) == raw
+                assert decoded(invert(coded(m)), f) == invert(m)
+        assert singular >= 15
+
+    @pytest.mark.parametrize("q", [9, 16])
+    def test_select_independent_rows_matches_raw_values(self, q):
+        f = make_field(q)
+        rng = random.Random(q * 11 + 3)
+        for trial in range(40):
+            cols = rng.randrange(1, 6)
+            m = random_matrix(f, rng, cols + rng.randrange(0, 4), cols, dependent=trial % 2 == 0)
+            for need in range(1, cols + 1):
+                raw = outcome(select_independent_rows, m, need)
+                assert outcome(select_independent_rows, coded(m), need) == raw
+
+    def test_raw_values_above_cap(self):
+        f = make_field(257)
+        rng = random.Random(257)
+        m = random_matrix(f, rng, 4, 4, dependent=False)
+        assert (m @ invert(m)) == Matrix.identity(f, 4)
+        with pytest.raises(SingularMatrixError):
+            invert(random_matrix(f, rng, 4, 4, dependent=True))
 
 
 class TestFieldArithmetic:

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from symrank import multiplier
+from symrank import fields, multiplier
 from symrank.fields import make_field, poly_eval
 from symrank.multiplier import (
     BilinearAlgorithm,
@@ -169,6 +170,47 @@ class TestBuild:
                 assert fx[i] == poly_eval(base, xv, a)
 
 
+# canonical modulus codes and the sha256 of emit_tensor, as computed by the
+# tuple-valued modulus search and interpolation that preceded the code tables
+GOLDEN_TENSORS = [
+    ((16, 4), [4, 2, 1, 0, 1], "c3c309836c79e8db3b3c082a3dfcf640b28284b55797c33bdcaf76e0deecdedd"),
+    ((64, 3), [2, 0, 0, 1], "20209062fa3c50c7555f7f2352984dc27af78c79c18224e3d61e8a1abcadde4e"),
+    ((25, 4), [5, 0, 0, 0, 1], "b003f5f2497167bf30e464f297cb59c0de992c328fc747150e3be91237f870e1"),
+    ((9, 6), [4, 0, 1, 0, 0, 0, 1], "fa628bec3e778335d431294bd0c9f4f3c13c216145466e92506556553f6ed2fd"),
+    ((4, 8), [2, 1, 0, 1, 0, 0, 0, 0, 1], "495150db4b1e3e2de6984ad5975763bb69068fc4d0b5c29850cb126b8bef396e"),
+    ((27, 3), [9, 2, 0, 1], "1acfc12dc20b9ed1929692498538388189afcb8e467d1886d714367f79b0af5b"),
+    ((49, 3), [2, 0, 0, 1], "76056351e7f8430a1701a168665898f6f77fb438978aa118dc6cf4ac5aaadbcc"),
+    ((7, 6), [2, 0, 0, 0, 0, 0, 1], "c43d50c87f2409725a336c5f1c0059754c1c02be04a5551d08e6d5bc71593d8f"),
+    ((5, 8), [2, 0, 0, 0, 0, 0, 0, 0, 1], "b7f93ace77d9a3f492a1b33fa1c10a0e9abdb3e3f363695d26c09f10c16ff46c"),
+    ((16, 8), [2, 1, 0, 1, 0, 0, 0, 0, 1], "c1260ad08b3ff42522b632410abc3281f521ebdc33545d69dabaa112f8f9c563"),
+    ((32, 5), [6, 0, 1, 0, 0, 1], "72da35ebb1d5854f4a3d342aa50069107b051d5a87b78cac223ea1277be81094"),
+    ((8, 8), [3, 2, 0, 1, 0, 0, 0, 0, 1], "cf341ef627637113ef4f84a60d97e26da645673c36f079c7affc896dd5be8693"),
+    ((16, 6), [13, 2, 1, 0, 0, 0, 1], "9e9df1bc9e0ddd1bdb22dd3cbc7f33e0616fe2a07cd65c7cc00034e855c600c4"),
+]
+
+
+class TestGoldenTensors:
+    @pytest.mark.parametrize(
+        "cell,modulus,digest", GOLDEN_TENSORS, ids=[f"{q}-{n}" for (q, n), _, _ in GOLDEN_TENSORS]
+    )
+    def test_modulus_and_tensor_bytes(self, cell, modulus, digest):
+        algo = build_algorithm(*cell)
+        assert [algo.base.to_int(c) for c in algo.ext.modulus] == modulus
+        assert hashlib.sha256(emit_tensor(algo).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("q,n", [(4, 3), (9, 3), (16, 4), (2, 3), (4, 8)])
+    def test_interpolation_on_codes_matches_raw_values(self, q, n):
+        # the same interpolation run on the base field's raw values
+        algo = build_algorithm(q, n)
+        base = algo.base
+        forms, recon = multiplier._interpolate(base, lambda v: v, algo.plan, algo.ext.modulus)
+        assert (forms, recon) == (algo.forms, algo.recon)
+
+    def test_reducible_place_rejected(self):
+        with pytest.raises(ValueError):
+            build_algorithm(2, 3, EvalPlan(2, 3, (0, 1), True, ((1, 0, 1),), 5))
+
+
 class TestMultiply:
     def test_f4_square_example(self):
         algo = build_algorithm(2, 2)
@@ -287,7 +329,7 @@ class TestVerify:
 
     def test_above_table_cap_runs_scalar_routes(self):
         algo = build_algorithm(257, 2)
-        assert algo.q > multiplier.CODE_TABLE_CAP
+        assert algo.q > fields.CODE_TABLE_CAP
         report = verify(algo, "random", trials=50)
         assert report.mode == "random" and report.pairs_checked == 50
         # only n = 1 keeps q**(2n) within the exhaustive cap above q = 256
@@ -307,14 +349,14 @@ class TestCodeTables:
     def test_tables_match_scalar_arithmetic(self, q):
         base = make_field(q)
         elems = list(base.elements())
-        add_t, mul_t = multiplier._code_tables(base)
+        add_t, mul_t = fields._code_tables(base)
         assert add_t.tolist() == [[base.to_int(base.add(a, b)) for b in elems] for a in elems]
         assert mul_t.tolist() == [[base.to_int(base.mul(a, b)) for b in elems] for a in elems]
         assert not add_t.flags.writeable and not mul_t.flags.writeable
 
     def test_no_tables_above_cap(self):
         with pytest.raises(ValueError):
-            multiplier._code_tables(make_field(257))
+            fields._code_tables(make_field(257))
 
 
 class TestTensorSerialization:
