@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from . import bounds, curves, multiplier, primes
 from .bounds import InfeasiblePipelineError
@@ -239,7 +238,6 @@ def _add_format(sub, *, csv_ok: bool = False) -> None:
     sub.add_argument("--format", choices=choices, default="json")
 
 
-@lru_cache(maxsize=None)  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symrank",

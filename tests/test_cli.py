@@ -249,10 +249,9 @@ class TestUsageAndDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_cached_parser_matches_fresh_processes(self, capsys):
-        # one parser serves every call of a process; after a usage error the
-        # replies still equal those of fresh processes
-        assert cli._build_parser() is cli._build_parser()
+    def test_in_process_calls_match_fresh_processes(self, capsys):
+        # after a usage error, later calls in the same process still reply
+        # exactly as fresh processes do
         sequence = [
             ("bound", "--p", "5"),
             ("bound", "--p", "5", "--n", "100", "--method", "all"),
