@@ -39,6 +39,7 @@ from .primes import (
     PairSelectionError,
     PrimePair,
     PrimeTable,
+    check_characteristic,
     policy_floor,
     select_pair,
 )
@@ -97,6 +98,10 @@ def envelope(case: int, n: int, g: int) -> int:
 
 # ---------------------------------------------------------------------------
 # previously published bounds (comparators)
+
+# the comparators each target field's new bounds are ranked against; iii and
+# v are instantiated at q = p
+COMPARATORS = {QUADRATIC: ("v", "vi"), PRIME: ("iii", "iv")}
 
 
 @dataclass(frozen=True)
@@ -290,30 +295,47 @@ def _validity(policy: GapPolicy, fam: PairFamily, p: int, n: int) -> tuple[bool,
     return valid, caveats
 
 
+def _closed_form(p: int, n: int, field: str, policy: GapPolicy | None) -> BoundReport:
+    """The closed form of either target field; the wrappers below state them."""
+    check_characteristic(p)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    policy = policy or GapPolicy.dudek()
+    fam = _pair_family(field, p)
+    kind = "eleven" if p == 11 else "generic"
+    eps = epsilon(p, n, policy.alpha, kind).value
+    if field == QUADRATIC:
+        method = "closed_quadratic"
+        if p != 11:
+            value = 2 * (1 + (1 + eps) / (p - 3)) * n - (1 + eps) * (p + 1) / (p - 3) - 1
+        else:
+            value = 2 * (1 + (1 + eps) / (p - 3)) * n - 2 * (1 + eps) * (p - 1) / (p - 3)
+    else:
+        method = "closed_prime"
+        four_thirds = 4.0 / 3.0
+        if p != 11:
+            value = 3 * (1 + four_thirds * (1 + eps) / (p - 3)) * n - 2 * (1 + eps) * (p + 1) / (p - 3)
+        else:
+            value = (
+                3 * (1 + four_thirds * (1 + eps) / (p - 3)) * n
+                - 4 * (1 + eps) * (p - 1) / (p - 3)
+                + 1
+            )
+    value_real = round_up_15(value)
+    valid, caveats = _validity(policy, fam, p, n)
+    return BoundReport(
+        p, n, field, method, value_real, math.floor(value_real),
+        valid, policy, None, tuple(caveats),
+    )
+
+
 def closed_form_quadratic(p: int, n: int, policy: GapPolicy | None = None) -> BoundReport:
     """Closed-form bound for GF(p^2)-coefficient extensions of degree n.
 
     Generic p: 2*(1 + (1+eps)/(p-3))*n - (1+eps)*(p+1)/(p-3) - 1.
     p = 11:    2*(1 + (1+eps)/(p-3))*n - 2*(1+eps)*(p-1)/(p-3).
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    policy = policy or GapPolicy.dudek()
-    fam = _pair_family(QUADRATIC, p)
-    kind = "eleven" if p == 11 else "generic"
-    eps = epsilon(p, n, policy.alpha, kind).value
-    if p != 11:
-        value = 2 * (1 + (1 + eps) / (p - 3)) * n - (1 + eps) * (p + 1) / (p - 3) - 1
-    else:
-        value = 2 * (1 + (1 + eps) / (p - 3)) * n - 2 * (1 + eps) * (p - 1) / (p - 3)
-    value_real = round_up_15(value)
-    valid, caveats = _validity(policy, fam, p, n)
-    return BoundReport(
-        p, n, QUADRATIC, "closed_quadratic", value_real, math.floor(value_real),
-        valid, policy, None, tuple(caveats),
-    )
+    return _closed_form(p, n, QUADRATIC, policy)
 
 
 def closed_form_prime(p: int, n: int, policy: GapPolicy | None = None) -> BoundReport:
@@ -324,36 +346,13 @@ def closed_form_prime(p: int, n: int, policy: GapPolicy | None = None) -> BoundR
     (the trailing +1 is reproduced exactly as published; compare_all exposes
     how it sits against the constructive route).
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    policy = policy or GapPolicy.dudek()
-    fam = _pair_family(PRIME, p)
-    kind = "eleven" if p == 11 else "generic"
-    eps = epsilon(p, n, policy.alpha, kind).value
-    four_thirds = 4.0 / 3.0
-    if p != 11:
-        value = 3 * (1 + four_thirds * (1 + eps) / (p - 3)) * n - 2 * (1 + eps) * (p + 1) / (p - 3)
-    else:
-        value = (
-            3 * (1 + four_thirds * (1 + eps) / (p - 3)) * n
-            - 4 * (1 + eps) * (p - 1) / (p - 3)
-            + 1
-        )
-    value_real = round_up_15(value)
-    valid, caveats = _validity(policy, fam, p, n)
-    return BoundReport(
-        p, n, PRIME, "closed_prime", value_real, math.floor(value_real),
-        valid, policy, None, tuple(caveats),
-    )
+    return _closed_form(p, n, PRIME, policy)
 
 
 def asymptotic_coefficient(p: int, field: str) -> Fraction:
     """Exact limiting coefficient of the new bounds: 2(p-2)/(p-3) for the
     quadratic case, (3p-5)/(p-3) for the prime case."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    check_characteristic(p)
     if field == QUADRATIC:
         return Fraction(2 * (p - 2), p - 3)
     if field == PRIME:
@@ -382,8 +381,7 @@ def constructive_bound(
     2n+g'-1 (quadratic) or 3n+2g' (prime), with every check recorded.  Any
     failure raises InfeasiblePipelineError naming the failing check.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    check_characteristic(p)
     if n <= 1:
         raise ValueError("n must be > 1")
     policy = policy or GapPolicy.dudek()
@@ -464,24 +462,40 @@ def default_empirical_policy(limit: int = DEFAULT_SIEVE_LIMIT) -> GapPolicy:
 
 
 # ---------------------------------------------------------------------------
-# side-by-side comparison
+# one bound cell, and the side-by-side comparison
+
+
+def evaluate_cell(
+    p: int, n: int, field: str, closed_policy: GapPolicy, constructive_policy: GapPolicy
+) -> tuple[BoundReport, BoundReport | InfeasiblePipelineError]:
+    """The closed form of the cell (p, n, field) under closed_policy, and its
+    constructive bound under constructive_policy or the error declining it.
+
+    `bound --method all`, `table` and `compare` all evaluate cells here.
+    """
+    closed_form = closed_form_quadratic if field == QUADRATIC else closed_form_prime
+    closed = closed_form(p, n, closed_policy)
+    try:
+        return closed, constructive_bound(p, n, field, constructive_policy)
+    except InfeasiblePipelineError as exc:
+        return closed, exc
+
+
+def _remark_holds(p: int, field: str) -> bool:
+    new = asymptotic_coefficient(p, field)
+    return all(new < prior_coefficient(variant, p) for variant in COMPARATORS[field])
 
 
 def remark_quadratic_holds(p: int) -> bool:
     """Exact form of the quadratic-case dominance remark: the new asymptotic
-    fraction 1/(p-3) is smaller than those of comparators v and vi."""
-    new = Fraction(1, p - 3)
-    v = Fraction(p) / (p - 3 + (p - 1) * Fraction(p, p + 1))
-    vi = Fraction(2) / (p - Fraction(33, 16))
-    return new < v and new < vi
+    coefficient 2(p-2)/(p-3) is smaller than those of comparators v and vi."""
+    return _remark_holds(p, QUADRATIC)
 
 
 def remark_prime_holds(p: int) -> bool:
-    """Exact form of the prime-case dominance remark against iii and iv."""
-    new = Fraction(4, 3) / (p - 3)
-    iii = Fraction(4, 3) * p / (p - 3 + 2 * (p - 1) * Fraction(p, p + 1))
-    iv = Fraction(8, 3 * p - 5)
-    return new < iii and new < iv
+    """Exact form of the prime-case dominance remark: (3p-5)/(p-3) against
+    comparators iii and iv."""
+    return _remark_holds(p, PRIME)
 
 
 def _entry_from_report(r: BoundReport) -> dict:
@@ -503,64 +517,39 @@ def _entry_from_prior(pb: PriorBound) -> dict:
     }
 
 
-def compare_all(
-    p: int,
-    n: int,
-    policy: GapPolicy | None = None,
-    table: PrimeTable | None = None,
-    empirical_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> dict:
+def compare_all(p: int, n: int) -> dict:
     """Evaluate every applicable method for both target fields and rank them.
 
-    Closed forms use the given policy (default: the 2/3 symbolic-floor
-    policy); the constructive route runs under the default empirical policy.
-    Methods are ordered by value; the smallest is flagged per field.
+    Closed forms use the 2/3 symbolic-floor policy; the constructive route
+    runs under the default empirical policy.  Methods are ordered by value,
+    a declined constructive route last; the smallest is flagged per field.
+    The asymptotic block holds the exact coefficients of the new bounds and
+    of each field's comparators.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    policy = policy or GapPolicy.dudek()
-    emp = default_empirical_policy(empirical_limit)
+    check_characteristic(p)
+    policy = GapPolicy.dudek()
+    emp = default_empirical_policy()
     # the "p" key holds the GF(p) block, so the prime itself goes under "prime"
     result: dict = {"prime": p, PRIME: None, "n": n}
-    for field, priors, closed in (
-        (QUADRATIC, ("v", "vi"), closed_form_quadratic),
-        (PRIME, ("iii", "iv"), closed_form_prime),
-    ):
-        entries = []
-        for variant in priors:
-            qp = p  # variants iii and v are instantiated at q = p here
-            entries.append(_entry_from_prior(prior_bound(variant, qp, n)))
-        entries.append(_entry_from_report(closed(p, n, policy)))
-        try:
-            entries.append(_entry_from_report(constructive_bound(p, n, field, emp, table)))
-        except InfeasiblePipelineError as exc:
-            entries.append(
-                {"method": "constructive", "infeasible": True, "reason": exc.detail}
-            )
-        ranked = sorted(
-            (e for e in entries if "value_real" in e),
-            key=lambda e: (e["value_real"], e["method"]),
-        )
-        infeasible = [e for e in entries if "value_real" not in e]
-        result[field] = {
-            "methods": ranked + infeasible,
-            "smallest": ranked[0]["method"] if ranked else None,
-        }
-    # asymptotic coefficients, exact
     asym = {}
-    for field, priors in ((QUADRATIC, ("v", "vi")), (PRIME, ("iii", "iv"))):
+    for field, variants in COMPARATORS.items():
+        entries = [_entry_from_prior(prior_bound(variant, p, n)) for variant in variants]
+        closed, constructive = evaluate_cell(p, n, field, policy, emp)
+        entries.append(_entry_from_report(closed))
+        declined = []
+        if isinstance(constructive, BoundReport):
+            entries.append(_entry_from_report(constructive))
+        else:
+            declined.append({"method": "constructive", "infeasible": True, "reason": constructive.detail})
+        entries.sort(key=lambda e: (e["value_real"], e["method"]))
+        result[field] = {"methods": entries + declined, "smallest": entries[0]["method"]}
         new_coeff = asymptotic_coefficient(p, field)
-        block = {
-            "new": str(new_coeff),
-            "new_value": float(new_coeff),
-        }
-        for variant in priors:
-            c = prior_coefficient(variant, p)
+        block = {"new": str(new_coeff), "new_value": float(new_coeff)}
+        coeffs = [prior_coefficient(variant, p) for variant in variants]
+        for variant, c in zip(variants, coeffs):
             block[f"prior_{variant}"] = str(c)
             block[f"prior_{variant}_value"] = float(c)
-        block["dominates_priors"] = (
-            remark_quadratic_holds(p) if field == QUADRATIC else remark_prime_holds(p)
-        )
+        block["dominates_priors"] = all(new_coeff < c for c in coeffs)
         asym[field] = block
     result["asymptotic"] = asym
     return result

@@ -113,47 +113,45 @@ def _prior_row(pb: bounds.PriorBound, field: str) -> dict:
     }
 
 
+def _decline_row(exc: InfeasiblePipelineError, policy: primes.GapPolicy) -> dict:
+    return {
+        "p": exc.p, "n": exc.n, "field": exc.field, "method": "constructive",
+        "value_real": "", "value_int": "", "valid": False, "policy": policy.name,
+        "l_k": "", "l_k1": "", "genus": "", "caveats": f"infeasible: {exc.failed_check}",
+    }
+
+
 def _cmd_bound(args) -> tuple[str, int]:
     policy = _build_policy(args)
-    closed = bounds.closed_form_quadratic if args.field == "p2" else bounds.closed_form_prime
     if args.method == "closed":
+        closed = bounds.closed_form_quadratic if args.field == "p2" else bounds.closed_form_prime
         return _emit(closed(args.p, args.n, policy).to_json_dict(), args.format), EXIT_OK
     if args.method == "constructive":
         report = bounds.constructive_bound(args.p, args.n, args.field, policy)
         return _emit(report.to_json_dict(), args.format), EXIT_OK
     # method == "all": the closed form plus the constructive route, which may
     # legitimately be infeasible at small n and is then reported in place
-    reports = [closed(args.p, args.n, policy).to_json_dict()]
-    try:
-        reports.append(bounds.constructive_bound(args.p, args.n, args.field, policy).to_json_dict())
-    except InfeasiblePipelineError as exc:
-        reports.append(exc.to_json_dict())
-    doc = {"p": args.p, "n": args.n, "field": args.field, "reports": reports}
+    cell = bounds.evaluate_cell(args.p, args.n, args.field, policy, policy)
+    doc = {"p": args.p, "n": args.n, "field": args.field, "reports": [r.to_json_dict() for r in cell]}
     return _emit(doc, args.format), EXIT_OK
 
 
 def _table_rows(args, policy) -> list[dict]:
+    for p in args.p_set:
+        primes.check_characteristic(p)
     emp = bounds.default_empirical_policy(args.sieve_limit)
     lo, hi, step = args.n_range
     rows = []
     for p in args.p_set:
         for n in range(lo, hi + 1, step):
-            for field, priors, closed in (
-                ("p2", ("v", "vi"), bounds.closed_form_quadratic),
-                ("p", ("iii", "iv"), bounds.closed_form_prime),
-            ):
-                for variant in priors:
-                    rows.append(_prior_row(bounds.prior_bound(variant, p, n), field))
-                rows.append(_report_row(closed(p, n, policy)))
-                try:
-                    rows.append(_report_row(bounds.constructive_bound(p, n, field, emp)))
-                except InfeasiblePipelineError as exc:
-                    rows.append({
-                        "p": p, "n": n, "field": field, "method": "constructive",
-                        "value_real": "", "value_int": "", "valid": False, "policy": emp.name,
-                        "l_k": "", "l_k1": "", "genus": "",
-                        "caveats": f"infeasible: {exc.failed_check}",
-                    })
+            for field, variants in bounds.COMPARATORS.items():
+                rows += [_prior_row(bounds.prior_bound(variant, p, n), field) for variant in variants]
+                closed, constructive = bounds.evaluate_cell(p, n, field, policy, emp)
+                rows.append(_report_row(closed))
+                if isinstance(constructive, InfeasiblePipelineError):
+                    rows.append(_decline_row(constructive, emp))
+                else:
+                    rows.append(_report_row(constructive))
     return rows
 
 

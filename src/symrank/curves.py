@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ntheory import factorize, is_prime
+from .primes import check_characteristic
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,7 @@ def family_data(p: int, l: int) -> CurveFamilyData:
     formula, fed the known factorization {fixed factor: 1, l: 1} (l is a
     prime other than the fixed factor), so no trial division runs.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    check_characteristic(p)
     if not is_prime(l):
         raise ValueError(f"level factor must be prime, got {l}")
     if p == 11:

@@ -225,8 +225,8 @@ class ExtensionField:
         self.modulus = modulus
         self.zero = (base.zero,) * degree
         self.one = (base.one,) + (base.zero,) * (degree - 1)
-        # u**k mod modulus for k in [degree, 2*degree-2], used by mul
-        self._reduction = _power_reduction_rows(base, modulus, 2 * degree - 1)
+        # u**k mod modulus for k < 2*degree-1; mul reads k >= degree
+        self._reduction = power_rows(base, modulus, 2 * degree - 1)
 
     @property
     def order(self) -> int:
@@ -582,20 +582,18 @@ def poly_pow_mod(field, a: tuple, k: int, mod: tuple) -> tuple:
     return result
 
 
-def _power_reduction_rows(field, modulus: tuple, count: int) -> dict[int, tuple]:
-    """u**k mod modulus as degree-n coefficient rows, for n <= k < count."""
+def power_rows(field, modulus: tuple, count: int) -> list[list]:
+    """u**j mod the monic modulus as coefficient lists of its degree, for
+    0 <= j < count."""
     n = len(modulus) - 1
-    rows: dict[int, tuple] = {}
-    # u**n = -(low part of modulus)
-    cur = [field.neg(c) for c in modulus[:n]]
-    rows[n] = tuple(cur)
-    for k in range(n + 1, count):
+    cur = [field.one] + [field.zero] * (n - 1)
+    rows = []
+    for _ in range(count):
+        rows.append(cur)
         top = cur[-1]
         cur = [field.zero] + cur[:-1]
         if top != field.zero:
-            for j in range(n):
-                cur[j] = field.add(cur[j], field.mul(top, field.neg(modulus[j])))
-        rows[k] = tuple(cur)
+            cur = [field.sub(c, field.mul(top, m)) for c, m in zip(cur, modulus)]
     return rows
 
 
@@ -650,16 +648,8 @@ def find_irreducible(field, n: int) -> tuple:
                 if _irreducible_codes(cf, [c0, *rest]):
                     return tuple(field.from_int(c) for c in [c0, *rest])
         raise AssertionError("unreachable: irreducibles exist for every degree")
-    for code in range(q**n):
-        coeffs = []
-        k = code
-        for _ in range(n):
-            coeffs.append(field.from_int(k % q))
-            k //= q
-        if coeffs[0] == field.zero:
-            continue  # divisible by u
-        cand = tuple(coeffs) + (field.one,)
-        if is_irreducible(field, cand):
+    for cand in all_monic_polys(field, n):
+        if cand[0] != field.zero and is_irreducible(field, cand):  # c_0 = 0: divisible by u
             return cand
     raise AssertionError("unreachable: irreducibles exist for every degree")
 

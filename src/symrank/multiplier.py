@@ -47,7 +47,7 @@ from .fields import (
     irreducible_polys,
     is_irreducible,
     make_field,
-    poly_mod,
+    power_rows,
     select_independent_rows,
 )
 
@@ -227,18 +227,6 @@ def _node_powers(base, a, count: int) -> list:
     return out
 
 
-def _residue_rows(base, pi: tuple, count: int) -> list[list]:
-    """Rows of u**j mod pi for j < count, as two coordinate lists."""
-    rows = []
-    cur = (base.one,)
-    for _ in range(count):
-        c0 = cur[0] if len(cur) > 0 else base.zero
-        c1 = cur[1] if len(cur) > 1 else base.zero
-        rows.append([c0, c1])
-        cur = poly_mod(base, (base.zero,) + cur, pi)
-    return rows
-
-
 def build_algorithm(
     q: int,
     n: int,
@@ -317,17 +305,15 @@ def _interpolate(base, encode, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, 
         sub_forms, sub_recon = _interpolate(
             base, encode, plan_evaluation(plan.q, 2, allow_deg2=False), pi
         )
-        res_n = _residue_rows(base, pi, n)  # n rows of 2 coords
+        res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
         # compose the three sub-forms with the residue map: rows over x coords
         for srow in range(3):
             s0 = sub_forms[srow, 0]
             s1 = sub_forms[srow, 1]
             forms_rows.append(
-                [base.add(base.mul(s0, res_n[j][0]), base.mul(s1, res_n[j][1])) for j in range(n)]
+                [base.add(base.mul(s0, res[j][0]), base.mul(s1, res[j][1])) for j in range(n)]
             )
-        res_prod = _residue_rows(base, pi, prod_len)
-        for coord in range(2):
-            eval_rows.append([res_prod[j][coord] for j in range(prod_len)])
+        eval_rows.extend(map(list, zip(*res)))
         s_blocks.append((3, [sub_recon.row(i) for i in range(2)]))
 
     rank = len(forms_rows)
@@ -355,12 +341,7 @@ def _interpolate(base, encode, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, 
             left_inv[i, src] = inv_sq[i, j]
 
     # reduction of product coefficients mod the defining polynomial
-    reduce_q = Matrix.zero(base, n, prod_len)
-    cur = (base.one,)
-    for j in range(prod_len):
-        for i, c in enumerate(cur):
-            reduce_q[i, j] = c
-        cur = poly_mod(base, (base.zero,) + cur, modulus)
+    reduce_q = Matrix.from_rows(base, list(zip(*power_rows(base, modulus, prod_len))))
 
     return forms, reduce_q @ left_inv @ s_mat
 

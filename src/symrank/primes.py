@@ -25,6 +25,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 
 from .ntheory import PrimalityLimitError, is_prime
 
@@ -36,6 +37,12 @@ DUDEK_X_ALPHA_EXPR = "exp(exp(33.3))"
 class PairSelectionError(ValueError):
     """Pair selection cannot proceed (threshold below 2, or a pair past the
     primality test's proven limit)."""
+
+
+def check_characteristic(p: int) -> None:
+    """Reject p unless it is a prime >= 5, the characteristics the bounds cover."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
 def prev_prime(x: int) -> int:
@@ -129,7 +136,7 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
 
     The comparison is exact: gap**d <= l**c with alpha = c/d in lowest terms.
     The successor of the largest prime below `limit` is always included in the
-    scan, extending the sieve past `limit` as needed.
+    scan; when it lies past `limit` it comes from `next_prime`.
     """
     if limit < 3:
         raise ValueError("gap scan limit must be >= 3")
@@ -138,20 +145,14 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
         raise ValueError("alpha must lie in (0, 1)")
     start = time.monotonic()
     c, d = alpha.numerator, alpha.denominator
-    margin = 2000  # covers the successor of the last prime below any limit under the cap
-    while True:
-        table = sieve(limit + margin)
-        if table.primes[-1] >= limit:
-            break
-        margin *= 4
+    primes = sieve(limit).primes
+    pairs = zip(primes, islice(primes, 1, None))
+    if primes[-1] < limit:
+        pairs = chain(pairs, [(primes[-1], next_prime(primes[-1]))])
     violations = []
     max_gap = 0
-    primes = table.primes
-    for i in range(len(primes) - 1):
-        l = primes[i]
-        if l >= limit:
-            break
-        gap = primes[i + 1] - l
+    for l, l1 in pairs:
+        gap = l1 - l
         if gap > max_gap:
             max_gap = gap
         if gap**d > l**c:
@@ -297,8 +298,7 @@ class PairFamily(enum.Enum):
         return self in (PairFamily.QUADRATIC_ELEVEN, PairFamily.PRIME_ELEVEN)
 
     def validate_p(self, p: int) -> None:
-        if p < 5 or not is_prime(p):
-            raise ValueError(f"p must be a prime >= 5, got {p}")
+        check_characteristic(p)
         if self.is_eleven and p != 11:
             raise ValueError(f"{self.value} family requires p = 11")
         if not self.is_eleven and p == 11:

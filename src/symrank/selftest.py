@@ -133,7 +133,7 @@ def suite_pair_inequalities() -> str:
         for n in range(p, 1501):
             for fam in (primes.PairFamily.QUADRATIC_GENERIC, primes.PairFamily.PRIME_GENERIC):
                 try:
-                    pair = primes.select_pair(p, n, fam, table)
+                    pair = primes.select_pair(p, n, fam)
                 except primes.PairSelectionError:
                     continue
                 if pair.skipped:
@@ -146,7 +146,7 @@ def suite_pair_inequalities() -> str:
     for n in range(11, 1501):
         for fam in (primes.PairFamily.QUADRATIC_ELEVEN, primes.PairFamily.PRIME_ELEVEN):
             try:
-                pair = primes.select_pair(11, n, fam, table)
+                pair = primes.select_pair(11, n, fam)
             except primes.PairSelectionError:
                 continue
             if pair.skipped:
@@ -253,28 +253,26 @@ def suite_constructive_witnesses() -> str:
 KNOWN_UNDERCUT_CELLS = ((13, 22), (17, 30))
 
 
-def consistency_sweep(
-    n_lo: int = 20, n_hi: int = 5000, p_set: tuple[int, ...] = (5, 7, 13, 17)
-) -> list[tuple[int, int, str]]:
-    """Cells (no skip, gap condition holding at the witness) where the
-    constructive value exceeds the closed-form value."""
-    table = primes.sieve(4 * n_hi + 2000)
+def consistency_sweep() -> list[tuple[int, int, str]]:
+    """Cells p in {5, 7, 13, 17}, 20 <= n <= 5000 (no skip, gap condition
+    holding at the witness) where the constructive value exceeds the
+    closed-form value."""
     policy = bounds.GapPolicy.dudek()
     violations = []
-    for p in p_set:
-        for n in range(n_lo, n_hi + 1):
+    for p in (5, 7, 13, 17):
+        for n in range(20, 5001):
             try:
-                pair = primes.select_pair(p, n, primes.PairFamily.QUADRATIC_GENERIC, table)
+                pair = primes.select_pair(p, n, primes.PairFamily.QUADRATIC_GENERIC)
             except primes.PairSelectionError:
                 continue
             if pair.skipped:
                 continue
             if pair.gap**3 > pair.l_k**2:  # gap condition fails at the witness
                 continue
-            cq = bounds.constructive_bound(p, n, "p2", policy, table)
+            cq = bounds.constructive_bound(p, n, "p2", policy)
             if cq.value_int > bounds.closed_form_quadratic(p, n, policy).value_real:
                 violations.append((p, n, "p2"))
-            cp = bounds.constructive_bound(p, n, "p", policy, table)
+            cp = bounds.constructive_bound(p, n, "p", policy)
             if cp.value_int > bounds.closed_form_prime(p, n, policy).value_real:
                 violations.append((p, n, "p"))
     return violations

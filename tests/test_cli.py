@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -160,6 +163,15 @@ class TestMultCommand:
         assert doc["verification"]["mode"] == "random"
         assert doc["verification"]["seed"] == cli.DEFAULT_SEED
 
+    def test_extension_base_above_table_cap(self, capsys):
+        # GF(289) = GF(17^2) is above the code-table cap, so the modulus
+        # search and the verification take the raw-value routes
+        code, out = run(capsys, "mult", "--q", "289", "--n", "2", "--verify", "random:50")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "81429081d6e415b9f5e0ea41d855340cee94a18f38e603d20cb003520e70f470"
+        )
+
     def test_bad_verify_mode(self, capsys):
         code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--verify", "never")
         assert code == 1
@@ -203,6 +215,14 @@ class TestTableCommand:
     def test_bad_ranges(self, capsys):
         assert run(capsys, "table", "--p-set", "5", "--n-range", "60:50")[0] == 1
         assert run(capsys, "table", "--p-set", "a,b", "--n-range", "50:60")[0] == 1
+
+    @pytest.mark.parametrize("p_set", ["6", "4", "3", "5,6"])
+    def test_bad_p_gives_the_bound_reason(self, capsys, p_set):
+        bad = p_set.split(",")[-1]
+        code, out = run(capsys, "table", "--p-set", p_set, "--n-range", "5:10")
+        assert code == 1
+        assert json.loads(out) == {"error": "usage", "reason": f"p must be a prime >= 5, got {bad}"}
+        assert run(capsys, "bound", "--p", bad, "--n", "10") == (code, out)
 
     def test_infeasible_cells_become_caveat_rows(self, capsys):
         # p=17, n=20: the pair threshold is below 2, so the constructive
@@ -267,3 +287,54 @@ class TestUsageAndDeterminism:
             fresh.append((proc.returncode, proc.stdout.decode()))
         assert in_process == fresh
         assert [code for code, _ in fresh] == [1, 0, 0, 0]
+
+
+# sha256 over "exit code, newline, stdout" of each command of a group, in
+# order.  Byte-identical bound-side stdout is part of the contract, so a
+# change to any of these replies must show here.
+_LIM = ("--sieve-limit", "100000")
+_GRID = ("--p-set", "5,7,11,1009", "--n-range", "2:40:7")
+BOUND_SIDE_GOLDEN = {
+    "table-csv": (
+        [("table", *_GRID, "--policy", pol, "--format", "csv", *_LIM) for pol in ("dudek", "bhp", "empirical")],
+        "e5e54b8ce39ef76a37e65c5787133c585c01b49b9af3cce0808d0ed3417a5cee",
+    ),
+    "table-json": (
+        [("table", *_GRID, "--policy", pol, "--format", "json", *_LIM) for pol in ("dudek", "bhp", "empirical")],
+        "0e2b33fb47a2e1af97c5dadb6e3cadd107626ab6df2bf572c13dd46a420a4e07",
+    ),
+    "table-text": (
+        [("table", *_GRID, "--policy", pol, "--format", "text", *_LIM) for pol in ("dudek", "bhp", "empirical")],
+        "bb71b66e143dafca769f088dc0cf3eab89779bdbd298c296d64ba582a86e91ac",
+    ),
+    "compare": (
+        [("compare", "--p", str(p), "--n", str(n)) for p in (5, 11, 1009) for n in (2, 4, 22, 100)],
+        "5e8da6bbbbd67ad861dbe1c90c8845246507694b76cdba9411052a18a637982f",
+    ),
+    # (5, 3), (1009, 2) and n = 10**25 decline the constructive route
+    "bound": (
+        [
+            ("bound", "--p", str(p), "--n", str(n), "--field", f, "--method", m)
+            for p, n in ((5, 3), (5, 100), (11, 900), (1009, 2), (5, 10**9), (5, 10**25))
+            for f in ("p", "p2")
+            for m in ("all", "closed", "constructive")
+        ],
+        "1fd9287fb92e0d760900968dda765ca3c79282a2dc252d00f9970821a8c5783d",
+    ),
+    "usage": (
+        [("bound", "--p", "6", "--n", "100"), ("compare", "--p", "6", "--n", "100")],
+        "a556ae1706aa726f852d907a819d7e435a5cc6ff834f2b6ab5f7b49e086a6511",
+    ),
+}
+
+
+@pytest.mark.parametrize("group", sorted(BOUND_SIDE_GOLDEN))
+def test_bound_side_golden_stdout(group):
+    commands, expected = BOUND_SIDE_GOLDEN[group]
+    h = hashlib.sha256()
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(argv))
+        h.update(f"{code}\n{buf.getvalue()}".encode())
+    assert h.hexdigest() == expected

@@ -48,6 +48,13 @@ class TestFindIrreducible:
         f5 = make_field(5)
         assert find_irreducible(f5, 2) == (2, 0, 1)
 
+    def test_extension_base_above_table_cap(self):
+        # GF(289) = GF(17^2) has no code tables: u + 0*x + x**2, the first
+        # candidate with c_0 != 0 (code 17) that is irreducible
+        f = make_field(289)
+        assert f.order > CODE_TABLE_CAP
+        assert find_irreducible(f, 2) == ((0, 1), (0, 0), (1, 0))
+
     @pytest.mark.parametrize(
         "q,n",
         [(2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 10), (4, 2), (5, 3), (7, 2), (9, 2)],

@@ -81,6 +81,17 @@ class TestVerifyGaps:
         v3 = set(verify_gaps(10**5, alpha).violations)
         assert v1 <= v2 <= v3
 
+    @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(21, 40)])
+    def test_matches_reference_scan_every_small_limit(self, alpha):
+        # the successor of the last prime below the limit may lie past it
+        ps = sieve(1000).primes
+        c, d = alpha.numerator, alpha.denominator
+        for limit in range(3, 401):
+            gaps = [(l, l1 - l) for l, l1 in zip(ps, ps[1:]) if l < limit]
+            scan = verify_gaps(limit, alpha)
+            assert scan.violations == tuple(l for l, gap in gaps if gap**d > l**c), limit
+            assert scan.max_gap_seen == max(gap for _, gap in gaps), limit
+
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             verify_gaps(100, Fraction(3, 2))
