@@ -295,11 +295,20 @@ def _validity(policy: GapPolicy, fam: PairFamily, p: int, n: int) -> tuple[bool,
     return valid, caveats
 
 
+def check_cell(p: int, n: int, method: str = "all") -> None:
+    """The argument checks a bound method makes before it reads its policy,
+    in their order: p, then n >= 1 for the closed form and n > 1 for the
+    constructive route ("all" runs both, closed first)."""
+    check_characteristic(p)
+    if n < 1 and method != "constructive":
+        raise ValueError("n must be >= 1")
+    if n <= 1 and method != "closed":
+        raise ValueError("n must be > 1")
+
+
 def _closed_form(p: int, n: int, field: str, policy: GapPolicy | None) -> BoundReport:
     """The closed form of either target field; the wrappers below state them."""
-    check_characteristic(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cell(p, n, "closed")
     policy = policy or GapPolicy.dudek()
     fam = _pair_family(field, p)
     kind = "eleven" if p == 11 else "generic"
@@ -381,9 +390,7 @@ def constructive_bound(
     2n+g'-1 (quadratic) or 3n+2g' (prime), with every check recorded.  Any
     failure raises InfeasiblePipelineError naming the failing check.
     """
-    check_characteristic(p)
-    if n <= 1:
-        raise ValueError("n must be > 1")
+    check_cell(p, n, "constructive")
     policy = policy or GapPolicy.dudek()
     fam = _pair_family(field, p)
     try:

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import bounds, curves, multiplier, primes
 from .bounds import InfeasiblePipelineError
@@ -47,18 +49,22 @@ def _parse_alpha(text: str) -> Fraction:
         raise ValueError(f"cannot parse alpha {text!r}: expected C/D") from exc
 
 
-def _build_policy(args) -> primes.GapPolicy:
+def _policy_builder(args) -> Callable[[], primes.GapPolicy]:
+    """Check the policy arguments and return the policy's builder.  The
+    empirical policy's gap scan is the costly step of a bound request, so a
+    caller builds it only after its own argument checks have passed."""
     name = args.policy
     if name == "dudek":
         if args.alpha is not None:
             raise ValueError("alpha is fixed at 2/3 by the dudek policy")
-        return primes.GapPolicy.dudek()
+        return primes.GapPolicy.dudek
     if name == "bhp":
         if args.alpha is not None:
             raise ValueError("alpha is fixed at 21/40 by the bhp policy")
-        return primes.GapPolicy.bhp()
+        return primes.GapPolicy.bhp
     alpha = _parse_alpha(args.alpha) if args.alpha else Fraction(2, 3)
-    return bounds.empirical_policy(alpha, args.sieve_limit)
+    primes.check_gap_scan(args.sieve_limit, alpha)
+    return functools.partial(bounds.empirical_policy, alpha, args.sieve_limit)
 
 
 def _render_text(doc, indent: int = 0) -> str:
@@ -122,7 +128,9 @@ def _decline_row(exc: InfeasiblePipelineError, policy: primes.GapPolicy) -> dict
 
 
 def _cmd_bound(args) -> tuple[str, int]:
-    policy = _build_policy(args)
+    build_policy = _policy_builder(args)
+    bounds.check_cell(args.p, args.n, args.method)
+    policy = build_policy()
     if args.method == "closed":
         closed = bounds.closed_form_quadratic if args.field == "p2" else bounds.closed_form_prime
         return _emit(closed(args.p, args.n, policy).to_json_dict(), args.format), EXIT_OK
@@ -136,11 +144,15 @@ def _cmd_bound(args) -> tuple[str, int]:
     return _emit(doc, args.format), EXIT_OK
 
 
-def _table_rows(args, policy) -> list[dict]:
+def _table_rows(args) -> list[dict]:
+    build_policy = _policy_builder(args)
     for p in args.p_set:
         primes.check_characteristic(p)
-    emp = bounds.default_empirical_policy(args.sieve_limit)
+    primes.check_gap_scan(args.sieve_limit, Fraction(2, 3))  # the constructive route's policy
     lo, hi, step = args.n_range
+    bounds.check_cell(args.p_set[0], lo)  # the first cell to fail, if any does
+    policy = build_policy()
+    emp = bounds.default_empirical_policy(args.sieve_limit)
     rows = []
     for p in args.p_set:
         for n in range(lo, hi + 1, step):
@@ -156,8 +168,7 @@ def _table_rows(args, policy) -> list[dict]:
 
 
 def _cmd_table(args) -> tuple[str, int]:
-    policy = _build_policy(args)
-    rows = _table_rows(args, policy)
+    rows = _table_rows(args)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_HEADER, lineterminator="\n")
@@ -208,8 +219,8 @@ def _cmd_mult(args) -> tuple[str, int]:
     doc = {
         "q": args.q,
         "n": args.n,
-        "modulus": [algo.base.to_int(c) for c in algo.ext.modulus],
-        "plan": algo.plan.to_json_dict(algo.base),
+        "modulus": list(algo.ext.modulus),
+        "plan": algo.plan.to_json_dict(),
         "rank": algo.rank,
         "envelope": {"case": algo.plan.case, "value": algo.envelope()},
         "verification": report.to_json_dict(),

@@ -1,21 +1,22 @@
 """Exact arithmetic in prime fields, one-step extension towers, polynomials
 and dense linear algebra over them.
 
-Representation conventions, used everywhere in the package:
+Every field value is an integer: the canonical code of its element.
 
-* A prime-field value is an integer residue in [0, p).
-* An extension-field value is a tuple of n base-field values, the coefficients
-  of the representative polynomial in low-degree-first order.
-* A polynomial over a field is a tuple of field values, low-degree first, with
-  no trailing zeros; () is the zero polynomial.
-* Every field value has a canonical integer code: the residue itself for a
-  prime field, and sum(code(c_i) * q**i) for an extension over a field of
-  order q.  Codes order the elements and serialize them.
-* A field with at most CODE_TABLE_CAP elements also has a code form,
-  `code_field(field)`: the same field on its codes, every operation a lookup
-  in tables built once per process.  The modulus search, the interpolation
-  solve of the multiplier and its vectorized verifier all run on these
-  tables; larger fields use the raw values above.
+* In a prime field the code is the residue in [0, p).
+* In an extension of degree n over a field of order q it is
+  sum(c_i * q**i), where the c_i are the codes of the coefficients of the
+  representative polynomial, low degree first: the code's base-q digits.
+
+Codes order the elements and serialize them; 0 is zero and 1 is one.  A
+polynomial over a field is a tuple of codes, low degree first, with no
+trailing zeros; () is the zero polynomial.
+
+An extension computes on its codes in one of two ways, chosen once from its
+order.  Above CODE_TABLE_CAP elements it uses digit arithmetic over its
+base.  At or below the cap every operation is a lookup in list tables built
+on first use and kept for the process.  The same tables drive the modulus
+search below, and numpy copies of them drive the multiplier's verifier.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,8 +41,6 @@ from .ntheory import is_prime, mobius, prime_power_split
 MAX_PRIME = 1 << 61
 CODE_TABLE_CAP = 256  # fields with at most this many elements get code tables
 CODE_DTYPE = np.uint8  # holds every code below CODE_TABLE_CAP
-
-Value = Union[int, tuple]  # raw field value: int residue or tuple of base values
 
 
 class SingularMatrixError(ValueError):
@@ -55,23 +54,23 @@ class SingularMatrixError(ValueError):
 class FieldElement:
     """A field value bound to its field, with operator arithmetic.
 
-    Thin wrapper for API ergonomics; hot paths use the field methods on raw
-    values directly.
+    Thin wrapper for API ergonomics; hot paths use the field methods on codes
+    directly.
     """
 
     __slots__ = ("field", "value")
 
-    def __init__(self, field, value: Value):
+    def __init__(self, field, value: int):
         self.field = field
         self.value = value
 
-    def _coerce(self, other) -> Value:
+    def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise ValueError(f"field mismatch: {self.field} vs {other.field}")
             return other.value
         if isinstance(other, int):
-            return self.field.from_int(other % self.field.order)
+            return other % self.field.order
         raise TypeError(f"cannot coerce {other!r} into {self.field}")
 
     def __add__(self, other):
@@ -108,19 +107,38 @@ class FieldElement:
         return hash((id(self.field), self.value))
 
     def __repr__(self):
-        return f"{self.field}({self.to_int()})"
-
-    def coords(self) -> tuple:
-        """Coordinates over the immediate base field, low degree first."""
-        if isinstance(self.value, tuple):
-            return self.value
-        return (self.value,)
+        return f"{self.field}({self.value})"
 
     def to_int(self) -> int:
-        return self.field.to_int(self.value)
+        """The element's canonical code."""
+        return self.value
 
 
-class PrimeField:
+class Field:
+    """What every field offers on its codes besides its arithmetic."""
+
+    __slots__ = ()
+
+    zero = 0
+    one = 1
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def elements(self) -> Iterator[int]:
+        return iter(range(self.order))
+
+    def element(self, v) -> FieldElement:
+        if isinstance(v, FieldElement):
+            if v.field != self:
+                raise ValueError("field mismatch")
+            return v
+        if isinstance(v, int):
+            return FieldElement(self, v % self.order)
+        raise TypeError(f"cannot build {self} element from {v!r}")
+
+
+class PrimeField(Field):
     """The field of integers modulo a prime p, 2 <= p < 2**61."""
 
     __slots__ = ("p",)
@@ -140,9 +158,6 @@ class PrimeField:
     def char(self) -> int:
         return self.p
 
-    zero = 0
-    one = 1
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -160,31 +175,8 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         return pow(a, k, self.p)
-
-    def from_int(self, code: int) -> int:
-        if not 0 <= code < self.p:
-            raise ValueError(f"code {code} out of range for GF({self.p})")
-        return code
-
-    def to_int(self, a: int) -> int:
-        return a
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    def element(self, v) -> FieldElement:
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise ValueError("field mismatch")
-            return v
-        if isinstance(v, int):
-            return FieldElement(self, v % self.p)
-        raise TypeError(f"cannot build GF({self.p}) element from {v!r}")
 
     def random(self, rng) -> int:
         return rng.randrange(self.p)
@@ -199,136 +191,121 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-class ExtensionField:
-    """A degree-n extension of a base field in polynomial basis.
+def _digits(code: int, q: int, n: int) -> list[int]:
+    """The n base-q digits of code, low first."""
+    out = []
+    for _ in range(n):
+        code, c = divmod(code, q)
+        out.append(c)
+    return out
 
-    A supplied modulus must be monic irreducible of degree n over the base,
-    and is verified on construction; by default the canonical modulus is
-    found.  Values are tuples of n base values.
+
+class ExtensionField(Field):
+    """A degree-n extension of a base field in polynomial basis, on codes.
+
+    A supplied modulus (base codes, low degree first) must be monic
+    irreducible of degree n over the base, and is verified on construction;
+    by default the canonical modulus is found.  Arithmetic works on the
+    digits of the codes over the base; an extension with at most
+    CODE_TABLE_CAP elements is constructed as a _SmallExtension instead,
+    whose operations are table lookups.
     """
 
-    __slots__ = ("base", "degree", "modulus", "zero", "one", "_reduction")
+    __slots__ = ("base", "degree", "modulus", "order", "_reduction")
+
+    def __new__(cls, base, degree: int, modulus: Sequence | None = None):
+        # the one table-or-digit choice, from the order alone
+        if cls is ExtensionField and base.order**degree <= CODE_TABLE_CAP:
+            cls = _SmallExtension
+        return super().__new__(cls)
 
     def __init__(self, base, degree: int, modulus: Sequence | None = None):
         if degree < 1:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.degree = degree
+        self.order = base.order**degree
         if modulus is None:
             modulus = find_irreducible(base, degree)
         else:
             modulus = tuple(modulus)
-            if len(modulus) != degree + 1 or modulus[-1] != base.one:
+            if len(modulus) != degree + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree equal to the extension degree")
             if not is_irreducible(base, modulus):
                 raise ValueError("modulus is reducible over the base field")
         self.modulus = modulus
-        self.zero = (base.zero,) * degree
-        self.one = (base.one,) + (base.zero,) * (degree - 1)
         # u**k mod modulus for k < 2*degree-1; mul reads k >= degree
         self._reduction = power_rows(base, modulus, 2 * degree - 1)
-
-    @property
-    def order(self) -> int:
-        return self.base.order**self.degree
 
     @property
     def char(self) -> int:
         return self.base.char
 
-    def add(self, a: tuple, b: tuple) -> tuple:
-        bf = self.base
-        return tuple(bf.add(x, y) for x, y in zip(a, b))
+    def digits(self, a: int) -> list[int]:
+        """The base codes of a's coefficients, low degree first."""
+        return _digits(a, self.base.order, self.degree)
 
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        bf = self.base
-        return tuple(bf.sub(x, y) for x, y in zip(a, b))
+    def from_digits(self, coeffs: Sequence[int]) -> int:
+        """The code of the element with these coefficients (base codes, low
+        degree first, at most n of them)."""
+        q = self.base.order
+        code = 0
+        for c in reversed(coeffs):
+            code = code * q + c
+        return code
 
-    def neg(self, a: tuple) -> tuple:
+    def add(self, a: int, b: int) -> int:
         bf = self.base
-        return tuple(bf.neg(x) for x in a)
+        return self.from_digits([bf.add(x, y) for x, y in zip(self.digits(a), self.digits(b))])
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        # schoolbook product, then reduction by precomputed powers of u
+    def sub(self, a: int, b: int) -> int:
         bf = self.base
-        n = self.degree
-        if n == 1:
-            return (bf.mul(a[0], b[0]),)
-        prod = [bf.zero] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai == bf.zero:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = bf.add(prod[i + j], bf.mul(ai, bj))
+        return self.from_digits([bf.sub(x, y) for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a: int) -> int:
+        return self.from_digits([self.base.neg(x) for x in self.digits(a)])
+
+    def mul(self, a: int, b: int) -> int:
+        # schoolbook product of the digits, then reduction by the rows u**k
+        bf = self.base
+        q, n = bf.order, self.degree
+        ys = _digits(b, q, n)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(_digits(a, q, n)):
+            if x:
+                for k, y in enumerate(ys, i):
+                    prod[k] = bf.add(prod[k], bf.mul(x, y))
         res = prod[:n]
         for k in range(n, 2 * n - 1):
-            ck = prod[k]
-            if ck == bf.zero:
-                continue
-            row = self._reduction[k]
-            for j in range(n):
-                res[j] = bf.add(res[j], bf.mul(ck, row[j]))
-        return tuple(res)
+            c = prod[k]
+            if c:
+                for j, r in enumerate(self._reduction[k]):
+                    res[j] = bf.add(res[j], bf.mul(c, r))
+        return self.from_digits(res)
 
-    def inv(self, a: tuple) -> tuple:
-        if a == self.zero:
+    def inv(self, a: int) -> int:
+        if a == 0:
             raise ZeroDivisionError(f"inverse of zero in {self}")
-        g, u, _ = poly_xgcd(self.base, _trim(self.base, a), self.modulus)
-        # g is a nonzero constant; scale u by its inverse
-        c = self.base.inv(g[0])
-        scaled = tuple(self.base.mul(c, x) for x in u)
-        return tuple(scaled[i] if i < len(scaled) else self.base.zero for i in range(self.degree))
+        return self.pow(a, self.order - 2)
 
-    def div(self, a: tuple, b: tuple) -> tuple:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: tuple, k: int) -> tuple:
-        result = self.one
-        base = a
+    def pow(self, a: int, k: int) -> int:
+        result = 1
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             k >>= 1
         return result
 
-    def from_int(self, code: int) -> tuple:
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for {self}")
-        q = self.base.order
-        out = []
-        for _ in range(self.degree):
-            out.append(self.base.from_int(code % q))
-            code //= q
-        return tuple(out)
-
-    def to_int(self, a: tuple) -> int:
-        q = self.base.order
-        code = 0
-        for c in reversed(a):
-            code = code * q + self.base.to_int(c)
-        return code
-
-    def elements(self) -> Iterator[tuple]:
-        return (self.from_int(k) for k in range(self.order))
-
     def element(self, v) -> FieldElement:
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise ValueError("field mismatch")
-            return v
-        if isinstance(v, int):
-            return FieldElement(self, self.from_int(v % self.order))
-        if isinstance(v, (tuple, list)):
+        if isinstance(v, (tuple, list)):  # coordinates over the base, low degree first
             if len(v) > self.degree:
                 raise ValueError(f"too many coordinates for {self}")
-            coords = [self.base.element(c).value for c in v]
-            coords += [self.base.zero] * (self.degree - len(coords))
-            return FieldElement(self, tuple(coords))
-        raise TypeError(f"cannot build {self} element from {v!r}")
+            return FieldElement(self, self.from_digits([self.base.element(c).value for c in v]))
+        return super().element(v)
 
-    def random(self, rng) -> tuple:
-        return tuple(self.base.random(rng) for _ in range(self.degree))
+    def random(self, rng) -> int:
+        return self.from_digits([self.base.random(rng) for _ in range(self.degree)])
 
     def __eq__(self, other):
         return (
@@ -345,7 +322,48 @@ class ExtensionField:
         return f"GF({self.base.order}^{self.degree})"
 
 
-Field = Union[PrimeField, ExtensionField]
+class _SmallExtension(ExtensionField):
+    """An extension with at most CODE_TABLE_CAP elements: every operation is
+    a lookup in its list tables, which are built on first use."""
+
+    __slots__ = ("_add", "_mul", "_neg", "_inv")
+
+    def __init__(self, base, degree: int, modulus: Sequence | None = None):
+        super().__init__(base, degree, modulus)
+        self._add, self._mul, self._neg, self._inv = (_Unbuilt(self, k) for k in range(4))
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._add[a][self._neg[b]]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul[a][b]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in {self}")
+        return self._inv[a]
+
+
+class _Unbuilt:
+    """One of a small extension's tables before any is read: the first read
+    builds all four and puts them in the field's slots."""
+
+    __slots__ = ("field", "which")
+
+    def __init__(self, field: _SmallExtension, which: int):
+        self.field = field
+        self.which = which
+
+    def __getitem__(self, code: int):
+        f = self.field
+        f._add, f._mul, f._neg, f._inv = tables = _list_tables(f)
+        return tables[self.which][code]
 
 
 @lru_cache(maxsize=None)
@@ -358,68 +376,17 @@ def make_field(q: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# small fields on canonical codes: one set of cached tables per field
-
-
-class CodeField:
-    """A field with at most CODE_TABLE_CAP elements on its canonical codes.
-
-    It has PrimeField's arithmetic methods, so the polynomial and matrix
-    routines below run on it unchanged; every operation is a lookup in
-    Python-list tables: add_rows[a][b], mul_rows[a][b], negs[a] and invs[a] (invs[0] is
-    0 and never read).  Build it with code_field, which keeps one per field.
-    """
-
-    __slots__ = ("field", "add_rows", "mul_rows", "negs", "invs")
-
-    zero = 0
-    one = 1
-
-    def __init__(self, field, add_rows: list, mul_rows: list):
-        self.field = field
-        self.add_rows = add_rows
-        self.mul_rows = mul_rows
-        self.negs = [row.index(0) for row in add_rows]
-        self.invs = [0] + [row.index(1) for row in mul_rows[1:]]
-
-    @property
-    def order(self) -> int:
-        return self.field.order
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_rows[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_rows[a][self.negs[b]]
-
-    def neg(self, a: int) -> int:
-        return self.negs[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_rows[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self}")
-        return self.invs[a]
-
-    def from_int(self, code: int) -> int:
-        return code
-
-    def to_int(self, a: int) -> int:
-        return a
-
-    def __repr__(self):
-        return f"codes of {self.field}"
+# code tables of small fields: one set per field, built on first use
 
 
 @lru_cache(maxsize=None)
-def code_field(field: Field) -> CodeField:
-    """The code form of a field with at most CODE_TABLE_CAP elements.
+def _list_tables(field: Field) -> tuple[list, list, list, list]:
+    """Add rows, mul rows, negations and inverses (the inverse of 0 reads 0)
+    of a field with at most CODE_TABLE_CAP elements, as Python lists.
 
-    Built on first use and kept for the process.  A prime field's tables are
-    residue arithmetic.  An extension adds digitwise in its own base's table
-    and multiplies through logarithms to a generator.
+    A prime field's tables are residue arithmetic.  An extension adds
+    digitwise in its base's table and multiplies through logarithms to a
+    generator.
     """
     q = field.order
     if q > CODE_TABLE_CAP:
@@ -427,50 +394,51 @@ def code_field(field: Field) -> CodeField:
     if isinstance(field, PrimeField):
         add_rows = [[(a + b) % q for b in range(q)] for a in range(q)]
         mul_rows = [[a * b % q for b in range(q)] for a in range(q)]
-        return CodeField(field, add_rows, mul_rows)
-    p = field.base.order
-    digit_add = code_field(field.base).add_rows
-    add_rows = digit_add
-    m = p  # add_rows covers codes below m; extend it by one digit at a time
-    while m < q:
-        add_rows = [
-            [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
-            for a in range(m * p)
+    else:
+        p = field.base.order
+        digit_add = _list_tables(field.base)[0]
+        add_rows = digit_add
+        m = p  # add_rows covers codes below m; extend it by one digit at a time
+        while m < q:
+            add_rows = [
+                [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
+                for a in range(m * p)
+            ]
+            m *= p
+        exp = _generator_powers(field)
+        log = [0] * q
+        for k, c in enumerate(exp):
+            log[c] = k
+        mul_rows = [
+            [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)] for a in range(q)
         ]
-        m *= p
-    exp = _generator_powers(field)
-    log = [0] * q
-    for k, c in enumerate(exp):
-        log[c] = k
-    mul_rows = [
-        [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)] for a in range(q)
-    ]
-    return CodeField(field, add_rows, mul_rows)
+    negs = [row.index(0) for row in add_rows]
+    invs = [0] + [row.index(1) for row in mul_rows[1:]]
+    return add_rows, mul_rows, negs, invs
 
 
 def _generator_powers(field: ExtensionField) -> list[int]:
-    """Codes of g**k for k < q-1, g the smallest-code generator of the
-    multiplicative group, by scalar multiplication."""
-    for code in range(2, field.order):
-        g = field.from_int(code)
-        powers = [field.one]
+    """g**k for k < q-1, g the smallest-code generator of the multiplicative
+    group, by digit arithmetic (the tables it fills do not exist yet)."""
+    for g in range(1, field.order):
+        powers = [1]
         cur = g
-        while cur != field.one:
+        while cur != 1:
             powers.append(cur)
-            cur = field.mul(cur, g)
+            cur = ExtensionField.mul(field, cur, g)
         if len(powers) == field.order - 1:
-            return [field.to_int(v) for v in powers]
+            return powers
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
 @lru_cache(maxsize=None)
 def _code_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only numpy copies of code_field(field)'s add and mul tables, for
+    """Read-only numpy copies of the field's add and mul tables, for
     vectorized gathers.  Filled from the Python lists: numpy arithmetic here
     would page in library code that verification does not otherwise touch,
     which shows in peak RSS."""
-    cf = code_field(field)
-    tables = np.array(cf.add_rows, dtype=CODE_DTYPE), np.array(cf.mul_rows, dtype=CODE_DTYPE)
+    add_rows, mul_rows, _, _ = _list_tables(field)
+    tables = np.array(add_rows, dtype=CODE_DTYPE), np.array(mul_rows, dtype=CODE_DTYPE)
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -490,15 +458,6 @@ def _trim(field, coeffs) -> tuple:
 
 def poly_deg(poly: tuple) -> int:
     return len(poly) - 1  # deg(0) == -1 by convention
-
-
-def poly_add(field, a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
-    return _trim(field, out)
 
 
 def poly_sub(field, a: tuple, b: tuple) -> tuple:
@@ -525,7 +484,9 @@ def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     db = len(b) - 1
-    lead_inv = field.inv(b[-1])
+    # a monic divisor, such as every modulus, needs no inverse (above the
+    # code tables an extension inverts by a whole exponentiation)
+    lead_inv = field.one if b[-1] == field.one else field.inv(b[-1])
     quot = [field.zero] * max(0, len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
         f = rem[i + db]
@@ -551,20 +512,7 @@ def poly_gcd(field, a: tuple, b: tuple) -> tuple:
     return a
 
 
-def poly_xgcd(field, a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (field.one,), ()
-    t0, t1 = (), (field.one,)
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(field, s0, poly_mul(field, q, s1))
-        t0, t1 = t1, poly_sub(field, t0, poly_mul(field, q, t1))
-    return r0, s0, t0
-
-
-def poly_eval(field, poly: tuple, x: Value) -> Value:
+def poly_eval(field, poly: tuple, x: int) -> int:
     acc = field.zero
     for c in reversed(poly):
         acc = field.add(field.mul(acc, x), c)
@@ -602,7 +550,7 @@ def is_irreducible(field, poly: tuple) -> bool:
 
     x**(q**d) - x is the product of all monic irreducibles of degree dividing
     d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.  Over
-    a field with code tables the test runs on the monic multiple's code list.
+    a field with code tables the test runs on the monic multiple in them.
     """
     n = poly_deg(poly)
     if n < 1:
@@ -613,10 +561,9 @@ def is_irreducible(field, poly: tuple) -> bool:
         raise ValueError("polynomial must have nonzero leading coefficient")
     q = field.order
     if q <= CODE_TABLE_CAP:
-        cf = code_field(field)
-        codes = [field.to_int(c) for c in poly]
-        lead_inv = cf.inv(codes[-1])
-        return _irreducible_codes(cf, [cf.mul(lead_inv, c) for c in codes])
+        tables = _list_tables(field)
+        scale = tables[1][tables[3][poly[-1]]]
+        return _irreducible_codes(tables, [scale[c] for c in poly])
     x = (field.zero, field.one)
     w = x
     for _ in range(n // 2):
@@ -630,10 +577,10 @@ def find_irreducible(field, n: int) -> tuple:
     """The canonical monic irreducible of degree n: smallest integer code.
 
     A monic candidate c_0 + c_1 u + ... + u**n is ranked by the integer
-    sum(code(c_i) * q**i); candidates are scanned in that order and the first
+    sum(c_i * q**i); candidates are scanned in that order and the first
     irreducible one is returned.  Deterministic, and existence is guaranteed
     for every q and n >= 1.  Over a field with code tables the candidates are
-    code lists, and only the one returned is made a tuple of field values.
+    tested in them.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -641,12 +588,12 @@ def find_irreducible(field, n: int) -> tuple:
         return (field.zero, field.one)
     q = field.order
     if q <= CODE_TABLE_CAP:
-        cf = code_field(field)
+        tables = _list_tables(field)
         for high in itertools.product(range(q), repeat=n - 1):  # c_{n-1}, ..., c_1
             rest = [*reversed(high), 1]
             for c0 in range(1, q):  # c_0 = 0: divisible by u
-                if _irreducible_codes(cf, [c0, *rest]):
-                    return tuple(field.from_int(c) for c in [c0, *rest])
+                if _irreducible_codes(tables, [c0, *rest]):
+                    return (c0, *rest)
         raise AssertionError("unreachable: irreducibles exist for every degree")
     for cand in all_monic_polys(field, n):
         if cand[0] != field.zero and is_irreducible(field, cand):  # c_0 = 0: divisible by u
@@ -654,19 +601,20 @@ def find_irreducible(field, n: int) -> tuple:
     raise AssertionError("unreachable: irreducibles exist for every degree")
 
 
-# is_irreducible on code lists: f monic of degree n, a residue mod f is a list
-# of n codes, and negf holds the negated low coefficients of f
+# is_irreducible in a small field's list tables: f monic of degree n, a
+# residue mod f is a list of n codes, and negf holds the negated low
+# coefficients of f
 
 
-def _irreducible_codes(cf: CodeField, f: list) -> bool:
+def _irreducible_codes(tables: tuple, f: list) -> bool:
     """is_irreducible's test for a monic code list f of degree >= 2."""
-    add, mul, neg = cf.add_rows, cf.mul_rows, cf.negs
+    add, mul, neg, _ = tables
     n = len(f) - 1
     negf = [neg[c] for c in f[:n]]
     w = [0, 1] + [0] * (n - 2)  # x
     for _ in range(n // 2):
-        w = _powmod_codes(add, mul, negf, w, cf.order)
-        if _common_factor_codes(cf, f, [w[0], add[w[1]][neg[1]], *w[2:]]):
+        w = _powmod_codes(add, mul, negf, w, len(add))
+        if _common_factor_codes(tables, f, [w[0], add[w[1]][neg[1]], *w[2:]]):
             return False
     return True
 
@@ -698,10 +646,10 @@ def _powmod_codes(add: list, mul: list, negf: list, a: list, e: int) -> list:
     return out
 
 
-def _common_factor_codes(cf: CodeField, f: list, g: list) -> bool:
+def _common_factor_codes(tables: tuple, f: list, g: list) -> bool:
     """Whether gcd(f, g) has degree >= 1, by Euclid on code lists (g may
     carry trailing zeros; g = 0 shares all of f)."""
-    add, mul, neg, inv = cf.add_rows, cf.mul_rows, cf.negs, cf.invs
+    add, mul, neg, inv = tables
     a, b = list(f), list(g)
     while b and not b[-1]:
         b.pop()
@@ -744,7 +692,7 @@ def count_places_rational_ff(q: int, d: int) -> int:
 
 
 class Matrix:
-    """Dense row-major matrix of raw field values."""
+    """Dense row-major matrix of field codes."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -830,8 +778,7 @@ class Matrix:
         return out
 
     def to_int_lists(self) -> list[list[int]]:
-        f = self.field
-        return [[f.to_int(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
+        return [self.row(i) for i in range(self.rows)]
 
 
 def solve_linear(m: Matrix, rhs: Matrix) -> Matrix:
@@ -896,12 +843,7 @@ def all_monic_polys(field, degree: int) -> Iterator[tuple]:
     """Monic degree-d polynomials in canonical (integer code) order."""
     q = field.order
     for code in range(q**degree):
-        coeffs = []
-        k = code
-        for _ in range(degree):
-            coeffs.append(field.from_int(k % q))
-            k //= q
-        yield tuple(coeffs) + (field.one,)
+        yield (*_digits(code, q, degree), field.one)
 
 
 def irreducible_polys(field, degree: int) -> Iterator[tuple]:

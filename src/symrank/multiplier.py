@@ -31,6 +31,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .fields import (
     FieldElement,
     Matrix,
     _code_tables,
-    code_field,
     invert,
     irreducible_polys,
     is_irreducible,
@@ -126,7 +126,7 @@ class EvalPlan:
 
     q: int
     n: int
-    rational_nodes: tuple  # raw base-field values, canonical code order
+    rational_nodes: tuple  # base-field codes, in order
     use_infinity: bool
     deg2_places: tuple  # monic irreducible quadratics, canonical order
     total_degree: int
@@ -143,11 +143,11 @@ class EvalPlan:
     def case(self) -> int:
         return 1 if not self.deg2_places else 2
 
-    def to_json_dict(self, base: Field) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "rational_nodes": [base.to_int(a) for a in self.rational_nodes],
+            "rational_nodes": list(self.rational_nodes),
             "use_infinity": self.use_infinity,
-            "deg2_places": [[base.to_int(c) for c in pi] for pi in self.deg2_places],
+            "deg2_places": [list(pi) for pi in self.deg2_places],
             "total_degree": self.total_degree,
             "cost": self.cost,
         }
@@ -178,7 +178,7 @@ def plan_evaluation(q: int, n: int, allow_deg2: bool = True) -> EvalPlan:
         deficit = required - rational_capacity
         slots = rational_capacity - (1 if deficit % 2 else 0)
         deg2_count = (required - slots) // 2
-    nodes = tuple(base.from_int(k) for k in range(min(slots, q)))
+    nodes = tuple(range(min(slots, q)))
     use_infinity = slots > q
     places = tuple(itertools.islice(irreducible_polys(base, 2), deg2_count))
     assert len(places) == deg2_count
@@ -238,9 +238,7 @@ def build_algorithm(
     The defining modulus defaults to the canonical irreducible of degree n.
     The interpolation system is inverted on the first full-rank square row
     subsystem in canonical order (for the canonical plans the system is
-    square already), which cannot be singular for distinct places.  Over a
-    base field with q <= CODE_TABLE_CAP the whole interpolation runs on
-    canonical codes, and only the returned matrices hold raw values.
+    square already), which cannot be singular for distinct places.
     """
     base = make_field(q)
     if plan is None:
@@ -262,24 +260,15 @@ def build_algorithm(
         if len(pi) != 3 or pi[-1] != base.one or not is_irreducible(base, pi):
             raise ValueError("degree-2 places must be monic irreducible quadratics")
     ext = ExtensionField(base, n, modulus)
-    arith = code_field(base) if q <= CODE_TABLE_CAP else base
-
-    def encode(v):
-        return arith.from_int(base.to_int(v))
-
-    def decode(m: Matrix) -> Matrix:
-        return Matrix(base, m.rows, m.cols, [base.from_int(arith.to_int(v)) for v in m.entries])
-
-    forms, recon = _interpolate(arith, encode, plan, tuple(map(encode, ext.modulus)))
+    forms, recon = _interpolate(base, plan, ext.modulus)
     contributions = (1,) * plan.rational_slots + (3,) * len(plan.deg2_places)
     assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
-    return BilinearAlgorithm(ext, plan, forms.rows, decode(forms), decode(recon), contributions)
+    return BilinearAlgorithm(ext, plan, forms.rows, forms, recon, contributions)
 
 
-def _interpolate(base, encode, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
-    """The forms and recon matrices of a plan over `base`, the base field on
-    codes or on raw values; `encode` takes the plan's raw values to those of
-    `base`, and the modulus is given in them.
+def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
+    """The forms and recon matrices of a plan over `base`, for the extension
+    by `modulus`.
 
     A degree-2 place composes the residue map with the canonical rank-3
     algorithm of its residue field, built here from a rational-only plan on 3
@@ -292,7 +281,7 @@ def _interpolate(base, encode, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, 
     eval_rows: list[list] = []  # joint-evaluation functionals on product coeffs
     s_blocks: list[tuple[int, list[list]]] = []  # (product count, rows over products)
 
-    for a in map(encode, plan.rational_nodes):
+    for a in plan.rational_nodes:
         forms_rows.append(_node_powers(base, a, n))
         eval_rows.append(_node_powers(base, a, prod_len))
         s_blocks.append((1, [[base.one]]))
@@ -301,10 +290,7 @@ def _interpolate(base, encode, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, 
         eval_rows.append([base.zero] * (prod_len - 1) + [base.one])
         s_blocks.append((1, [[base.one]]))
     for pi in plan.deg2_places:
-        pi = tuple(map(encode, pi))
-        sub_forms, sub_recon = _interpolate(
-            base, encode, plan_evaluation(plan.q, 2, allow_deg2=False), pi
-        )
+        sub_forms, sub_recon = _interpolate(base, plan_evaluation(plan.q, 2, allow_deg2=False), pi)
         res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
         # compose the three sub-forms with the residue map: rows over x coords
         for srow in range(3):
@@ -350,15 +336,15 @@ def multiply(algo: BilinearAlgorithm, x: FieldElement, y: FieldElement) -> Field
     """Multiply through the decomposition: forms, pointwise products, recon."""
     if x.field != algo.ext or y.field != algo.ext:
         raise ValueError("operands do not live in the algorithm's extension")
-    return FieldElement(algo.ext, _apply_raw(algo, x.value, y.value))
+    return FieldElement(algo.ext, _apply(algo, x.value, y.value))
 
 
-def _apply_raw(algo: BilinearAlgorithm, xv: tuple, yv: tuple) -> tuple:
-    base = algo.base
-    fx = algo.forms.matvec(list(xv))
-    fy = algo.forms.matvec(list(yv))
+def _apply(algo: BilinearAlgorithm, x: int, y: int) -> int:
+    ext, base = algo.ext, algo.base
+    fx = algo.forms.matvec(ext.digits(x))
+    fy = algo.forms.matvec(ext.digits(y))
     w = [base.mul(a, b) for a, b in zip(fx, fy)]
-    return tuple(algo.recon.matvec(w))
+    return ext.from_digits(algo.recon.matvec(w))
 
 
 @dataclass(frozen=True)
@@ -417,33 +403,39 @@ def verify(
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
         raise ValueError("random verification needs at least one trial")
-    rng = random.Random(seed)
+    codes = _seeded_codes(random.Random(seed), algo.ext.order)
     if q <= CODE_TABLE_CAP:
-        _random_check(algo, rng, trials)
+        _random_check(algo, codes, trials)
     else:
-        order = algo.ext.order
-        _scalar_check(algo, ((rng.randrange(order), rng.randrange(order)) for _ in range(trials)))
+        stream = itertools.islice(codes, 2 * trials)
+        _scalar_check(algo, zip(stream, stream))
     return VerificationReport("random", trials, 0, algo.rank, algo.envelope(), seed)
 
 
-def _mismatch(algo: BilinearAlgorithm, x_code: int, y_code: int) -> VerificationError:
+def _seeded_codes(rng: random.Random, order: int) -> Iterator[int]:
+    """The codes rng.randrange(order) would draw, one after another: the
+    random-mode operand stream (x, then y, per trial), on which reported
+    first failures depend.  randrange's own getrandbits rejection is inlined,
+    which leaves the stream as it is and saves its Python frames."""
+    getrandbits = rng.getrandbits
+    k = order.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < order:
+            yield r
+
+
+def _mismatch(algo: BilinearAlgorithm, x: int, y: int) -> VerificationError:
     """The error for a failing pair, both products taken by the scalar routes."""
-    ext = algo.ext
-    xv = ext.from_int(x_code)
-    yv = ext.from_int(y_code)
-    expected = ext.to_int(ext.mul(xv, yv))
-    got = ext.to_int(_apply_raw(algo, xv, yv))
-    return VerificationError(algo.q, algo.n, x_code, y_code, expected, got)
+    return VerificationError(algo.q, algo.n, x, y, algo.ext.mul(x, y), _apply(algo, x, y))
 
 
 def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
     """Check (x code, y code) pairs one at a time, in the given order."""
     ext = algo.ext
-    for xc, yc in pairs:
-        xv = ext.from_int(xc)
-        yv = ext.from_int(yc)
-        if _apply_raw(algo, xv, yv) != ext.mul(xv, yv):
-            raise _mismatch(algo, xc, yc)
+    for x, y in pairs:
+        if _apply(algo, x, y) != ext.mul(x, y):
+            raise _mismatch(algo, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +455,7 @@ def _code_digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:
 def _reduction_codes(ext: ExtensionField) -> np.ndarray:
     """Codes of u**k mod the modulus, one row per k in [n, 2n-2]."""
     n = ext.degree
-    rows = [[ext.base.to_int(c) for c in ext._reduction[k]] for k in range(n, 2 * n - 1)]
-    return np.array(rows, dtype=CODE_DTYPE).reshape(n - 1, n)
+    return np.array(ext._reduction[n:], dtype=CODE_DTYPE).reshape(n - 1, n)
 
 
 @dataclass(frozen=True)
@@ -558,14 +549,14 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
             raise _mismatch(algo, start + int(bx), int(by))
 
 
-def _random_check(algo: BilinearAlgorithm, rng: random.Random, trials: int) -> None:
-    """`trials` pairs from rng (x, then y, per trial), RANDOM_CHUNK at a time."""
+def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:
+    """`trials` pairs from the stream (x, then y, per trial), RANDOM_CHUNK at
+    a time."""
     kernel = _CodeKernel.of(algo)
-    order = algo.ext.order
-    dtype = np.int64 if order <= 1 << 63 else object  # larger codes stay Python ints
+    dtype = np.int64 if algo.ext.order <= 1 << 63 else object  # larger codes stay Python ints
     for start in range(0, trials, RANDOM_CHUNK):
         count = 2 * min(RANDOM_CHUNK, trials - start)
-        codes = np.fromiter((rng.randrange(order) for _ in range(count)), dtype=dtype, count=count)
+        codes = np.fromiter(itertools.islice(stream, count), dtype=dtype, count=count)
         x = _code_digits(codes[0::2], algo.q, algo.n)
         y = _code_digits(codes[1::2], algo.q, algo.n)
         bad = kernel.first_mismatch(x, y, kernel.form_values(x), kernel.form_values(y))
@@ -576,16 +567,15 @@ def _random_check(algo: BilinearAlgorithm, rng: random.Random, trials: int) -> N
 
 def emit_tensor(algo: BilinearAlgorithm) -> str:
     """Serialize the decomposition as canonical JSON (byte-stable)."""
-    base = algo.base
     doc = {
         "q": algo.q,
         "n": algo.n,
-        "modulus": [base.to_int(c) for c in algo.ext.modulus],
+        "modulus": list(algo.ext.modulus),
         "rank": algo.rank,
         "forms": algo.forms.to_int_lists(),
         "recon": algo.recon.to_int_lists(),
         "ledger": {
-            "plan": algo.plan.to_json_dict(base),
+            "plan": algo.plan.to_json_dict(),
             "contributions": list(algo.contributions),
         },
     }
@@ -593,23 +583,34 @@ def emit_tensor(algo: BilinearAlgorithm) -> str:
 
 
 def parse_tensor(text: str) -> BilinearAlgorithm:
-    """Rebuild an algorithm from emit_tensor output; verify() re-checks it."""
+    """Rebuild an algorithm from emit_tensor output; verify() re-checks it.
+
+    Every base-field code in the document is range-checked here, the one
+    place where codes come from outside."""
     doc = json.loads(text)
     q, n = doc["q"], doc["n"]
     base = make_field(q)
-    modulus = tuple(base.from_int(c) for c in doc["modulus"])
+
+    def codes(values) -> tuple:
+        values = tuple(values)
+        for c in values:
+            if not 0 <= c < q:
+                raise ValueError(f"code {c} out of range for {base}")
+        return values
+
+    modulus = codes(doc["modulus"])
     ledger = doc["ledger"]
     plan = EvalPlan(
         q,
         n,
-        tuple(base.from_int(c) for c in ledger["plan"]["rational_nodes"]),
+        codes(ledger["plan"]["rational_nodes"]),
         ledger["plan"]["use_infinity"],
-        tuple(tuple(base.from_int(c) for c in pi) for pi in ledger["plan"]["deg2_places"]),
+        tuple(map(codes, ledger["plan"]["deg2_places"])),
         ledger["plan"]["total_degree"],
     )
     ext = ExtensionField(base, n, modulus)
-    forms = Matrix.from_rows(base, [[base.from_int(c) for c in row] for row in doc["forms"]])
-    recon = Matrix.from_rows(base, [[base.from_int(c) for c in row] for row in doc["recon"]])
+    forms = Matrix.from_rows(base, [codes(row) for row in doc["forms"]])
+    recon = Matrix.from_rows(base, [codes(row) for row in doc["recon"]])
     if forms.rows != doc["rank"] or recon.cols != doc["rank"]:
         raise ValueError("tensor document is inconsistent: rank does not match matrices")
     return BilinearAlgorithm(ext, plan, doc["rank"], forms, recon, tuple(ledger["contributions"]))

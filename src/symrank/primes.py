@@ -99,12 +99,16 @@ class PrimeTable:
         return bisect_left(self.primes, hi) - bisect_right(self.primes, lo)
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Eratosthenes table of all primes <= limit."""
+def _check_sieve_limit(limit: int) -> None:
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
     if limit > SIEVE_MEMORY_CAP:
         raise ValueError(f"sieve limit {limit} exceeds memory cap {SIEVE_MEMORY_CAP}")
+
+
+def sieve(limit: int) -> PrimeTable:
+    """Eratosthenes table of all primes <= limit."""
+    _check_sieve_limit(limit)
     flags = _sieve_flags(limit)
     return PrimeTable(limit, tuple(i for i in range(2, limit + 1) if flags[i]))
 
@@ -131,6 +135,16 @@ class GapScan:
         return out
 
 
+def check_gap_scan(limit: int, alpha: Fraction) -> None:
+    """The argument checks of verify_gaps and its sieve, in their order,
+    without the scan."""
+    if limit < 3:
+        raise ValueError("gap scan limit must be >= 3")
+    if not 0 < Fraction(alpha) < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    _check_sieve_limit(limit)
+
+
 def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     """Every prime l < limit whose successor gap exceeds l**alpha.
 
@@ -138,11 +152,8 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     The successor of the largest prime below `limit` is always included in the
     scan; when it lies past `limit` it comes from `next_prime`.
     """
-    if limit < 3:
-        raise ValueError("gap scan limit must be >= 3")
+    check_gap_scan(limit, alpha)
     alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
     start = time.monotonic()
     c, d = alpha.numerator, alpha.denominator
     primes = sieve(limit).primes

@@ -165,12 +165,29 @@ class TestMultCommand:
 
     def test_extension_base_above_table_cap(self, capsys):
         # GF(289) = GF(17^2) is above the code-table cap, so the modulus
-        # search and the verification take the raw-value routes
+        # search runs on polynomial routines, the base field computes on
+        # digits and the verification takes the scalar routes
         code, out = run(capsys, "mult", "--q", "289", "--n", "2", "--verify", "random:50")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "81429081d6e415b9f5e0ea41d855340cee94a18f38e603d20cb003520e70f470"
         )
+
+    @pytest.mark.parametrize(
+        "q,n,digest",
+        [
+            (289, 3, "84c1377ff12d965f37f4ff50f2b5d51b6532c887ced9bc7385181de4c656b484"),
+            (512, 2, "f0179f4512947c4bc5b7260e0a69a43c229504bb75f263ac23893e78c4d3a8c8"),
+            (2147483647, 2, "0b2536863a3d14add8846e5791834e51df17dcf4975561e7952dae56cccfc37c"),
+        ],
+    )
+    def test_above_table_cap_golden_stdout(self, capsys, q, n, digest):
+        # digit arithmetic in GF(17^2) and GF(2^9), and a prime base near
+        # 2^31, all verified on the scalar routes; sha256 of stdout as it
+        # was before extensions computed on codes
+        code, out = run(capsys, "mult", "--q", str(q), "--n", str(n), "--verify", "random:50")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_verify_mode(self, capsys):
         code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--verify", "never")
@@ -223,6 +240,43 @@ class TestTableCommand:
         assert code == 1
         assert json.loads(out) == {"error": "usage", "reason": f"p must be a prime >= 5, got {bad}"}
         assert run(capsys, "bound", "--p", bad, "--n", "10") == (code, out)
+
+    @pytest.mark.parametrize(
+        "argv,reasons",
+        [
+            (("bound", "--p", "6", "--n", "100"), "p must be a prime >= 5, got 6"),
+            (("bound", "--p", "5", "--n", "0", "--method", "closed"), "n must be >= 1"),
+            (("bound", "--p", "5", "--n", "1"), "n must be > 1"),
+            (("bound", "--p", "5", "--n", "1", "--method", "constructive"), "n must be > 1"),
+            (("bound", "--p", "6", "--n", "9", "--sieve-limit", "2"),
+             ("gap scan limit must be >= 3", "p must be a prime >= 5, got 6")),
+            (("bound", "--p", "6", "--n", "9", "--alpha", "3/2"),
+             ("alpha must lie in (0, 1)", "alpha is fixed at 2/3 by the dudek policy")),
+            (("bound", "--p", "6", "--n", "9", "--sieve-limit", str(10**10)),
+             ("sieve limit 10000000000 exceeds memory cap 1000000000",
+              "p must be a prime >= 5, got 6")),
+            (("table", "--p-set", "6", "--n-range", "5:10"), "p must be a prime >= 5, got 6"),
+            (("table", "--p-set", "5,7", "--n-range", "0:10"), "n must be >= 1"),
+            (("table", "--p-set", "5", "--n-range", "1:10"), "n must be > 1"),
+            (("table", "--p-set", "6", "--n-range", "1:10", "--sieve-limit", "2"),
+             ("gap scan limit must be >= 3", "p must be a prime >= 5, got 6")),
+            (("table", "--p-set", "5", "--n-range", "0:10", "--sieve-limit", "2"),
+             "gap scan limit must be >= 3"),
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["empirical", "dudek"])
+    def test_usage_checks_come_before_the_gap_scan(self, capsys, monkeypatch, argv, reasons, policy):
+        # the reasons the commands have always given, in the same order, and
+        # no empirical policy is built to give them
+        def no_scan(*args):
+            raise AssertionError("gap scan before the usage checks")
+
+        monkeypatch.setattr(cli.bounds, "empirical_policy", no_scan)
+        if isinstance(reasons, str):
+            reasons = (reasons, reasons)
+        reason = reasons[policy == "dudek"]
+        code, out = run(capsys, *argv, "--policy", policy)
+        assert (code, json.loads(out)) == (1, {"error": "usage", "reason": reason})
 
     def test_infeasible_cells_become_caveat_rows(self, capsys):
         # p=17, n=20: the pair threshold is below 2, so the constructive

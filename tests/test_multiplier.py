@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from gf_oracle import ExtOracle, oracle_of
 
 from symrank import fields, multiplier
 from symrank.fields import make_field, poly_eval
@@ -28,7 +29,8 @@ def corrupted(algo, j=0, k=0):
 
 
 def seeded_pairs(order, seed, trials):
-    """The random-mode operand stream: x, then y, per trial."""
+    """The random-mode operand stream: x, then y, per trial, as randrange
+    draws it."""
     rng = random.Random(seed)
     for _ in range(trials):
         xc = rng.randrange(order)
@@ -45,7 +47,7 @@ def scalar_first_failure(algo, pairs):
         expected = ext.mul(x.value, y.value)
         got = multiply(algo, x, y).value
         if got != expected:
-            return xc, yc, ext.to_int(expected), ext.to_int(got)
+            return xc, yc, expected, got
     return None
 
 
@@ -164,14 +166,15 @@ class TestBuild:
         base = algo.base
         rng = random.Random(41)
         for _ in range(50):
-            xv = algo.ext.random(rng)
-            fx = algo.forms.matvec(list(xv))
+            coeffs = algo.ext.digits(algo.ext.random(rng))
+            fx = algo.forms.matvec(coeffs)
             for i, a in enumerate(algo.plan.rational_nodes):
-                assert fx[i] == poly_eval(base, xv, a)
+                assert fx[i] == poly_eval(base, coeffs, a)
 
 
 # canonical modulus codes and the sha256 of emit_tensor, as computed by the
 # tuple-valued modulus search and interpolation that preceded the code tables
+# (and, after them, by a separate code form of each small field)
 GOLDEN_TENSORS = [
     ((16, 4), [4, 2, 1, 0, 1], "c3c309836c79e8db3b3c082a3dfcf640b28284b55797c33bdcaf76e0deecdedd"),
     ((64, 3), [2, 0, 0, 1], "20209062fa3c50c7555f7f2352984dc27af78c79c18224e3d61e8a1abcadde4e"),
@@ -195,16 +198,33 @@ class TestGoldenTensors:
     )
     def test_modulus_and_tensor_bytes(self, cell, modulus, digest):
         algo = build_algorithm(*cell)
-        assert [algo.base.to_int(c) for c in algo.ext.modulus] == modulus
+        assert list(algo.ext.modulus) == modulus
         assert hashlib.sha256(emit_tensor(algo).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("q,n", [(4, 3), (9, 3), (16, 4), (2, 3), (4, 8)])
     def test_interpolation_on_codes_matches_raw_values(self, q, n):
-        # the same interpolation run on the base field's raw values
+        # recon((forms x) * (forms y)) is x*y in the oracle's GF(q^n), on
+        # seeded pairs and the pairs of basis monomials
         algo = build_algorithm(q, n)
-        base = algo.base
-        forms, recon = multiplier._interpolate(base, lambda v: v, algo.plan, algo.ext.modulus)
-        assert (forms, recon) == (algo.forms, algo.recon)
+        F = oracle_of(algo.base)
+        E = ExtOracle(F, algo.ext.modulus)
+        forms = [algo.forms.row(i) for i in range(algo.rank)]
+        recon = [algo.recon.row(j) for j in range(n)]
+
+        def dot(row, vec):
+            acc = 0
+            for a, b in zip(row, vec):
+                acc = F.add(acc, F.mul(a, b))
+            return acc
+
+        rng = random.Random(q * 100 + n)
+        monomials = [q**i for i in range(n)]
+        pairs = [(rng.randrange(E.order), rng.randrange(E.order)) for _ in range(100)]
+        for x, y in pairs + [(a, b) for a in monomials for b in monomials]:
+            fx = [dot(row, E.coeffs(x)) for row in forms]
+            fy = [dot(row, E.coeffs(y)) for row in forms]
+            w = [F.mul(a, b) for a, b in zip(fx, fy)]
+            assert E.code([dot(row, w) for row in recon]) == E.mul(x, y), (x, y)
 
     def test_reducible_place_rejected(self):
         with pytest.raises(ValueError):
@@ -240,7 +260,7 @@ class TestMultiply:
         rng = random.Random(31337)
         for _ in range(200):
             xv, yv = ext.random(rng), ext.random(rng)
-            got = multiply(algo, ext.element(ext.to_int(xv)), ext.element(ext.to_int(yv)))
+            got = multiply(algo, ext.element(xv), ext.element(yv))
             assert got.value == ext.mul(xv, yv)
 
     def test_wrong_field_rejected(self):
@@ -327,6 +347,15 @@ class TestVerify:
         report = verify(build_algorithm(2, 2), "random", trials=trials, seed=9)
         assert report.pairs_checked == trials and report.failures == 0
 
+    @pytest.mark.parametrize(
+        "order", [2, 3, 255, 256, 257, 2**64, 257**2, (2**31 - 1) ** 2], ids=str
+    )
+    def test_seeded_codes_are_the_randrange_stream(self, order):
+        codes = multiplier._seeded_codes(random.Random(order + 17), order)
+        stream = [next(codes) for _ in range(400)]
+        expected = [v for pair in seeded_pairs(order, order + 17, 200) for v in pair]
+        assert stream == expected
+
     def test_above_table_cap_runs_scalar_routes(self):
         algo = build_algorithm(257, 2)
         assert algo.q > fields.CODE_TABLE_CAP
@@ -347,16 +376,29 @@ class TestVerify:
 class TestCodeTables:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 81, 251, 256])
     def test_tables_match_scalar_arithmetic(self, q):
-        base = make_field(q)
-        elems = list(base.elements())
-        add_t, mul_t = fields._code_tables(base)
-        assert add_t.tolist() == [[base.to_int(base.add(a, b)) for b in elems] for a in elems]
-        assert mul_t.tolist() == [[base.to_int(base.mul(a, b)) for b in elems] for a in elems]
+        # the scalar arithmetic of the oracle
+        F = oracle_of(make_field(q))
+        add_t, mul_t = fields._code_tables(make_field(q))
+        assert add_t.tolist() == [[F.add(a, b) for b in range(q)] for a in range(q)]
+        assert mul_t.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
         assert not add_t.flags.writeable and not mul_t.flags.writeable
 
     def test_no_tables_above_cap(self):
         with pytest.raises(ValueError):
             fields._code_tables(make_field(257))
+
+    def test_tables_built_on_first_use(self, monkeypatch):
+        # GF(4^4) has 256 elements, so it computes by table lookups; building
+        # and verifying an algorithm on it never reads its own tables
+        built = []
+        real = fields._list_tables
+        monkeypatch.setattr(fields, "_list_tables", lambda f: built.append(f) or real(f))
+        algo = build_algorithm(4, 4)
+        verify(algo)
+        assert algo.ext.order == fields.CODE_TABLE_CAP
+        assert algo.ext not in built and make_field(4) in built
+        assert algo.ext.mul(2, 3) == oracle_of(algo.ext).mul(2, 3)
+        assert algo.ext in built
 
 
 class TestTensorSerialization:
@@ -382,6 +424,22 @@ class TestTensorSerialization:
         doc["recon"][0][0] ^= 1
         with pytest.raises(VerificationError):
             verify(parse_tensor(json.dumps(doc)), "exhaustive")
+
+    @pytest.mark.parametrize(
+        "key", ["modulus", "rational_nodes", "deg2_places", "forms", "recon"]
+    )
+    def test_out_of_range_codes_rejected(self, key):
+        # GF(4) codes run below 4; one code of 4 under the key is rejected
+        doc = json.loads(emit_tensor(build_algorithm(4, 4)))
+        plan = doc["ledger"]["plan"]
+        holder = {
+            "modulus": doc["modulus"], "rational_nodes": plan["rational_nodes"],
+            "deg2_places": plan["deg2_places"][0], "forms": doc["forms"][-1],
+            "recon": doc["recon"][0],
+        }[key]
+        holder[0] = 4
+        with pytest.raises(ValueError, match="code 4 out of range for GF"):
+            parse_tensor(json.dumps(doc))
 
     def test_rank_consistency_checked(self):
         doc = json.loads(emit_tensor(build_algorithm(2, 2)))
