@@ -124,6 +124,7 @@ class PriorBound:
         }
 
 
+@lru_cache(maxsize=256)
 def prior_coefficient(variant: str, q_or_p: int) -> Fraction:
     """Exact per-n coefficient of a published comparator bound.
 
@@ -527,21 +528,20 @@ def _entry_from_prior(pb: PriorBound) -> dict:
 def compare_all(p: int, n: int) -> dict:
     """Evaluate every applicable method for both target fields and rank them.
 
-    Closed forms use the 2/3 symbolic-floor policy; the constructive route
-    runs under the default empirical policy.  Methods are ordered by value,
+    Both routes run under the 2/3 symbolic-floor policy: the reply renders
+    no policy, so no gap scan is paid for one.  Methods are ordered by value,
     a declined constructive route last; the smallest is flagged per field.
     The asymptotic block holds the exact coefficients of the new bounds and
     of each field's comparators.
     """
     check_characteristic(p)
     policy = GapPolicy.dudek()
-    emp = default_empirical_policy()
     # the "p" key holds the GF(p) block, so the prime itself goes under "prime"
     result: dict = {"prime": p, PRIME: None, "n": n}
     asym = {}
     for field, variants in COMPARATORS.items():
         entries = [_entry_from_prior(prior_bound(variant, p, n)) for variant in variants]
-        closed, constructive = evaluate_cell(p, n, field, policy, emp)
+        closed, constructive = evaluate_cell(p, n, field, policy, policy)
         entries.append(_entry_from_report(closed))
         declined = []
         if isinstance(constructive, BoundReport):

@@ -25,7 +25,7 @@ from typing import Callable
 from . import bounds, curves, multiplier, primes
 from .bounds import InfeasiblePipelineError
 from .multiplier import DEFAULT_SEED, InfeasiblePlanError, VerificationError
-from .primes import DEFAULT_SIEVE_LIMIT, PairSelectionError
+from .primes import DEFAULT_SIEVE_LIMIT
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -348,9 +348,6 @@ def main(argv=None) -> int:
         output, code = args.fn(args)
     except (InfeasiblePipelineError, InfeasiblePlanError) as exc:
         sys.stdout.write(json.dumps(exc.to_json_dict(), indent=2) + "\n")
-        return EXIT_INFEASIBLE
-    except PairSelectionError as exc:
-        sys.stdout.write(json.dumps({"error": "infeasible", "reason": str(exc)}, indent=2) + "\n")
         return EXIT_INFEASIBLE
     except VerificationError as exc:
         sys.stdout.write(json.dumps(exc.to_json_dict(), indent=2) + "\n")

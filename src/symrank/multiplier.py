@@ -320,16 +320,12 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
     e_mat = Matrix.from_rows(base, eval_rows)
     picked = select_independent_rows(e_mat, prod_len)
     square = Matrix.from_rows(base, [e_mat.row(i) for i in picked])
-    inv_sq = invert(square)
-    left_inv = Matrix.zero(base, prod_len, total_rows)
-    for j, src in enumerate(picked):
-        for i in range(prod_len):
-            left_inv[i, src] = inv_sq[i, j]
+    s_picked = Matrix.from_rows(base, [s_mat.row(i) for i in picked])
 
     # reduction of product coefficients mod the defining polynomial
     reduce_q = Matrix.from_rows(base, list(zip(*power_rows(base, modulus, prod_len))))
 
-    return forms, reduce_q @ left_inv @ s_mat
+    return forms, reduce_q @ invert(square) @ s_picked
 
 
 def multiply(algo: BilinearAlgorithm, x: FieldElement, y: FieldElement) -> FieldElement:

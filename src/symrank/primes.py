@@ -3,8 +3,8 @@ prime pair that realizes the bound pipeline's threshold inequalities.
 
 Neighbouring primes are found by stepping with the deterministic
 Miller-Rabin test (`prev_prime`, `next_prime`), so pair selection costs about
-one prime gap of primality tests and no table; the Eratosthenes sieve serves
-only the exhaustive gap scan.
+one prime gap of primality tests and no table.  The exhaustive gap scan walks
+the Eratosthenes sieve's flags pair by pair and never stores the primes.
 
 A gap policy is a pair (alpha, x_alpha) asserting that consecutive primes
 satisfy l_{k+1} - l_k <= l_k**alpha from x_alpha on.  Three policies are
@@ -21,11 +21,13 @@ terms, gap <= l**alpha is decided as gap**d <= l**c.
 from __future__ import annotations
 
 import enum
+import re
 import time
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, pairwise
 
 from .ntheory import PrimalityLimitError, is_prime
 
@@ -73,6 +75,11 @@ def _sieve_flags(limit: int) -> bytearray:
     return flags
 
 
+def _flagged(flags: bytearray) -> Iterator[int]:
+    """The indices of the set bytes of `flags` (the primes), ascending."""
+    return (m.start() for m in re.finditer(b"\x01", flags))
+
+
 @dataclass(frozen=True)
 class PrimeTable:
     """All primes up to `limit`, ascending, with ordered lookups."""
@@ -109,8 +116,7 @@ def _check_sieve_limit(limit: int) -> None:
 def sieve(limit: int) -> PrimeTable:
     """Eratosthenes table of all primes <= limit."""
     _check_sieve_limit(limit)
-    flags = _sieve_flags(limit)
-    return PrimeTable(limit, tuple(i for i in range(2, limit + 1) if flags[i]))
+    return PrimeTable(limit, tuple(_flagged(_sieve_flags(limit))))
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,7 @@ class GapScan:
 
 
 def check_gap_scan(limit: int, alpha: Fraction) -> None:
-    """The argument checks of verify_gaps and its sieve, in their order,
-    without the scan."""
+    """The argument checks of verify_gaps, in their order, without the scan."""
     if limit < 3:
         raise ValueError("gap scan limit must be >= 3")
     if not 0 < Fraction(alpha) < 1:
@@ -156,13 +161,12 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     alpha = Fraction(alpha)
     start = time.monotonic()
     c, d = alpha.numerator, alpha.denominator
-    primes = sieve(limit).primes
-    pairs = zip(primes, islice(primes, 1, None))
-    if primes[-1] < limit:
-        pairs = chain(pairs, [(primes[-1], next_prime(primes[-1]))])
+    flags = _sieve_flags(limit)
+    last = flags.rfind(1)
+    tail = [next_prime(last)] if last < limit else []
     violations = []
     max_gap = 0
-    for l, l1 in pairs:
+    for l, l1 in pairwise(chain(_flagged(flags), tail)):
         gap = l1 - l
         if gap > max_gap:
             max_gap = gap
@@ -219,16 +223,13 @@ class ExtendedInt:
 
     def render(self) -> str:
         if self.kind == "finite":
-            v = self.value
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            return str(self.value)
         if self.kind == "unknown":
             return "unknown"
-        def frac(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-        head = DUDEK_X_ALPHA_EXPR if self.coeff == 1 else f"{frac(self.coeff)}*{DUDEK_X_ALPHA_EXPR}"
+        head = DUDEK_X_ALPHA_EXPR if self.coeff == 1 else f"{self.coeff}*{DUDEK_X_ALPHA_EXPR}"
         if self.offset == 0:
             return head
-        return f"{head}+{frac(self.offset)}" if self.offset > 0 else f"{head}-{frac(-self.offset)}"
+        return f"{head}+{self.offset}" if self.offset > 0 else f"{head}-{-self.offset}"
 
     def __str__(self):
         return self.render()
@@ -367,8 +368,7 @@ def select_pair(
             l_k = prev_prime(l_k - 1)
         l_k1 = next_prime(l_k)
         while l_k1 in skips:
-            if l_k1 not in skipped:
-                skipped.append(l_k1)
+            skipped.append(l_k1)
             l_k1 = next_prime(l_k1)
     except PrimalityLimitError as exc:
         raise PairSelectionError(

@@ -204,7 +204,12 @@ class TestMultCommand:
 
 
 class TestCompareCommand:
-    def test_example(self, capsys):
+    def test_example(self, capsys, monkeypatch):
+        # the reply renders no gap policy, so compare builds no empirical one
+        def no_scan(*args):
+            raise AssertionError("compare ran a gap scan")
+
+        monkeypatch.setattr(cli.bounds, "empirical_policy", no_scan)
         code, out = run(capsys, "compare", "--p", "5", "--n", "100")
         assert code == 0
         doc = json.loads(out)

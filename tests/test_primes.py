@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symrank import primes
 from symrank.primes import (
     ExtendedInt,
     GapPolicy,
@@ -61,6 +62,14 @@ class TestVerifyGaps:
         # gap**40 <= l**21 flags 3 and 13 as well (2**120 > 3**63 etc.)
         scan = verify_gaps(200, Fraction(21, 40))
         assert scan.violations == (3, 7, 13, 23, 113)
+
+    def test_scan_walks_the_flags_without_a_prime_table(self, monkeypatch):
+        def no_table(limit):
+            raise AssertionError("gap scan built a prime table")
+
+        monkeypatch.setattr(primes, "sieve", no_table)
+        assert verify_gaps(10**5, Fraction(2, 3)).violations == (7,)
+        assert verify_gaps(200, Fraction(21, 40)).violations == (3, 7, 13, 23, 113)
 
     def test_max_gap_and_json(self):
         scan = verify_gaps(100, Fraction(2, 3))
