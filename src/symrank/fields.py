@@ -16,7 +16,7 @@ An extension computes on its codes in one of two ways, chosen once from its
 order.  Above CODE_TABLE_CAP elements it uses digit arithmetic over its
 base.  At or below the cap every operation is a lookup in list tables built
 on first use and kept for the process.  The same tables drive the modulus
-search below, and numpy copies of them drive the multiplier's verifier.
+search below, and flat numpy copies of them drive the multiplier's verifier.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -40,7 +40,6 @@ from .ntheory import is_prime, mobius, prime_power_split
 
 MAX_PRIME = 1 << 61
 CODE_TABLE_CAP = 256  # fields with at most this many elements get code tables
-CODE_DTYPE = np.uint8  # holds every code below CODE_TABLE_CAP
 
 
 class SingularMatrixError(ValueError):
@@ -433,12 +432,14 @@ def _generator_powers(field: ExtensionField) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _code_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only numpy copies of the field's add and mul tables, for
-    vectorized gathers.  Filled from the Python lists: numpy arithmetic here
-    would page in library code that verification does not otherwise touch,
-    which shows in peak RSS."""
+    """The field's add and mul tables as flat read-only intp arrays indexed
+    by a*q + b, for 1-D lookups: add holds pre-scaled sums add(a, b)*q, mul
+    plain products."""
     add_rows, mul_rows, _, _ = _list_tables(field)
-    tables = np.array(add_rows, dtype=CODE_DTYPE), np.array(mul_rows, dtype=CODE_DTYPE)
+    tables = (
+        np.array(add_rows, dtype=np.intp).ravel() * field.order,
+        np.array(mul_rows, dtype=np.intp).ravel(),
+    )
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -579,26 +580,37 @@ def find_irreducible(field, n: int) -> tuple:
     A monic candidate c_0 + c_1 u + ... + u**n is ranked by the integer
     sum(c_i * q**i); candidates are scanned in that order and the first
     irreducible one is returned.  Deterministic, and existence is guaranteed
-    for every q and n >= 1.  Over a field with code tables the candidates are
-    tested in them.
+    for every q and n >= 1.  Candidates divisible by u and p-th powers (see
+    _is_pth_power) are skipped untested.  Over a field with code tables the
+    candidates are tested in them.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
         return (field.zero, field.one)
-    q = field.order
+    q, p = field.order, field.char
     if q <= CODE_TABLE_CAP:
         tables = _list_tables(field)
         for high in itertools.product(range(q), repeat=n - 1):  # c_{n-1}, ..., c_1
             rest = [*reversed(high), 1]
+            if _is_pth_power([0, *rest], p):
+                continue
             for c0 in range(1, q):  # c_0 = 0: divisible by u
                 if _irreducible_codes(tables, [c0, *rest]):
                     return (c0, *rest)
         raise AssertionError("unreachable: irreducibles exist for every degree")
     for cand in all_monic_polys(field, n):
-        if cand[0] != field.zero and is_irreducible(field, cand):  # c_0 = 0: divisible by u
+        # c_0 = 0: divisible by u
+        if cand[0] != field.zero and not _is_pth_power(cand, p) and is_irreducible(field, cand):
             return cand
     raise AssertionError("unreachable: irreducibles exist for every degree")
+
+
+def _is_pth_power(poly, p: int) -> bool:
+    """Whether every nonzero coefficient sits at an exponent divisible by p.
+    Over a perfect field of characteristic p such a polynomial is a p-th
+    power, so it is reducible."""
+    return not any(c for e, c in enumerate(poly) if e % p)
 
 
 # is_irreducible in a small field's list tables: f monic of degree n, a

@@ -36,7 +36,6 @@ from typing import Iterator
 import numpy as np
 
 from .fields import (
-    CODE_DTYPE,
     CODE_TABLE_CAP,
     ExtensionField,
     Field,
@@ -54,7 +53,8 @@ from .fields import (
 EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
-RANDOM_CHUNK = 1 << 16  # random-mode pairs per vectorized pass
+EXHAUSTIVE_CHUNK = 1 << 14  # about this many exhaustive-mode pairs per pass
+RANDOM_CHUNK = EXHAUSTIVE_CHUNK // 2  # random-mode pairs per pass: 2^14 x and y codes
 
 
 class InfeasiblePlanError(ValueError):
@@ -435,110 +435,120 @@ def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the integer-code kernel: both routes as gathers in add/mul tables over
+# the integer-code kernel: both routes as 1-D lookups in flat tables over
 # canonical base-field codes
 
 
-def _code_digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Base-q digits, low first, of element codes: shape codes.shape + (n,)."""
-    out = np.empty(codes.shape + (n,), dtype=CODE_DTYPE)
-    for j in range(n):
-        out[..., j] = codes % q
+def _code_digits(codes: np.ndarray, q: int, n: int) -> list[np.ndarray]:
+    """Base-q digits, low first, of element codes: n intp arrays shaped like
+    codes (object codes, past int64, are split first and then cast)."""
+    out = []
+    for _ in range(n):
+        out.append((codes % q).astype(np.intp, copy=False))
         codes = codes // q
     return out
 
 
-def _reduction_codes(ext: ExtensionField) -> np.ndarray:
-    """Codes of u**k mod the modulus, one row per k in [n, 2n-2]."""
-    n = ext.degree
-    return np.array(ext._reduction[n:], dtype=CODE_DTYPE).reshape(n - 1, n)
-
-
-@dataclass(frozen=True)
 class _CodeKernel:
     """An algorithm's tensor route, checked against the reference route, as
-    gathers in its base field's code tables.
+    lookups in its base field's flat code tables.
 
-    Coefficient arrays end in an axis of n codes and form-value arrays in an
-    axis of rank codes; leading shapes broadcast, so the exhaustive check
-    passes (B,1,n) x (1,q**n,n) chunks and random verification aligned (T,n)
-    arrays.
+    A table is indexed by a*q + b.  Left operands a are kept pre-scaled
+    (code*q), so an index is one add: `add` returns pre-scaled sums, `mul`
+    plain products, and `mac` fuses add(a, mul(c, b)) for a constant c into
+    one pre-scaled lookup in a table of c.  Accumulators start at 0, so a
+    first index is b alone.  Values are lists of per-coordinate arrays whose
+    shapes broadcast: the exhaustive check passes (B,1) chunks against
+    (q**n,) arrays, random verification aligned (T,) arrays.
     """
 
-    tables: tuple[np.ndarray, np.ndarray]
-    forms: np.ndarray  # rank x n
-    recon: np.ndarray  # n x rank
-    red: np.ndarray  # u**k mod modulus, k in [n, 2n-2]
+    def __init__(self, algo: BilinearAlgorithm, pairs: int):
+        self.q = q = algo.q
+        self.add, self.mul = _code_tables(algo.base)
+        self.forms = algo.forms.to_int_lists()  # rank x n
+        self.recon = algo.recon.to_int_lists()  # n x rank
+        self.red = algo.ext._reduction[algo.n :]  # u**k mod modulus, k in [n, 2n-2]
+        # a fused table pays for its q*q entries only over at least as many
+        # pairs; below that a product is a lookup in a row of mul
+        self.fuse = q * q <= pairs
+        self._mac: dict[int, np.ndarray] = {}
 
-    @classmethod
-    def of(cls, algo: BilinearAlgorithm) -> "_CodeKernel":
-        return cls(
-            _code_tables(algo.base),
-            np.array(algo.forms.to_int_lists(), dtype=CODE_DTYPE),
-            np.array(algo.recon.to_int_lists(), dtype=CODE_DTYPE),
-            _reduction_codes(algo.ext),
-        )
+    def mac(self, acc: np.ndarray | None, c: int, b: np.ndarray) -> np.ndarray:
+        """add(acc, mul(c, b)), pre-scaled, acc None reading 0: one lookup in
+        the fused table of c, built on its first use."""
+        q = self.q
+        row = self.mul[c * q : (c + 1) * q]  # mul(c, b) at b
+        if not self.fuse:
+            m = row.take(b)
+            return self.add.take(m if acc is None else acc + m)
+        table = self._mac.get(c)
+        if table is None:
+            table = self._mac[c] = self.add.take(np.arange(0, q * q, q)[:, None] + row).ravel()
+        return table.take(b if acc is None else acc + b)
 
-    def form_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """The linear forms at coefficient codes."""
-        add_t, mul_t = self.tables
-        out = np.zeros(coeffs.shape[:-1] + (self.forms.shape[0],), dtype=CODE_DTYPE)
-        for i, row in enumerate(self.forms):
-            acc = np.zeros(coeffs.shape[:-1], dtype=CODE_DTYPE)
-            for j, fij in enumerate(row):
+    def form_values(self, coeffs: list[np.ndarray]) -> list[np.ndarray]:
+        """The linear forms at plain coefficient codes, pre-scaled."""
+        out = []
+        for row in self.forms:
+            acc = None
+            for fij, v in zip(row, coeffs):
                 if fij:
-                    acc = add_t[acc, mul_t[fij, coeffs[..., j]]]
-            out[..., i] = acc
+                    acc = self.mac(acc, fij, v)
+            out.append(np.zeros_like(coeffs[0]) if acc is None else acc)
         return out
 
-    def reference(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Schoolbook convolution of coefficient codes, then reduction by the
-        rows u**k mod modulus."""
-        add_t, mul_t = self.tables
-        n = x.shape[-1]
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        conv = np.zeros(shape + (2 * n - 1,), dtype=CODE_DTYPE)
-        for i in range(n):
-            for j in range(n):
-                conv[..., i + j] = add_t[conv[..., i + j], mul_t[x[..., i], y[..., j]]]
-        out = conv[..., :n].copy()
-        for k in range(n, 2 * n - 1):
-            hk = conv[..., k]
-            for j, rkj in enumerate(self.red[k - n]):
+    def reference(self, x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
+        """Schoolbook convolution of coefficient codes (x pre-scaled, y plain),
+        then reduction by the rows u**k mod modulus; pre-scaled."""
+        n = len(x)
+        conv: list = [None] * (2 * n - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                m = self.mul.take(xi + yj)
+                acc = conv[i + j]
+                conv[i + j] = self.add.take(m if acc is None else acc + m)
+        out = conv[:n]
+        for k, row in enumerate(self.red, n):
+            hk = conv[k] // self.q
+            for j, rkj in enumerate(row):
                 if rkj:
-                    out[..., j] = add_t[out[..., j], mul_t[rkj, hk]]
+                    out[j] = self.mac(out[j], rkj, hk)
         return out
 
     def first_mismatch(self, x, y, fx, fy) -> np.ndarray | None:
-        """Leading index, first in C order, where pointwise products of the
-        form values fx, fy, reconstructed, differ from the reference product
-        of x and y; None when they agree everywhere."""
+        """Index, first in C order, where the pointwise products of the form
+        values fx (pre-scaled) and fy (plain), reconstructed, differ from the
+        reference product of x (pre-scaled) and y (plain); None when they
+        agree everywhere."""
         ref = self.reference(x, y)
-        add_t, mul_t = self.tables
-        got = np.zeros(ref.shape, dtype=CODE_DTYPE)
-        for k in range(self.recon.shape[1]):
-            wk = mul_t[fx[..., k], fy[..., k]]
-            for j, cjk in enumerate(self.recon[:, k]):
-                if cjk:
-                    got[..., j] = add_t[got[..., j], mul_t[cjk, wk]]
+        got: list = [None] * len(ref)
+        for k, (fxk, fyk) in enumerate(zip(fx, fy)):
+            wk = self.mul.take(fxk + fyk)
+            for j, row in enumerate(self.recon):
+                if row[k]:
+                    got[j] = self.mac(got[j], row[k], wk)
+        got = [np.zeros_like(r) if g is None else g for r, g in zip(ref, got)]
         # the passing case compares byte images, which pages in no numpy
         # comparison or reduction code (it shows in peak RSS)
-        if memoryview(ref) == memoryview(got):
+        if all(r.tobytes() == g.tobytes() for r, g in zip(ref, got)):
             return None
-        return np.argwhere((ref != got).any(axis=-1))[0]
+        return np.argwhere(np.any([r != g for r, g in zip(ref, got)], axis=0))[0]
 
 
 def _exhaustive_check(algo: BilinearAlgorithm) -> None:
-    """All pairs, x-major in code order: chunks of B x codes against all q**n."""
-    kernel = _CodeKernel.of(algo)
-    qn = algo.ext.order
-    coeffs = _code_digits(np.arange(qn, dtype=np.int64), algo.q, algo.n)
-    phi = kernel.form_values(coeffs)  # form values of every element
-    chunk = max(1, (1 << 20) // qn)  # keeps per-chunk arrays tens of MB at worst
-    for start in range(0, qn, chunk):
-        stop = min(qn, start + chunk)
+    """All pairs, x-major in code order: chunks of about EXHAUSTIVE_CHUNK
+    pairs, B x codes against all q**n."""
+    q, qn = algo.q, algo.ext.order
+    kernel = _CodeKernel(algo, qn * qn)
+    coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, algo.n)
+    scaled = [c * q for c in coeffs]
+    phi = kernel.form_values(coeffs)  # form values of every element, pre-scaled
+    plain_phi = [f // q for f in phi]
+    rows = max(1, EXHAUSTIVE_CHUNK // qn)
+    for start in range(0, qn, rows):
+        chunk = slice(start, start + rows)
         bad = kernel.first_mismatch(
-            coeffs[start:stop, None], coeffs[None], phi[start:stop, None], phi[None]
+            [c[chunk, None] for c in scaled], coeffs, [f[chunk, None] for f in phi], plain_phi
         )
         if bad is not None:
             bx, by = bad
@@ -548,14 +558,26 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
 def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:
     """`trials` pairs from the stream (x, then y, per trial), RANDOM_CHUNK at
     a time."""
-    kernel = _CodeKernel.of(algo)
+    kernel = _CodeKernel(algo, trials)
+    q = algo.q
     dtype = np.int64 if algo.ext.order <= 1 << 63 else object  # larger codes stay Python ints
     for start in range(0, trials, RANDOM_CHUNK):
-        count = 2 * min(RANDOM_CHUNK, trials - start)
-        codes = np.fromiter(itertools.islice(stream, count), dtype=dtype, count=count)
-        x = _code_digits(codes[0::2], algo.q, algo.n)
-        y = _code_digits(codes[1::2], algo.q, algo.n)
-        bad = kernel.first_mismatch(x, y, kernel.form_values(x), kernel.form_values(y))
+        count = min(RANDOM_CHUNK, trials - start)
+        codes = np.fromiter(itertools.islice(stream, 2 * count), dtype=dtype, count=2 * count)
+        # every x, then every y: the digits and form values of both operands
+        # in one pass each, split into contiguous halves
+        coeffs = _code_digits(np.concatenate((codes[0::2], codes[1::2])), q, algo.n)
+        phi = kernel.form_values(coeffs)
+        for c in coeffs:  # x pre-scaled, y plain, in place
+            c[:count] *= q
+        for f in phi:
+            f[count:] //= q
+        bad = kernel.first_mismatch(
+            [c[:count] for c in coeffs],
+            [c[count:] for c in coeffs],
+            [f[:count] for f in phi],
+            [f[count:] for f in phi],
+        )
         if bad is not None:
             (i,) = bad
             raise _mismatch(algo, int(codes[2 * i]), int(codes[2 * i + 1]))

@@ -55,6 +55,36 @@ class TestFindIrreducible:
         assert f.order > CODE_TABLE_CAP
         assert find_irreducible(f, 2) == (17, 0, 1)
 
+    def test_pth_powers_skipped_above_table_cap(self, monkeypatch):
+        # over GF(512) each x^2 + c is the square (x + sqrt c)^2: the search
+        # tests none of the 511 and only its answer
+        import symrank.fields as fields_mod
+
+        tested = []
+        real = fields_mod.is_irreducible
+        monkeypatch.setattr(
+            fields_mod, "is_irreducible", lambda f, poly: tested.append(poly) or real(f, poly)
+        )
+        assert find_irreducible(make_field(512), 2) == (1, 1, 1)
+        assert tested == [(1, 1, 1)]
+        assert find_irreducible(make_field(1024), 2) == (128, 1, 1)
+
+    @pytest.mark.parametrize("q,n", [(4, 2), (16, 2), (9, 3), (2, 4)])
+    def test_pth_powers_skipped_in_tables(self, monkeypatch, q, n):
+        # a candidate whose nonzero coefficients all sit at exponents
+        # divisible by the characteristic is never tested
+        import symrank.fields as fields_mod
+
+        p = make_field(q).char
+        tested = []
+        real = fields_mod._irreducible_codes
+        monkeypatch.setattr(
+            fields_mod, "_irreducible_codes", lambda t, f: tested.append(f) or real(t, f)
+        )
+        got = find_irreducible(make_field(q), n)
+        assert tested and tuple(tested[-1]) == got
+        assert all(any(c for e, c in enumerate(f) if e % p) for f in tested)
+
     @pytest.mark.parametrize(
         "q,n",
         [(2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 10), (4, 2), (5, 3), (7, 2), (9, 2)],

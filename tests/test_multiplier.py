@@ -21,11 +21,17 @@ from symrank.multiplier import (
 )
 
 
-def corrupted(algo, j=0, k=0):
-    """A copy of algo with recon[j, k] moved by one."""
-    recon = algo.recon.copy()
-    recon[j, k] = algo.base.add(recon[j, k], algo.base.one)
-    return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, recon, algo.contributions)
+def corrupted(algo, j=0, k=0, matrix="recon"):
+    """A copy of algo with recon[j, k] (or forms[j, k]) moved by one."""
+    forms, recon = algo.forms.copy(), algo.recon.copy()
+    m = recon if matrix == "recon" else forms
+    m[j, k] = algo.base.add(m[j, k], algo.base.one)
+    return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon, algo.contributions)
+
+
+def code_order_pairs(order):
+    """Every operand pair, x-major in code order: exhaustive mode's order."""
+    return ((xc, yc) for xc in range(order) for yc in range(order))
 
 
 def seeded_pairs(order, seed, trials):
@@ -269,7 +275,7 @@ class TestMultiply:
         with pytest.raises(ValueError):
             multiply(algo, other.element(1), other.element(2))
 
-    @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3), (5, 3), (9, 2), (16, 2), (31, 2)])
     def test_scalar_loop_agrees_with_vectorized_engine(self, q, n):
         # the scalar route over every pair reaches the same verdict as the
         # table-driven exhaustive engine, and for a corrupted algorithm the
@@ -330,6 +336,55 @@ class TestVerify:
             first = scalar_first_failure(bad, seeded_pairs(bad.ext.order, 3, 500))
             assert reported(exc) == first
 
+    @pytest.mark.parametrize("q,n", [(5, 3), (4, 4), (9, 3), (251, 8), (257, 2)])
+    def test_corrupted_forms_detected_random(self, q, n):
+        # form values go through the fused tables: a moved forms entry is
+        # reported at the scalar loop's first failure in stream order
+        bad = corrupted(build_algorithm(q, n), 1, n - 1, "forms")
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "random", trials=500, seed=3)
+        assert reported(exc) == scalar_first_failure(bad, seeded_pairs(bad.ext.order, 3, 500))
+
+    @pytest.mark.parametrize(
+        "q,n,i,j", [(2, 2, 0, 0), (5, 3, 1, 0), (4, 3, 4, 2), (9, 3, 4, 2), (11, 3, 1, 0)]
+    )
+    def test_corrupted_forms_detected_exhaustive(self, q, n, i, j):
+        # forms[i, j] moved by one (over GF(2), (0, 0) leaves a zero row); a
+        # move that only scales a row by -1 would leave the algorithm correct
+        bad = corrupted(build_algorithm(q, n), i, j, "forms")
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+
+    @pytest.mark.parametrize("q,matrix", [(2, "recon"), (4, "forms")])
+    def test_exhaustive_chunks_keep_code_order(self, monkeypatch, q, matrix):
+        # a moved entry of the infinity slot (the leading coefficient) first
+        # fails at x = y = q**2; with chunks of two x codes that lies past
+        # the second chunk and is still the first failure in code order,
+        # over a prime base and an extension base
+        algo = build_algorithm(q, 3)
+        assert algo.plan.use_infinity
+        slot = algo.plan.rational_slots - 1
+        bad = corrupted(algo, *((slot, 2) if matrix == "forms" else (2, slot)), matrix)
+        monkeypatch.setattr(multiplier, "EXHAUSTIVE_CHUNK", 2 * algo.ext.order)
+        first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+        assert first[:2] == (q * q, q * q)
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == first
+
+    @pytest.mark.parametrize("q", [2, 5, 16, 256])
+    def test_exhaustive_degree_one(self, q):
+        # n = 1 has no reduction rows; the kernel still checks all q**2 pairs
+        # and reports a corrupted algorithm at its first failure
+        line = build_algorithm(q, 1, EvalPlan(q, 1, (0,), False, (), 1))
+        report = verify(line, "exhaustive")
+        assert report.pairs_checked == q * q and report.failures == 0
+        bad = corrupted(line)
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(q))
+
     def test_random_chunks_keep_stream_order(self, monkeypatch):
         # with tiny chunks the first failure lies past the first chunk and is
         # still the stream's first failure
@@ -378,9 +433,10 @@ class TestCodeTables:
     def test_tables_match_scalar_arithmetic(self, q):
         # the scalar arithmetic of the oracle
         F = oracle_of(make_field(q))
+        # flat tables at a*q + b: pre-scaled sums, plain products
         add_t, mul_t = fields._code_tables(make_field(q))
-        assert add_t.tolist() == [[F.add(a, b) for b in range(q)] for a in range(q)]
-        assert mul_t.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+        assert add_t.tolist() == [F.add(a, b) * q for a in range(q) for b in range(q)]
+        assert mul_t.tolist() == [F.mul(a, b) for a in range(q) for b in range(q)]
         assert not add_t.flags.writeable and not mul_t.flags.writeable
 
     def test_no_tables_above_cap(self):
