@@ -401,27 +401,13 @@ def constructive_bound(
     curve = family_data(p, pair.l_k1)
     g = curve.genus
     requirement = 2 * n + 2 * g - 2
-    checks = []
     if field == QUADRATIC:
-        n1 = curve.n1_lower_p2
-        checks.append(
-            CheckResult(
-                "point_count",
-                n1 > requirement,
-                f"N1 lower bound over GF({p}^2): {n1} > 2n+2g-2 = {requirement}",
-            )
-        )
-        q_for_rr = p * p
+        n1, q_for_rr, n1_over = curve.n1_lower_p2, p * p, f"N1 lower bound over GF({p}^2)"
     else:
-        n1 = curve.n1_2n2_lower_p
-        checks.append(
-            CheckResult(
-                "point_count",
-                n1 > requirement,
-                f"N1+2*N2 lower bound over GF({p}): {n1} > 2n+2g-2 = {requirement}",
-            )
-        )
-        q_for_rr = p
+        n1, q_for_rr, n1_over = curve.n1_2n2_lower_p, p, f"N1+2*N2 lower bound over GF({p})"
+    checks = [
+        CheckResult("point_count", n1 > requirement, f"{n1_over}: {n1} > 2n+2g-2 = {requirement}")
+    ]
     rr_ok = check_rr_hypothesis(q_for_rr, n, g)
     checks.append(
         CheckResult(

@@ -97,34 +97,24 @@ def _emit(doc, fmt: str) -> str:
     raise ValueError(f"format {fmt!r} not supported for this command")
 
 
-def _report_row(report: bounds.BoundReport) -> dict:
-    row = {
-        "p": report.p, "n": report.n, "field": report.field, "method": report.method,
-        "value_real": report.value_real, "value_int": report.value_int,
-        "valid": report.valid_unconditional, "policy": report.policy.name,
-        "l_k": "", "l_k1": "", "genus": "", "caveats": "; ".join(report.caveats),
-    }
+def _row(**values) -> dict:
+    """A table row: every CSV_HEADER key in header order, empty unless given."""
+    row = dict.fromkeys(CSV_HEADER, "")
+    row.update(values)
+    return row
+
+
+def _report_row(report: bounds.BoundReport, policy: str) -> dict:
+    row = _row(
+        p=report.p, n=report.n, field=report.field, method=report.method,
+        value_real=report.value_real, value_int=report.value_int,
+        valid=report.valid_unconditional, policy=policy, caveats="; ".join(report.caveats),
+    )
     if report.witnesses is not None:
         row["l_k"] = report.witnesses.pair.l_k
         row["l_k1"] = report.witnesses.pair.l_k1
         row["genus"] = report.witnesses.curve.genus
     return row
-
-
-def _prior_row(pb: bounds.PriorBound, field: str) -> dict:
-    return {
-        "p": pb.p, "n": pb.n, "field": field, "method": f"prior_{pb.variant}",
-        "value_real": pb.value_real, "value_int": math.floor(pb.value_real),
-        "valid": True, "policy": "", "l_k": "", "l_k1": "", "genus": "", "caveats": "",
-    }
-
-
-def _decline_row(exc: InfeasiblePipelineError, policy: primes.GapPolicy) -> dict:
-    return {
-        "p": exc.p, "n": exc.n, "field": exc.field, "method": "constructive",
-        "value_real": "", "value_int": "", "valid": False, "policy": policy.name,
-        "l_k": "", "l_k1": "", "genus": "", "caveats": f"infeasible: {exc.failed_check}",
-    }
 
 
 def _cmd_bound(args) -> tuple[str, int]:
@@ -148,22 +138,30 @@ def _table_rows(args) -> list[dict]:
     build_policy = _policy_builder(args)
     for p in args.p_set:
         primes.check_characteristic(p)
-    primes.check_gap_scan(args.sieve_limit, Fraction(2, 3))  # the constructive route's policy
+    primes.check_gap_scan(args.sieve_limit, Fraction(2, 3))  # constructive rows' label; never scanned
     lo, hi, step = args.n_range
     bounds.check_cell(args.p_set[0], lo)  # the first cell to fail, if any does
     policy = build_policy()
-    emp = bounds.default_empirical_policy(args.sieve_limit)
     rows = []
     for p in args.p_set:
         for n in range(lo, hi + 1, step):
             for field, variants in bounds.COMPARATORS.items():
-                rows += [_prior_row(bounds.prior_bound(variant, p, n), field) for variant in variants]
-                closed, constructive = bounds.evaluate_cell(p, n, field, policy, emp)
-                rows.append(_report_row(closed))
+                for variant in variants:
+                    pb = bounds.prior_bound(variant, p, n)
+                    rows.append(_row(
+                        p=p, n=n, field=field, method=f"prior_{variant}", value_real=pb.value_real,
+                        value_int=math.floor(pb.value_real), valid=True,
+                    ))
+                # the constructive bound does not depend on the policy
+                closed, constructive = bounds.evaluate_cell(p, n, field, policy, policy)
+                rows.append(_report_row(closed, policy.name))
                 if isinstance(constructive, InfeasiblePipelineError):
-                    rows.append(_decline_row(constructive, emp))
+                    rows.append(_row(
+                        p=p, n=n, field=field, method="constructive", valid=False,
+                        policy="empirical", caveats=f"infeasible: {constructive.failed_check}",
+                    ))
                 else:
-                    rows.append(_report_row(constructive))
+                    rows.append(_report_row(constructive, "empirical"))
     return rows
 
 

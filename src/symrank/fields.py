@@ -30,8 +30,7 @@ intermediate products.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -368,6 +367,8 @@ class _Unbuilt:
 @lru_cache(maxsize=None)
 def make_field(q: int) -> Field:
     """The field with q elements over its canonical (smallest-code) modulus."""
+    if q < MAX_PRIME and is_prime(q):  # trial division would take sqrt(q) steps
+        return PrimeField(q)
     p, s = prime_power_split(q)
     if s == 1:
         return PrimeField(p)
@@ -575,35 +576,12 @@ def is_irreducible(field, poly: tuple) -> bool:
 
 
 def find_irreducible(field, n: int) -> tuple:
-    """The canonical monic irreducible of degree n: smallest integer code.
-
-    A monic candidate c_0 + c_1 u + ... + u**n is ranked by the integer
-    sum(c_i * q**i); candidates are scanned in that order and the first
-    irreducible one is returned.  Deterministic, and existence is guaranteed
-    for every q and n >= 1.  Candidates divisible by u and p-th powers (see
-    _is_pth_power) are skipped untested.  Over a field with code tables the
-    candidates are tested in them.
-    """
+    """The canonical monic irreducible of degree n: smallest integer code,
+    the first polynomial of irreducible_polys.  Deterministic, and existence
+    is guaranteed for every q and n >= 1."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n == 1:
-        return (field.zero, field.one)
-    q, p = field.order, field.char
-    if q <= CODE_TABLE_CAP:
-        tables = _list_tables(field)
-        for high in itertools.product(range(q), repeat=n - 1):  # c_{n-1}, ..., c_1
-            rest = [*reversed(high), 1]
-            if _is_pth_power([0, *rest], p):
-                continue
-            for c0 in range(1, q):  # c_0 = 0: divisible by u
-                if _irreducible_codes(tables, [c0, *rest]):
-                    return (c0, *rest)
-        raise AssertionError("unreachable: irreducibles exist for every degree")
-    for cand in all_monic_polys(field, n):
-        # c_0 = 0: divisible by u
-        if cand[0] != field.zero and not _is_pth_power(cand, p) and is_irreducible(field, cand):
-            return cand
-    raise AssertionError("unreachable: irreducibles exist for every degree")
+    return next(irreducible_polys(field, n))
 
 
 def _is_pth_power(poly, p: int) -> bool:
@@ -618,8 +596,8 @@ def _is_pth_power(poly, p: int) -> bool:
 # coefficients of f
 
 
-def _irreducible_codes(tables: tuple, f: list) -> bool:
-    """is_irreducible's test for a monic code list f of degree >= 2."""
+def _irreducible_codes(tables: tuple, f: Sequence[int]) -> bool:
+    """is_irreducible's test for a monic code sequence f of degree >= 2."""
     add, mul, neg, _ = tables
     n = len(f) - 1
     negf = [neg[c] for c in f[:n]]
@@ -733,10 +711,6 @@ class Matrix:
         for i in range(n):
             m[i, i] = field.one
         return m
-
-    @classmethod
-    def zero(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -859,7 +833,29 @@ def all_monic_polys(field, degree: int) -> Iterator[tuple]:
 
 
 def irreducible_polys(field, degree: int) -> Iterator[tuple]:
-    """Monic irreducible degree-d polynomials in canonical order."""
-    for cand in all_monic_polys(field, degree):
-        if is_irreducible(field, cand):
-            yield cand
+    """Monic irreducible degree-d polynomials in canonical order.
+
+    A monic candidate c_0 + c_1 u + ... + u**d is ranked by the integer
+    sum(c_i * q**i) and the candidates are walked in that order, lazily in q.
+    Degree 1 yields every monic linear.  From degree 2 on, candidates
+    divisible by u (c_0 = 0) and p-th powers (see _is_pth_power) are skipped
+    untested.  Over a field with code tables the candidates are tested in
+    them.
+    """
+    q = field.order
+    if degree < 1:
+        return
+    if degree == 1:
+        yield from ((c0, field.one) for c0 in range(q))
+        return
+    if q <= CODE_TABLE_CAP:
+        test = partial(_irreducible_codes, _list_tables(field))
+    else:
+        test = partial(is_irreducible, field)
+    for high in range(q ** (degree - 1)):  # c_1, ..., c_{d-1} as one code
+        rest = (*_digits(high, q, degree - 1), field.one)
+        if _is_pth_power((field.zero, *rest), field.char):  # c_0 cannot change it
+            continue
+        for c0 in range(1, q):
+            if test((c0, *rest)):
+                yield (c0, *rest)

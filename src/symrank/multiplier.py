@@ -245,10 +245,7 @@ def build_algorithm(
         plan = plan_evaluation(q, n, allow_deg2=True)
     if plan.q != q or plan.n != n:
         raise ValueError("plan does not match the requested field")
-    actual_degree = (
-        len(plan.rational_nodes) + (1 if plan.use_infinity else 0) + 2 * len(plan.deg2_places)
-    )
-    if plan.total_degree != actual_degree:
+    if plan.total_degree != plan.rational_slots + 2 * len(plan.deg2_places):
         raise ValueError("plan total_degree is inconsistent with its places")
     if plan.total_degree < 2 * n - 1:
         raise ValueError("plan total degree is below 2n-1")
@@ -276,56 +273,42 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
     """
     n = plan.n
     prod_len = 2 * n - 1
+    rank = plan.cost
 
     forms_rows: list[list] = []
     eval_rows: list[list] = []  # joint-evaluation functionals on product coeffs
-    s_blocks: list[tuple[int, list[list]]] = []  # (product count, rows over products)
+    s_rows: list[list] = []  # the same functionals' values from the pointwise products
+
+    def s_row(values: list) -> list:
+        # values at the product columns of the place whose forms come next
+        row = [base.zero] * rank
+        row[len(forms_rows) : len(forms_rows) + len(values)] = values
+        return row
 
     for a in plan.rational_nodes:
-        forms_rows.append(_node_powers(base, a, n))
-        eval_rows.append(_node_powers(base, a, prod_len))
-        s_blocks.append((1, [[base.one]]))
+        powers = _node_powers(base, a, prod_len)
+        s_rows.append(s_row([base.one]))
+        forms_rows.append(powers[:n])
+        eval_rows.append(powers)
     if plan.use_infinity:
+        s_rows.append(s_row([base.one]))
         forms_rows.append([base.zero] * (n - 1) + [base.one])
         eval_rows.append([base.zero] * (prod_len - 1) + [base.one])
-        s_blocks.append((1, [[base.one]]))
     for pi in plan.deg2_places:
         sub_forms, sub_recon = _interpolate(base, plan_evaluation(plan.q, 2, allow_deg2=False), pi)
         res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
+        s_rows += [s_row(row) for row in sub_recon.to_int_lists()]
         # compose the three sub-forms with the residue map: rows over x coords
-        for srow in range(3):
-            s0 = sub_forms[srow, 0]
-            s1 = sub_forms[srow, 1]
-            forms_rows.append(
-                [base.add(base.mul(s0, res[j][0]), base.mul(s1, res[j][1])) for j in range(n)]
-            )
+        for s0, s1 in sub_forms.to_int_lists():
+            forms_rows.append([base.add(base.mul(s0, r0), base.mul(s1, r1)) for r0, r1 in res[:n]])
         eval_rows.extend(map(list, zip(*res)))
-        s_blocks.append((3, [sub_recon.row(i) for i in range(2)]))
 
-    rank = len(forms_rows)
-    forms = Matrix.from_rows(base, forms_rows)
-
-    # assemble S: functional values of the product from the pointwise products
-    total_rows = len(eval_rows)
-    s_mat = Matrix.zero(base, total_rows, rank)
-    row = 0
-    col = 0
-    for count, rows in s_blocks:
-        for i, rvals in enumerate(rows):
-            for j, v in enumerate(rvals):
-                s_mat[row + i, col + j] = v
-        row += len(rows)
-        col += count
-
-    e_mat = Matrix.from_rows(base, eval_rows)
-    picked = select_independent_rows(e_mat, prod_len)
-    square = Matrix.from_rows(base, [e_mat.row(i) for i in picked])
-    s_picked = Matrix.from_rows(base, [s_mat.row(i) for i in picked])
-
+    picked = select_independent_rows(Matrix.from_rows(base, eval_rows), prod_len)
+    square = Matrix.from_rows(base, [eval_rows[i] for i in picked])
+    s_picked = Matrix.from_rows(base, [s_rows[i] for i in picked])
     # reduction of product coefficients mod the defining polynomial
     reduce_q = Matrix.from_rows(base, list(zip(*power_rows(base, modulus, prod_len))))
-
-    return forms, reduce_q @ invert(square) @ s_picked
+    return Matrix.from_rows(base, forms_rows), reduce_q @ invert(square) @ s_picked
 
 
 def multiply(algo: BilinearAlgorithm, x: FieldElement, y: FieldElement) -> FieldElement:

@@ -228,6 +228,20 @@ class TestTableCommand:
         # 2 p-values x 3 n-values x 2 fields x 4 methods
         assert len(lines) == 1 + 2 * 3 * 2 * 4
 
+    @pytest.mark.parametrize("policy", ["dudek", "bhp"])
+    def test_constructive_label_builds_no_empirical_policy(self, capsys, monkeypatch, policy):
+        # constructive rows print "empirical", but no gap scan runs for it
+        argv = ("table", *_GRID, "--policy", policy, "--format", "csv")
+        before = run(capsys, *argv)
+
+        def no_scan(*args):
+            raise AssertionError("table ran a gap scan")
+
+        monkeypatch.setattr(cli.bounds, "empirical_policy", no_scan)
+        after = run(capsys, *argv)
+        assert after == before and after[0] == 0
+        assert ",constructive," in after[1] and ",empirical," in after[1]
+
     def test_json_rows(self, capsys):
         code, out = run(capsys, "table", "--p-set", "5", "--n-range", "100:100")
         assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from symrank.fields import (
     count_places_rational_ff,
     find_irreducible,
     invert,
+    irreducible_polys,
     is_irreducible,
     make_field,
     poly_divmod,
@@ -105,6 +107,59 @@ class TestFindIrreducible:
         # exhaustive factor check up to the q**n = 2**16 verification boundary
         f = make_field(q)
         assert brute_irreducible(f, find_irreducible(f, n))
+
+
+# sha256 of repr of the canonical moduli and of the first degree-2 places,
+# as computed by the search that had its own candidate loops
+CANONICAL_MODULI_DIGEST = "6579c8573ff59eed1cbd6f3003bb9f023e711dd2e0bb13916aaca4aaff288fb9"
+FIRST_PLACES_DIGEST = "41fdab0a50f60b15200f0fdc1142b03b2e2e2109011674a8f1b558d916ce9170"
+
+
+def is_prime_power(q):
+    try:
+        prime_power_split(q)
+    except ValueError:
+        return False
+    return True
+
+
+class TestIrreducibleWalk:
+    def test_canonical_moduli_pinned(self):
+        qs = [q for q in range(2, 257) if is_prime_power(q)]
+        moduli = [(q, n, find_irreducible(make_field(q), n)) for q in qs for n in (2, 3)]
+        assert hashlib.sha256(repr(moduli).encode()).hexdigest() == CANONICAL_MODULI_DIGEST
+
+    def test_first_degree_two_places_pinned(self):
+        places = [
+            (q, tuple(itertools.islice(irreducible_polys(make_field(q), 2), 4)))
+            for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64)
+        ]
+        assert hashlib.sha256(repr(places).encode()).hexdigest() == FIRST_PLACES_DIGEST
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_walk_is_trial_division_in_code_order(self, q, d):
+        f = make_field(q)
+        expected = [c for c in all_monic_polys(f, d) if brute_irreducible(f, c)]
+        assert list(irreducible_polys(f, d)) == expected
+        if d == 1:
+            assert expected[0] == (0, 1)  # x itself
+            assert list(irreducible_polys(f, 0)) == []
+
+    def test_large_prime_field_skips_trial_division(self, monkeypatch):
+        # make_field is cached, so the uncached function is called
+        import symrank.fields as fields_mod
+
+        def no_split(q):
+            raise AssertionError(f"trial division of {q}")
+
+        monkeypatch.setattr(fields_mod, "prime_power_split", no_split)
+        assert fields_mod.make_field.__wrapped__(2**61 - 1).order == 2**61 - 1
+        with pytest.raises(AssertionError):
+            fields_mod.make_field.__wrapped__(4)  # composite orders are still split
+        monkeypatch.undo()
+        f4 = fields_mod.make_field.__wrapped__(4)
+        assert (f4.order, f4.modulus) == (4, (1, 1, 1))
 
 
 def reducible_codes(f, d):

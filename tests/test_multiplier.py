@@ -150,6 +150,31 @@ class TestBuild:
         assert algo.rank == 4
         assert verify(algo, "exhaustive").failures == 0
 
+    @pytest.mark.parametrize(
+        "plan,rank,digest",
+        [
+            # rows [0, 1, 3] are kept: one row of the place is dropped
+            (
+                EvalPlan(2, 2, (0,), True, ((1, 1, 1),), 4),
+                5,
+                "f4cf7a461cf4672bf35a0675e4f0c0be1c2235244ccc7b728fa8e937774074ff",
+            ),
+            # the second place is dropped whole
+            (
+                EvalPlan(3, 3, (0, 1), True, ((1, 0, 1), (2, 1, 1)), 7),
+                9,
+                "c1fe3b040b145f5a4fdf7f67a403cf5e104257e491699cab28fa92623bb64d19",
+            ),
+        ],
+    )
+    def test_overdetermined_plans_drop_place_rows(self, plan, rank, digest):
+        # the digests were computed by an S matrix scattered into zeros and
+        # then sliced to the selected rows
+        algo = build_algorithm(plan.q, plan.n, plan)
+        assert algo.rank == rank
+        assert verify(algo, "exhaustive").failures == 0
+        assert hashlib.sha256(emit_tensor(algo).encode()).hexdigest() == digest
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             build_algorithm(5, 3, plan_evaluation(5, 2, False))
