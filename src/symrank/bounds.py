@@ -25,7 +25,7 @@ exact rationals, never float limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -113,16 +113,6 @@ class PriorBound:
     coefficient: Fraction
     value_real: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "q": self.q,
-            "p": self.p,
-            "n": self.n,
-            "coefficient": str(self.coefficient),
-            "value_real": self.value_real,
-        }
-
 
 @lru_cache(maxsize=256)
 def prior_coefficient(variant: str, q_or_p: int) -> Fraction:
@@ -208,7 +198,7 @@ class CheckResult:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -218,11 +208,10 @@ class Witnesses:
     checks: tuple[CheckResult, ...]
 
     def to_json_dict(self) -> dict:
-        t = self.pair.threshold
         return {
             "l_k": self.pair.l_k,
             "l_k1": self.pair.l_k1,
-            "threshold": f"{t.numerator}/{t.denominator}" if t.denominator != 1 else str(t.numerator),
+            "threshold": str(self.pair.threshold),
             "gap": self.pair.gap,
             "skipped": list(self.pair.skipped),
             "N": self.curve.N,

@@ -15,7 +15,7 @@ No exact point counts are computed here, only the family lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .ntheory import factorize, is_prime
@@ -34,14 +34,7 @@ class Gamma0Data:
     genus: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "mu": self.mu,
-            "nu2": self.nu2,
-            "nu3": self.nu3,
-            "nu_inf": self.nu_inf,
-            "genus": self.genus,
-        }
+        return asdict(self)
 
 
 def _sym_minus_one(p: int) -> int:
@@ -128,15 +121,7 @@ class CurveFamilyData:
             raise AssertionError("descent identity violated")
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "l": self.l,
-            "N": self.N,
-            "genus": self.genus,
-            "p": self.p,
-            "n1_lower_p2": self.n1_lower_p2,
-            "n1_2n2_lower_p": self.n1_2n2_lower_p,
-        }
+        return asdict(self)
 
 
 def family_data(p: int, l: int) -> CurveFamilyData:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -336,15 +336,9 @@ class VerificationReport:
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "failures": self.failures,
-            "rank": self.rank,
-            "envelope": self.envelope,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
+        out = asdict(self)
+        if self.seed is None:
+            del out["seed"]
         return out
 
 

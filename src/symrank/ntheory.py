@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from functools import reduce
 
-# Witnesses proving Miller-Rabin deterministic for n < _MR_LIMIT (psi_13).
+# Witnesses proving Miller-Rabin deterministic for n < PRIMALITY_LIMIT (psi_13).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 class PrimalityLimitError(ValueError):
@@ -30,8 +30,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        raise PrimalityLimitError(f"primality test limited to n < {_MR_LIMIT}")
+    if n >= PRIMALITY_LIMIT:
+        raise PrimalityLimitError(f"primality test limited to n < {PRIMALITY_LIMIT}")
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -132,7 +132,7 @@ class GapScan:
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
             "limit": self.limit,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
+            "alpha": str(self.alpha),
             "violations": list(self.violations),
             "max_gap_seen": self.max_gap_seen,
         }
@@ -282,7 +282,7 @@ class GapPolicy:
     def to_json_dict(self) -> dict:
         out = {
             "name": self.name,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
+            "alpha": str(self.alpha),
             "x_alpha": self.x_alpha.render(),
         }
         if self.verified_limit is not None:

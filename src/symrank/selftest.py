@@ -262,14 +262,14 @@ def consistency_sweep() -> list[tuple[int, int, str]]:
     for p in (5, 7, 13, 17):
         for n in range(20, 5001):
             try:
-                pair = primes.select_pair(p, n, primes.PairFamily.QUADRATIC_GENERIC)
-            except primes.PairSelectionError:
+                cq = bounds.constructive_bound(p, n, "p2", policy)
+            except bounds.InfeasiblePipelineError as exc:
+                if exc.failed_check == "pair_selection":
+                    continue
+                raise
+            pair = cq.witnesses.pair  # both fields are filtered on the quadratic pair
+            if pair.skipped or pair.gap**3 > pair.l_k**2:  # a skip, or the gap condition fails
                 continue
-            if pair.skipped:
-                continue
-            if pair.gap**3 > pair.l_k**2:  # gap condition fails at the witness
-                continue
-            cq = bounds.constructive_bound(p, n, "p2", policy)
             if cq.value_int > bounds.closed_form_quadratic(p, n, policy).value_real:
                 violations.append((p, n, "p2"))
             cp = bounds.constructive_bound(p, n, "p", policy)

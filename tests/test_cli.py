@@ -193,6 +193,15 @@ class TestMultCommand:
         code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--verify", "never")
         assert code == 1
 
+    def test_prime_order_above_range_is_refused_at_once(self, capsys):
+        # the first prime above 2^61: refused by the prime field's range
+        # check, without trial division up to its square root
+        q = 2305843009213693967
+        code, out = run(capsys, "mult", "--q", str(q), "--n", "2", "--verify", "random:10")
+        assert (code, json.loads(out)) == (
+            1, {"error": "usage", "reason": f"prime modulus out of supported range: {q}"}
+        )
+
     def test_verification_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise VerificationError(2, 2, 1, 2, 3, 0)
@@ -397,6 +406,21 @@ BOUND_SIDE_GOLDEN = {
     "usage": (
         [("bound", "--p", "6", "--n", "100"), ("compare", "--p", "6", "--n", "100")],
         "a556ae1706aa726f852d907a819d7e435a5cc6ff834f2b6ab5f7b49e086a6511",
+    ),
+    # the report serializers no other group reaches: genus and family data,
+    # a gap scan and an empirical policy's alpha, a seedless verification
+    "schema": (
+        [
+            ("genus", "--N", "253"),
+            ("genus", "--N", "1"),
+            ("genus", "--family", "11l", "--l", "97", "--p", "5"),
+            ("genus", "--family", "23l", "--l", "97", "--p", "11"),
+            ("gaps", "--limit", "10000", "--alpha", "3/5"),
+            ("bound", "--p", "7", "--n", "500", "--method", "all", "--policy", "empirical",
+             "--alpha", "3/5", *_LIM),
+            ("mult", "--q", "5", "--n", "3", "--verify", "exhaustive"),
+        ],
+        "cb7e859e61b8947847e950beee28cd6ae43ecdaa4e8bb8a5225d1d271eec9458",
     ),
 }
 

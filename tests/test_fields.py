@@ -155,11 +155,16 @@ class TestIrreducibleWalk:
 
         monkeypatch.setattr(fields_mod, "prime_power_split", no_split)
         assert fields_mod.make_field.__wrapped__(2**61 - 1).order == 2**61 - 1
+        with pytest.raises(ValueError, match="prime modulus out of supported range"):
+            fields_mod.make_field.__wrapped__(2305843009213693967)  # first prime above 2^61
         with pytest.raises(AssertionError):
             fields_mod.make_field.__wrapped__(4)  # composite orders are still split
         monkeypatch.undo()
         f4 = fields_mod.make_field.__wrapped__(4)
         assert (f4.order, f4.modulus) == (4, (1, 1, 1))
+        # above the primality test's limit and free of its bases 2..41, so
+        # is_prime would refuse it: it is split instead
+        assert fields_mod.make_field.__wrapped__(43**16).order == 43**16
 
 
 def reducible_codes(f, d):
