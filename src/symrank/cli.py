@@ -236,7 +236,7 @@ def _cmd_compare(args) -> tuple[str, int]:
 
 def _cmd_selftest(args) -> tuple[str, int]:
     buf = io.StringIO()
-    code = run_selftest(buf.write)
+    code = run_selftest(buf.write, sys.stderr.write if args.timing else None)
     return buf.getvalue(), code
 
 
@@ -305,6 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=_cmd_compare)
 
     sub = subs.add_parser("selftest", help="run the invariant suites")
+    sub.add_argument(
+        "--timing", action="store_true", help="per-suite milliseconds to stderr (non-reproducible)"
+    )
     sub.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -11,15 +11,25 @@ bound on N1 + 2*N2.  Both closed-form genus facts are cross-checked against
 the general formula on every construction.
 
 No exact point counts are computed here, only the family lower bounds.
+
+`family_data` is pure and a sweep asks for the same (p, l) cell after cell,
+so it is a bounded `functools.lru_cache` (`FAMILY_DATA_CACHE` entries) whose
+public name is the cache itself.  A hit skips the checks of p and l; a
+rejected argument is never cached, so it is rejected on every call.
+`check_characteristic` itself is not memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .ntheory import factorize, is_prime
 from .primes import check_characteristic
+
+# above the distinct (p, l) of a selftest run plus a bound-grid benchmark
+# round (1.3k + 0.6k)
+FAMILY_DATA_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -93,10 +103,10 @@ def _gamma0_data(N: int, fac: dict[int, int]) -> Gamma0Data:
             m = min(k, e - k)
             local += p ** (m - 1) * (p - 1) if m else 1  # phi(p**m)
         nu_inf *= local
-    genus = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    if genus.denominator != 1 or genus < 0:
-        raise AssertionError(f"genus formula produced {genus} for N={N}")
-    return Gamma0Data(N, mu, nu2, nu3, nu_inf, int(genus))
+    twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf
+    if twelve_g % 12 or twelve_g < 0:
+        raise AssertionError(f"genus formula produced {twelve_g}/12 for N={N}")
+    return Gamma0Data(N, mu, nu2, nu3, nu_inf, twelve_g // 12)
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,7 @@ class CurveFamilyData:
         return asdict(self)
 
 
+@lru_cache(maxsize=FAMILY_DATA_CACHE)
 def family_data(p: int, l: int) -> CurveFamilyData:
     """Family member for characteristic p and level factor l.
 

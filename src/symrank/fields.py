@@ -840,8 +840,9 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
     sum(c_i * q**i) and the candidates are walked in that order, lazily in q.
     Degree 1 yields every monic linear.  From degree 2 on, candidates
     divisible by u (c_0 = 0) and p-th powers (see _is_pth_power) are skipped
-    untested.  Over a field with code tables the candidates are tested in
-    them.
+    untested, and so are the quadratics over GF(2**k) that the trace rule
+    of _binary_quadratic_candidates proves reducible.  Over a field with code
+    tables the remaining candidates are tested in them.
     """
     q = field.order
     if degree < 1:
@@ -853,10 +854,49 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
         test = partial(_irreducible_codes, _list_tables(field))
     else:
         test = partial(is_irreducible, field)
+    if degree == 2 and field.char == 2:
+        candidates = _binary_quadratic_candidates(field)
+    else:
+        candidates = _candidates(field, degree)
+    yield from filter(test, candidates)
+
+
+def _candidates(field, degree: int) -> Iterator[tuple]:
+    """The monic candidates of degree >= 2 in canonical order, without those
+    divisible by u and the p-th powers."""
+    q = field.order
     for high in range(q ** (degree - 1)):  # c_1, ..., c_{d-1} as one code
         rest = (*_digits(high, q, degree - 1), field.one)
         if _is_pth_power((field.zero, *rest), field.char):  # c_0 cannot change it
             continue
         for c0 in range(1, q):
-            if test((c0, *rest)):
-                yield (c0, *rest)
+            yield (c0, *rest)
+
+
+def _binary_quadratic_candidates(field) -> Iterator[tuple]:
+    """_candidates at degree 2 over GF(2**k), keeping only the irreducibles.
+
+    u**2 + c_1 u + c_0 with c_1 = 0 is a square.  Otherwise u = c_1 v turns
+    it into c_1**2 (v**2 + v + c_0/c_1**2), and v**2 + v + a is irreducible
+    exactly when the absolute trace of a is 1 (Artin-Schreier), so no
+    polynomial arithmetic rejects the others.  In characteristic 2 codes add
+    by XOR and the trace is additive: the trace of a code is the parity of
+    the traces of its bits, each computed once, when a code first needs it.
+    """
+    k = field.order.bit_length() - 1
+    bit_traces: list[int] = []  # of the codes 1, 2, 4, ..., each the code 0 or 1
+
+    def trace(a: int) -> int:
+        while a >> len(bit_traces):
+            b = t = 1 << len(bit_traces)
+            for _ in range(k - 1):
+                b = field.mul(b, b)
+                t ^= b
+            bit_traces.append(t)
+        return sum(t for i, t in enumerate(bit_traces) if a >> i & 1) & 1
+
+    for c1 in range(1, field.order):
+        scale = field.inv(field.mul(c1, c1))
+        for c0 in range(1, field.order):
+            if trace(c0 if scale == 1 else field.mul(c0, scale)):  # Tr(c_0/c_1**2)
+                yield (c0, c1, field.one)

@@ -6,6 +6,13 @@ Miller-Rabin test (`prev_prime`, `next_prime`), so pair selection costs about
 one prime gap of primality tests and no table.  The exhaustive gap scan walks
 the Eratosthenes sieve's flags pair by pair and never stores the primes.
 
+`prev_prime`, `next_prime` and `policy_floor` are pure, and a sweep asks them
+the same questions cell after cell, so each is a bounded `functools.lru_cache`
+(sizes in `PRIME_STEP_CACHE` and `POLICY_FLOOR_CACHE`).  The public name is
+the cache itself.  `check_characteristic` and `is_prime` are not memoized:
+every public entry validates p afresh, and a bad argument is never cached,
+because `lru_cache` stores only returned values.
+
 A gap policy is a pair (alpha, x_alpha) asserting that consecutive primes
 satisfy l_{k+1} - l_k <= l_k**alpha from x_alpha on.  Three policies are
 supported: the Baker-Harman-Pintz exponent 21/40 (whose validity floor has
@@ -27,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, pairwise
 
 from .ntheory import PrimalityLimitError, is_prime
@@ -34,6 +42,11 @@ from .ntheory import PrimalityLimitError, is_prime
 DEFAULT_SIEVE_LIMIT = 10_000_000
 SIEVE_MEMORY_CAP = 1_000_000_000
 DUDEK_X_ALPHA_EXPR = "exp(exp(33.3))"
+# cache bounds, above the distinct keys of a selftest run plus a bound-grid
+# benchmark round (prev_prime 5.0k + 0.7k, next_prime 0.7k + 0.3k,
+# policy_floor 9 + 42): an LRU smaller than a sweep's cycle never hits
+PRIME_STEP_CACHE = 8192
+POLICY_FLOOR_CACHE = 256
 
 
 class PairSelectionError(ValueError):
@@ -47,6 +60,7 @@ def check_characteristic(p: int) -> None:
         raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
+@lru_cache(maxsize=PRIME_STEP_CACHE)
 def prev_prime(x: int) -> int:
     """Largest prime <= x."""
     if x < 2:
@@ -56,6 +70,7 @@ def prev_prime(x: int) -> int:
     return x
 
 
+@lru_cache(maxsize=PRIME_STEP_CACHE)
 def next_prime(x: int) -> int:
     """Smallest prime > x."""
     x += 1
@@ -316,10 +331,12 @@ class PairFamily(enum.Enum):
         if not self.is_eleven and p == 11:
             raise ValueError(f"{self.value} family requires p != 11")
 
+    def threshold_terms(self, p: int, n: int) -> tuple[int, int]:
+        """Numerator and positive denominator of the threshold, unreduced."""
+        return (n - p + 1 if self.is_eleven else 2 * n - p - 1), p - 3
+
     def threshold(self, p: int, n: int) -> Fraction:
-        if self.is_eleven:
-            return Fraction(n - p + 1, p - 3)
-        return Fraction(2 * n - p - 1, p - 3)
+        return Fraction(*self.threshold_terms(p, n))
 
     def skip_set(self, p: int) -> frozenset[int]:
         return frozenset({p, 23 if self.is_eleven else 11})
@@ -350,19 +367,23 @@ def select_pair(
     arithmetic, and l_k = T is accepted (the defining inequality at l_k is
     non-strict).  Both primes are found by stepping from floor(T) with the
     deterministic primality test, so every integer passed over is proven
-    composite or a listed skip.  `table` is accepted for compatibility and is
-    no longer consulted.
+    composite or a listed skip.  floor(T) and T < 2 (that is, floor(T) < 2)
+    are decided in integers; the exact T is kept for the pair and its
+    messages.  `table` is accepted for compatibility and is no longer
+    consulted.
     """
     family.validate_p(p)
-    threshold = family.threshold(p, n)
-    if threshold < 2:
+    num, den = family.threshold_terms(p, n)
+    floor_t = num // den
+    threshold = Fraction(num, den)
+    if floor_t < 2:
         raise PairSelectionError(
             f"n too small for family: threshold {threshold} < 2 (p={p}, n={n}, {family.value})"
         )
     skips = family.skip_set(p)
     skipped = []
     try:
-        l_k = prev_prime(int(threshold))  # threshold >= 2 > 0, so int() floors
+        l_k = prev_prime(floor_t)
         while l_k in skips:
             skipped.append(l_k)
             l_k = prev_prime(l_k - 1)
@@ -379,6 +400,7 @@ def select_pair(
     return PrimePair(l_k, l_k1, threshold, l_k1 - l_k, tuple(sorted(set(skipped))))
 
 
+@lru_cache(maxsize=POLICY_FLOOR_CACHE)
 def policy_floor(policy: GapPolicy, family: PairFamily, p: int) -> ExtendedInt:
     """The n-threshold above which the closed-form bound is unconditional.
 

@@ -3,12 +3,14 @@
 Each suite re-derives a property from scratch (brute-force enumeration,
 independent high-precision evaluation, exhaustive checking) and compares it
 against the package's primary route.  Output is deterministic: no timings, no
-unseeded randomness.
+unseeded randomness.  Per-suite timings, when asked for, go to a separate
+stream.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -340,16 +342,19 @@ SUITES = (
 )
 
 
-def run_selftest(write) -> int:
-    """Run every suite; returns 0 on full pass, 3 otherwise."""
+def run_selftest(write, log=None) -> int:
+    """Run every suite; returns 0 on full pass, 3 otherwise.  With `log`,
+    each suite's wall time in milliseconds goes there, one line per suite."""
     passed = 0
     for name, fn in SUITES:
+        start = time.perf_counter()
         try:
-            detail = fn()
+            result = f"ok ({fn()})"
+            passed += 1
         except SelfTestFailure as exc:
-            write(f"selftest: {name} ... FAIL ({exc})\n")
-            continue
-        passed += 1
-        write(f"selftest: {name} ... ok ({detail})\n")
+            result = f"FAIL ({exc})"
+        if log is not None:
+            log(f"selftest: {name} {(time.perf_counter() - start) * 1000:.1f} ms\n")
+        write(f"selftest: {name} ... {result}\n")
     write(f"selftest: {passed}/{len(SUITES)} suites passed\n")
     return 0 if passed == len(SUITES) else 3

@@ -317,6 +317,20 @@ class TestTableCommand:
         assert all("infeasible: pair_selection" in r for r in constructive)
 
 
+class TestSelftestCommand:
+    def test_timing_goes_to_stderr_only(self, capsys):
+        from symrank.selftest import SUITES
+
+        plain = run(capsys, "selftest")
+        code = cli.main(["selftest", "--timing"])
+        captured = capsys.readouterr()
+        assert plain[0] == code == 0
+        assert captured.out == plain[1]
+        lines = captured.err.splitlines()
+        assert [line.split()[1] for line in lines] == [name for name, _ in SUITES]
+        assert len(lines) == 16 and all(line.endswith(" ms") for line in lines)
+
+
 class TestUsageAndDeterminism:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "bound", "--p", "5", "--n", "9", "--frob", "1")[0] == 1

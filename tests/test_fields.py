@@ -167,6 +167,34 @@ class TestIrreducibleWalk:
         assert fields_mod.make_field.__wrapped__(43**16).order == 43**16
 
 
+class TestBinaryQuadratics:
+    """Over GF(2**k), u**2 + c_1 u + c_0 (c_1 != 0) is irreducible exactly
+    when the absolute trace of c_0/c_1**2 is 1."""
+
+    @pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256])
+    def test_trace_rule_agrees_with_the_table_test(self, q):
+        import symrank.fields as fields_mod
+
+        f = make_field(q)
+        tables = fields_mod._list_tables(f)
+        candidates = [(c0, c1, 1) for c1 in range(1, q) for c0 in range(1, q)]
+        expected = [c for c in candidates if fields_mod._irreducible_codes(tables, c)]
+        assert list(fields_mod._binary_quadratic_candidates(f)) == expected
+
+    def test_moduli_above_table_cap_unchanged_and_only_answers_tested(self, monkeypatch):
+        # the moduli computed by the walk that tested every candidate
+        import symrank.fields as fields_mod
+
+        tested = []
+        real = fields_mod.is_irreducible
+        monkeypatch.setattr(
+            fields_mod, "is_irreducible", lambda f, poly: tested.append(poly) or real(f, poly)
+        )
+        moduli = {q: find_irreducible(make_field(q), 2) for q in (2**9, 2**10, 2**11, 2**12)}
+        assert moduli == {512: (1, 1, 1), 1024: (128, 1, 1), 2048: (1, 1, 1), 4096: (512, 1, 1)}
+        assert tested == list(moduli.values())
+
+
 def reducible_codes(f, d):
     """Codes (coefficient codes, low first) of the reducible monic degree-d
     polynomials: every product of two monic factors of degree >= 1, taken
