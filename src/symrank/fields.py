@@ -30,6 +30,7 @@ intermediate products.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
@@ -863,13 +864,21 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
 
 def _candidates(field, degree: int) -> Iterator[tuple]:
     """The monic candidates of degree >= 2 in canonical order, without those
-    divisible by u and the p-th powers."""
-    q = field.order
+    divisible by u, the p-th powers, and those over the prime field when
+    the degree d and the field's degree k over GF(p) share a factor.
+
+    The codes below p are the prime field.  A polynomial over GF(p) factors
+    there into irreducibles of degrees d_i, and over GF(p**k) each of them
+    splits into gcd(d_i, k) factors, so with gcd(d, k) > 1 it is reducible.
+    Over GF(p**2) and larger even degrees this skips the first p - 1
+    candidates of a quadratic walk, all reducible."""
+    q, p = field.order, field.char
+    split = q > p and math.gcd(degree, prime_power_split(q)[1]) > 1
     for high in range(q ** (degree - 1)):  # c_1, ..., c_{d-1} as one code
         rest = (*_digits(high, q, degree - 1), field.one)
-        if _is_pth_power((field.zero, *rest), field.char):  # c_0 cannot change it
+        if _is_pth_power((field.zero, *rest), p):  # c_0 cannot change it
             continue
-        for c0 in range(1, q):
+        for c0 in range(p if split and max(rest) < p else 1, q):
             yield (c0, *rest)
 
 

@@ -354,8 +354,11 @@ def verify(
     2**24 (and "auto" resolves accordingly); otherwise a seeded stream of
     random pairs.  Any mismatch raises VerificationError carrying the
     offending pair, the first one in code order or stream order.  Over base
-    fields with q <= CODE_TABLE_CAP both modes run the vectorized code-table
-    kernel; above it each pair goes through the scalar routes.
+    fields with q <= CODE_TABLE_CAP both modes are vectorized on code
+    tables: the exhaustive check gathers each term of both routes from a
+    per-x row table over all y (`_exhaustive_check`), random mode runs the
+    pairwise kernel (`_CodeKernel.first_mismatch`).  Above the cap each pair
+    goes through the scalar routes.
     """
     q, n = algo.q, algo.n
     pair_count = q ** (2 * n)
@@ -426,6 +429,16 @@ def _code_digits(codes: np.ndarray, q: int, n: int) -> list[np.ndarray]:
     return out
 
 
+def _first_difference(ref: list[np.ndarray], got: list[np.ndarray]) -> np.ndarray | None:
+    """Index, first in C order, where the coordinate arrays ref and got
+    differ; None when they agree everywhere."""
+    # the passing case compares byte images, which pages in no numpy
+    # comparison or reduction code (it shows in peak RSS)
+    if all(r.tobytes() == g.tobytes() for r, g in zip(ref, got)):
+        return None
+    return np.argwhere(np.any([r != g for r, g in zip(ref, got)], axis=0))[0]
+
+
 class _CodeKernel:
     """An algorithm's tensor route, checked against the reference route, as
     lookups in its base field's flat code tables.
@@ -434,9 +447,12 @@ class _CodeKernel:
     (code*q), so an index is one add: `add` returns pre-scaled sums, `mul`
     plain products, and `mac` fuses add(a, mul(c, b)) for a constant c into
     one pre-scaled lookup in a table of c.  Accumulators start at 0, so a
-    first index is b alone.  Values are lists of per-coordinate arrays whose
-    shapes broadcast: the exhaustive check passes (B,1) chunks against
-    (q**n,) arrays, random verification aligned (T,) arrays.
+    first index is b alone.  Values are lists of per-coordinate arrays.
+
+    Random verification runs both routes pairwise on aligned (T,) arrays
+    (`first_mismatch`).  The exhaustive check only takes the linear values
+    of every element from here and gathers the rest from row tables (see
+    `_exhaustive_check`).
     """
 
     def __init__(self, algo: BilinearAlgorithm, pairs: int):
@@ -463,10 +479,11 @@ class _CodeKernel:
             table = self._mac[c] = self.add.take(np.arange(0, q * q, q)[:, None] + row).ravel()
         return table.take(b if acc is None else acc + b)
 
-    def form_values(self, coeffs: list[np.ndarray]) -> list[np.ndarray]:
-        """The linear forms at plain coefficient codes, pre-scaled."""
+    def linear_values(self, matrix: list[list[int]], coeffs: list[np.ndarray]) -> list[np.ndarray]:
+        """The linear forms given by the rows of matrix at plain coefficient
+        codes, pre-scaled."""
         out = []
-        for row in self.forms:
+        for row in matrix:
             acc = None
             for fij, v in zip(row, coeffs):
                 if fij:
@@ -505,31 +522,71 @@ class _CodeKernel:
                 if row[k]:
                     got[j] = self.mac(got[j], row[k], wk)
         got = [np.zeros_like(r) if g is None else g for r, g in zip(ref, got)]
-        # the passing case compares byte images, which pages in no numpy
-        # comparison or reduction code (it shows in peak RSS)
-        if all(r.tobytes() == g.tobytes() for r, g in zip(ref, got)):
-            return None
-        return np.argwhere(np.any([r != g for r, g in zip(ref, got)], axis=0))[0]
+        return _first_difference(ref, got)
 
 
 def _exhaustive_check(algo: BilinearAlgorithm) -> None:
     """All pairs, x-major in code order: chunks of about EXHAUSTIVE_CHUNK
-    pairs, B x codes against all q**n."""
-    q, qn = algo.q, algo.ext.order
+    pairs, B x codes against all q**n y codes in code order.
+
+    Every term of either route depends on x only through one base-field
+    code, so it is tabulated once over all y as a (q, q**n) row table, and a
+    chunk gathers one row per x:
+
+    * the tensor route's term recon[j][k]*(phi_k(x)*phi_k(y)) is row
+      phi_k(x) of T_jk, T_jk[a] = mul(recon[j][k], mul(a, phi_k(Y)));
+    * the reference x*y = sum over j' of y_j'*(x*u**j') has coordinate j
+      the sum over j' of row M_x[j][j'] of S_j', S_j'[c] = mul(c, Y_j'),
+      where M_x[j][j'] = sum over i of x_i*R[i+j'][j] comes from the
+      reduction rows R[k] = u**k mod modulus.
+
+    The terms of a coordinate are summed by lookups in the add table, the
+    first from a pre-scaled table so that the sums come out pre-scaled.
+    Tables hold uint16 codes (pre-scaled ones are below q*q <= 2**16), in
+    all (nnz(recon) + n) * q * q**n * 2 bytes: 3.5 MiB at (q, n) = (64, 2).
+    """
+    q, n, qn = algo.q, algo.n, algo.ext.order
     kernel = _CodeKernel(algo, qn * qn)
-    coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, algo.n)
-    scaled = [c * q for c in coeffs]
-    phi = kernel.form_values(coeffs)  # form values of every element, pre-scaled
-    plain_phi = [f // q for f in phi]
+    coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, n)
+    phi = [f // q for f in kernel.linear_values(kernel.forms, coeffs)]
+    red = algo.ext._reduction  # R[k] = u**k mod modulus, k in [0, 2n-2]
+    m_rows = [[red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
+    m_x = [f // q for f in kernel.linear_values(m_rows, coeffs)]  # M_x[j][j'] at j*n + j'
+    add = kernel.add.astype(np.uint16)
+    mul = kernel.mul.astype(np.uint16).reshape(q, q)
+    s = [mul.take(y, axis=1) for y in coeffs]  # S_j'
+    s[0] *= q  # the first term of every reference coordinate
+    ref_terms = [list(zip(m_x[j * n : (j + 1) * n], s)) for j in range(n)]
+    got_terms = []
+    for row in kernel.recon:
+        terms = []
+        for k, c in enumerate(row):
+            if c:
+                composed = mul[c].take(mul)  # mul(c, mul(a, b)) at [a, b]
+                if not terms:
+                    composed *= q
+                terms.append((phi[k], composed.take(phi[k], axis=1)))  # T_jk
+        got_terms.append(terms or [(np.zeros(qn, np.intp), np.zeros((1, qn), np.uint16))])
     rows = max(1, EXHAUSTIVE_CHUNK // qn)
     for start in range(0, qn, rows):
         chunk = slice(start, start + rows)
-        bad = kernel.first_mismatch(
-            [c[chunk, None] for c in scaled], coeffs, [f[chunk, None] for f in phi], plain_phi
+        bad = _first_difference(
+            [_gather_sum(add, terms, chunk) for terms in ref_terms],
+            [_gather_sum(add, terms, chunk) for terms in got_terms],
         )
         if bad is not None:
             bx, by = bad
             raise _mismatch(algo, start + int(bx), int(by))
+
+
+def _gather_sum(add: np.ndarray, terms: list, chunk: slice) -> np.ndarray:
+    """The sum, pre-scaled, over (x index, row table) terms of each table's
+    rows at the chunk's x indices."""
+    acc = None
+    for index, table in terms:
+        rows = table.take(index[chunk], axis=0)
+        acc = rows if acc is None else add.take(acc + rows)
+    return acc
 
 
 def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:
@@ -544,7 +601,7 @@ def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -
         # every x, then every y: the digits and form values of both operands
         # in one pass each, split into contiguous halves
         coeffs = _code_digits(np.concatenate((codes[0::2], codes[1::2])), q, algo.n)
-        phi = kernel.form_values(coeffs)
+        phi = kernel.linear_values(kernel.forms, coeffs)
         for c in coeffs:  # x pre-scaled, y plain, in place
             c[:count] *= q
         for f in phi:

@@ -85,12 +85,38 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, exactly: integer Newton
+    steps down from a power of two above the root."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_split(q: int) -> tuple[int, int]:
-    """Write q = p**s with p prime, or raise ValueError."""
+    """Write q = p**s with p prime, or raise ValueError.
+
+    Orders below 2**16 are split by `factorize` (at most 2**8 trial
+    divisions), which keeps that traced layer on the path of `mult` and
+    `prior_bound`.  Above that, by unique factorization q = p**s for exactly one s <=
+    log2(q), the one whose integer s-th root is exact and prime, so at most
+    log2(q) root extractions and prime tests decide it.  A prime q at or
+    above the primality test's limit is refused by that test."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    ((p, s),) = fac.items()
-    return p, s
+    if q < 1 << 16:
+        fac = factorize(q)
+        if len(fac) == 1:
+            ((p, s),) = fac.items()
+            return p, s
+    else:
+        for s in range(q.bit_length() - 1, 0, -1):
+            p = iroot(q, s)
+            if p**s == q and is_prime(p):
+                return p, s
+    raise ValueError(f"{q} is not a prime power")

@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, pairwise
 
 from .ntheory import PrimalityLimitError, is_prime
@@ -237,6 +237,12 @@ class ExtendedInt:
         return False
 
     def render(self) -> str:
+        return self._rendered
+
+    @cached_property
+    def _rendered(self) -> str:
+        # a policy floor is one cached object per (policy, family, p), so a
+        # sweep renders it once per key rather than once per cell
         if self.kind == "finite":
             return str(self.value)
         if self.kind == "unknown":
@@ -273,6 +279,15 @@ class GapPolicy:
                 raise ValueError("empirical policy requires a finite floor and a sieve limit")
         else:
             raise ValueError(f"unknown policy name {self.name!r}")
+
+    def __hash__(self):
+        # cache keys hash the policy once per cell of a sweep; its Fractions
+        # are hashed once per policy instead
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.alpha, self.x_alpha, self.verified_limit))
 
     @classmethod
     def bhp(cls) -> "GapPolicy":

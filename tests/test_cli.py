@@ -202,6 +202,26 @@ class TestMultCommand:
             1, {"error": "usage", "reason": f"prime modulus out of supported range: {q}"}
         )
 
+    def test_large_prime_power_orders_answer_promptly(self):
+        # (2^31 - 1)^2 is split by its integer square root, not by trial
+        # division up to 2^31, and its modulus search skips the quadratics
+        # over GF(2^31 - 1), which all split over GF(q); a probable prime
+        # above the primality test's limit is refused by that test
+        big = 3317044064679887385962123
+        replies = []
+        for q in ((2**31 - 1) ** 2, big):
+            proc = subprocess.run(
+                [sys.executable, "-m", "symrank.cli", "mult", "--q", str(q), "--n", "2",
+                 "--verify", "random:10"],
+                capture_output=True, check=False, timeout=30,
+            )
+            replies.append((proc.returncode, json.loads(proc.stdout)))
+        (code, doc), refused = replies
+        assert code == 0 and doc["modulus"] == [2**31 + 1, 0, 1]
+        assert doc["verification"]["failures"] == 0
+        assert refused == (1, {"error": "usage", "reason": (
+            "primality test limited to n < 3317044064679887385961981")})
+
     def test_verification_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise VerificationError(2, 2, 1, 2, 3, 0)

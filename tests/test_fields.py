@@ -146,6 +146,18 @@ class TestIrreducibleWalk:
             assert expected[0] == (0, 1)  # x itself
             assert list(irreducible_polys(f, 0)) == []
 
+    @pytest.mark.parametrize("q,d", [(9, 2), (9, 4), (25, 2), (27, 3), (49, 2), (289, 2)])
+    def test_walk_skips_prime_field_polys_when_degrees_share_a_factor(self, q, d):
+        # a polynomial over GF(p) of degree d splits over GF(p**k) when
+        # gcd(d, k) > 1; the walk skips those untested and yields the same
+        # irreducibles as testing every candidate
+        f = make_field(q)
+        assert not any(is_irreducible(f, c) for c in all_monic_polys(make_field(f.char), d))
+        every = filter(lambda c: is_irreducible(f, c), all_monic_polys(f, d))
+        assert list(itertools.islice(irreducible_polys(f, d), 40)) == list(
+            itertools.islice(every, 40)
+        )
+
     def test_large_prime_field_skips_trial_division(self, monkeypatch):
         # make_field is cached, so the uncached function is called
         import symrank.fields as fields_mod

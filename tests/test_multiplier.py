@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from gf_oracle import ExtOracle, oracle_of
 
@@ -451,6 +453,51 @@ class TestVerify:
             verify(build_algorithm(2, 2), "random", trials=0)
         with pytest.raises(ValueError):
             verify(build_algorithm(2, 2), "sometimes")
+
+
+class TestRowTableKernel:
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_first_failure_inside_a_multi_row_chunk(self, monkeypatch, q, rows):
+        # a moved recon entry of the infinity slot first fails at x = y =
+        # q**2, over a prime base and an extension base; with three-row
+        # chunks that x is row 1 of the chunk starting at q**2 - 1, with
+        # the default chunk it is row q**2 of the only chunk
+        algo = build_algorithm(q, 3)
+        if rows:
+            monkeypatch.setattr(multiplier, "EXHAUSTIVE_CHUNK", rows * algo.ext.order)
+        rows = max(1, multiplier.EXHAUSTIVE_CHUNK // algo.ext.order)
+        bad = corrupted(algo, 2, algo.plan.rational_slots - 1)
+        first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+        assert first[:2] == (q * q, q * q) and rows > 1 and first[0] % rows >= 1
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == first
+
+    def test_row_tables_are_uint16(self, monkeypatch):
+        dtypes = set()
+        gather_sum = multiplier._gather_sum
+
+        def spy(add, terms, chunk):
+            dtypes.update(table.dtype for _, table in terms)
+            return gather_sum(add, terms, chunk)
+
+        monkeypatch.setattr(multiplier, "_gather_sum", spy)
+        for q, n in ((5, 3), (4, 3), (16, 2)):
+            verify(build_algorithm(q, n), "exhaustive")
+        assert dtypes == {np.dtype(np.uint16)}
+
+    def test_row_tables_memory(self):
+        # (nnz(recon) + n) tables of q * q**n uint16 entries: 3.5 MiB at
+        # (64, 2), built without full-size intp temporaries
+        algo = build_algorithm(64, 2)
+        tracemalloc.start()
+        try:
+            verify(algo, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestCodeTables:

@@ -4,8 +4,10 @@ from symrank.ntheory import (
     divisors,
     euler_phi,
     factorize,
+    iroot,
     is_prime,
     mobius,
+    PrimalityLimitError,
     prime_power_split,
 )
 
@@ -59,3 +61,28 @@ def test_prime_power_split():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power_split(bad)
+
+
+def test_iroot_is_the_floor_root():
+    for n in [*range(200), 2**64 - 1, 2**64, 3**40 + 1, 10**30]:
+        for k in range(1, 9):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
+
+def test_prime_power_split_by_roots_past_trial_division_range():
+    # orders from 2**16 up are split by integer roots
+    assert prime_power_split(65537) == (65537, 1)
+    assert prime_power_split(2**16) == (2, 16)
+    assert prime_power_split((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert prime_power_split(43**16) == (43, 16)
+    assert prime_power_split((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    for bad in (6**20, 2**16 * 3, 10**24 + 1):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            prime_power_split(bad)
+    # above the primality test's limit, an order free of its bases 2..41
+    # that is no exact power of a prime is refused by that test: a probable
+    # prime, and a product of two primes
+    for big in (3317044064679887385962123, (2**31 - 1) * (2**61 - 1)):
+        with pytest.raises(PrimalityLimitError):
+            prime_power_split(big)
