@@ -155,7 +155,8 @@ def prior_bound(variant: str, q_or_p: int, n: int) -> PriorBound:
         q = q_or_p
     else:
         p = q = q_or_p
-    return PriorBound(variant, q, p, n, coeff, round_up_15(float(coeff * n)))
+    # the correctly rounded quotient of integers, which is float(coeff * n)
+    return PriorBound(variant, q, p, n, coeff, round_up_15(coeff.numerator * n / coeff.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Subcommands: bound, table, gaps, genus, mult, compare, selftest.  JSON is the
 default output format; text output is rendered from the same JSON document so
 content never diverges; `table` additionally speaks CSV.  All randomness is
 seeded (default seed printed with the output), and identical argv produces
-byte-identical output.
+byte-identical output.  JSON replies (error replies included) and emitted
+tensors come from one emitter, `jsonout.dumps`, byte-identical to
+`json.dumps(doc, indent=2)`.  Each `main` call builds its own argument
+parser (see `_build_parser`).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input or failed
 precondition (structured report on stdout), 3 verification failure.
@@ -18,11 +21,13 @@ import functools
 import io
 import json
 import math
+import operator
+import shutil
 import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import bounds, curves, multiplier, primes
+from . import bounds, curves, jsonout, multiplier, primes
 from .bounds import InfeasiblePipelineError
 from .multiplier import DEFAULT_SEED, InfeasiblePlanError, VerificationError
 from .primes import DEFAULT_SIEVE_LIMIT
@@ -91,7 +96,7 @@ def _render_text(doc, indent: int = 0) -> str:
 
 def _emit(doc, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return jsonout.dumps(doc) + "\n"
     if fmt == "text":
         return _render_text(doc) + "\n"
     raise ValueError(f"format {fmt!r} not supported for this command")
@@ -169,9 +174,9 @@ def _cmd_table(args) -> tuple[str, int]:
     rows = _table_rows(args)
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_HEADER, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(map(operator.itemgetter(*CSV_HEADER), rows))  # _row gives every key
         return buf.getvalue(), EXIT_OK
     return _emit({"rows": rows}, args.format), EXIT_OK
 
@@ -246,14 +251,27 @@ def _add_format(sub, *, csv_ok: bool = False) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """A fresh argument parser; `main` builds one per call.
+
+    A parser shared by the calls of a process would save the build, about
+    1 ms, but a warm `bound` call would then take about 0.3 ms, and refilling
+    the CPU caches that other work evicts between calls can cost as much
+    again, so timings of repeated in-process calls would follow machine load
+    more than the work (2-core x86-64 VM, Python 3.11).
+    """
+    # argparse makes a HelpFormatter for every argument it adds, and each
+    # asks for the terminal size unless given a width; ask once per parser
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="symrank",
+        formatter_class=formatter,
         description="Symmetric multiplication algorithms and tensor-rank bounds "
         "for finite field extensions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subs.add_parser, formatter_class=formatter)
 
-    sub = subs.add_parser("bound", help="closed-form or constructive rank bound")
+    sub = add_parser("bound", help="closed-form or constructive rank bound")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--field", choices=["p", "p2"], default="p2")
@@ -264,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(sub)
     sub.set_defaults(fn=_cmd_bound)
 
-    sub = subs.add_parser("table", help="bound table over a (p, n) grid")
+    sub = add_parser("table", help="bound table over a (p, n) grid")
     sub.add_argument("--p-set", type=_parse_p_set, required=True, dest="p_set")
     sub.add_argument("--n-range", type=_parse_n_range, required=True, dest="n_range")
     sub.add_argument("--policy", choices=["dudek", "bhp", "empirical"], default="dudek")
@@ -273,14 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(sub, csv_ok=True)
     sub.set_defaults(fn=_cmd_table)
 
-    sub = subs.add_parser("gaps", help="scan successor gaps against l**alpha")
+    sub = add_parser("gaps", help="scan successor gaps against l**alpha")
     sub.add_argument("--limit", type=int, required=True)
     sub.add_argument("--alpha", default="2/3")
     sub.add_argument("--timing", action="store_true", help="include runtime_ms (non-reproducible)")
     _add_format(sub)
     sub.set_defaults(fn=_cmd_gaps)
 
-    sub = subs.add_parser("genus", help="genus of X0(N) or curve-family data")
+    sub = add_parser("genus", help="genus of X0(N) or curve-family data")
     sub.add_argument("--N", type=int)
     sub.add_argument("--family", choices=["11l", "23l"])
     sub.add_argument("--l", type=int)
@@ -288,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(sub)
     sub.set_defaults(fn=_cmd_genus)
 
-    sub = subs.add_parser("mult", help="build and verify a multiplication algorithm")
+    sub = add_parser("mult", help="build and verify a multiplication algorithm")
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--allow-deg2", action="store_true")
@@ -298,13 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(sub)
     sub.set_defaults(fn=_cmd_mult)
 
-    sub = subs.add_parser("compare", help="rank every applicable bound method")
+    sub = add_parser("compare", help="rank every applicable bound method")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     _add_format(sub)
     sub.set_defaults(fn=_cmd_compare)
 
-    sub = subs.add_parser("selftest", help="run the invariant suites")
+    sub = add_parser("selftest", help="run the invariant suites")
     sub.add_argument(
         "--timing", action="store_true", help="per-suite milliseconds to stderr (non-reproducible)"
     )
@@ -348,13 +366,13 @@ def main(argv=None) -> int:
     try:
         output, code = args.fn(args)
     except (InfeasiblePipelineError, InfeasiblePlanError) as exc:
-        sys.stdout.write(json.dumps(exc.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(_emit(exc.to_json_dict(), "json"))
         return EXIT_INFEASIBLE
     except VerificationError as exc:
-        sys.stdout.write(json.dumps(exc.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(_emit(exc.to_json_dict(), "json"))
         return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
-        sys.stdout.write(json.dumps({"error": "usage", "reason": str(exc)}, indent=2) + "\n")
+        sys.stdout.write(_emit({"error": "usage", "reason": str(exc)}, "json"))
         return EXIT_USAGE
     sys.stdout.write(output)
     return code

@@ -1,0 +1,60 @@
+"""Indented JSON on the C encoder.
+
+`dumps(obj)` returns the same string as `json.dumps(obj, indent=2)`.  The
+standard library serializes with `indent` only on its pure-Python path, so
+here a container whose members are all scalars (empty containers count as
+scalars) is serialized in one call of a `json.JSONEncoder` without `indent`,
+which takes the C encoder, whose item separator carries the newline and
+the members' indentation.  Only containers that hold non-empty containers
+are walked in Python.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=16)  # one per nesting depth; replies nest at most 6 deep
+def _flat(depth: int):
+    """encode() of a container whose members sit at `depth` levels of
+    indentation, still without its opening and closing line breaks."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+_scalar = _flat(0)
+
+
+def _key(key) -> str:
+    # json coerces float, bool, None and int keys to their scalar text
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _scalar(key)
+    return _scalar(key)
+
+
+def _dump(obj, depth: int) -> str:
+    if isinstance(obj, dict):
+        members, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        members, brackets = obj, "[]"
+    else:
+        return _scalar(obj)
+    if not obj:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    if not any(isinstance(m, _CONTAINERS) and m for m in members):
+        body = _flat(depth + 1)(obj)[1:-1]
+    elif isinstance(obj, dict):
+        body = ("," + pad).join(f"{_key(k)}: {_dump(v, depth + 1)}" for k, v in obj.items())
+    else:
+        body = ("," + pad).join(_dump(m, depth + 1) for m in obj)
+    return brackets[0] + pad + body + pad[:-2] + brackets[1]
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte."""
+    return _dump(obj, 0)

@@ -35,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import jsonout
 from .fields import (
     CODE_TABLE_CAP,
     ExtensionField,
@@ -542,8 +543,10 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
 
     The terms of a coordinate are summed by lookups in the add table, the
     first from a pre-scaled table so that the sums come out pre-scaled.
-    Tables hold uint16 codes (pre-scaled ones are below q*q <= 2**16), in
-    all (nnz(recon) + n) * q * q**n * 2 bytes: 3.5 MiB at (q, n) = (64, 2).
+    Rows j with equal recon[j][k] share T_jk (pre-scaled or not), so there
+    are at most nnz(recon) + n tables.  They hold uint16 codes (pre-scaled
+    ones are below q*q <= 2**16), q * q**n * 2 bytes each: at most 3.5 MiB
+    in all at (q, n) = (64, 2).
     """
     q, n, qn = algo.q, algo.n, algo.ext.order
     kernel = _CodeKernel(algo, qn * qn)
@@ -558,14 +561,18 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
     s[0] *= q  # the first term of every reference coordinate
     ref_terms = [list(zip(m_x[j * n : (j + 1) * n], s)) for j in range(n)]
     got_terms = []
+    tables = {}  # T_jk by (recon[j][k], k, pre-scaled), shared by rows j
     for row in kernel.recon:
         terms = []
         for k, c in enumerate(row):
             if c:
-                composed = mul[c].take(mul)  # mul(c, mul(a, b)) at [a, b]
-                if not terms:
-                    composed *= q
-                terms.append((phi[k], composed.take(phi[k], axis=1)))  # T_jk
+                key = (c, k, not terms)
+                if key not in tables:
+                    composed = mul[c].take(mul)  # mul(c, mul(a, b)) at [a, b]
+                    if not terms:
+                        composed *= q
+                    tables[key] = composed.take(phi[k], axis=1)
+                terms.append((phi[k], tables[key]))
         got_terms.append(terms or [(np.zeros(qn, np.intp), np.zeros((1, qn), np.uint16))])
     rows = max(1, EXHAUSTIVE_CHUNK // qn)
     for start in range(0, qn, rows):
@@ -631,7 +638,7 @@ def emit_tensor(algo: BilinearAlgorithm) -> str:
             "contributions": list(algo.contributions),
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return jsonout.dumps(doc) + "\n"
 
 
 def parse_tensor(text: str) -> BilinearAlgorithm:

@@ -30,6 +30,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True  # a composite below 43**2 has a prime factor <= 41
     if n >= PRIMALITY_LIMIT:
         raise PrimalityLimitError(f"primality test limited to n < {PRIMALITY_LIMIT}")
     d = n - 1

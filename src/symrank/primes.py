@@ -289,13 +289,17 @@ class GapPolicy:
     def _hash(self) -> int:
         return hash((self.name, self.alpha, self.x_alpha, self.verified_limit))
 
+    # bhp() and dudek() return one shared instance each, so that the cache
+    # keys holding them (`policy_floor`) match by identity instead of by
+    # comparing their fields
+
     @classmethod
     def bhp(cls) -> "GapPolicy":
-        return cls("bhp", Fraction(21, 40), ExtendedInt.unknown())
+        return _BHP
 
     @classmethod
     def dudek(cls) -> "GapPolicy":
-        return cls("dudek", Fraction(2, 3), ExtendedInt.symbolic())
+        return _DUDEK
 
     @classmethod
     def empirical(cls, alpha, floor: int, verified_limit: int) -> "GapPolicy":
@@ -318,6 +322,10 @@ class GapPolicy:
         if self.verified_limit is not None:
             out["verified_limit"] = self.verified_limit
         return out
+
+
+_BHP = GapPolicy("bhp", Fraction(21, 40), ExtendedInt.unknown())
+_DUDEK = GapPolicy("dudek", Fraction(2, 3), ExtendedInt.symbolic())
 
 
 class PairFamily(enum.Enum):

@@ -69,6 +69,12 @@ class TestPriorBounds:
         pb = prior_bound("i", 2, 10)
         assert abs(pb.value_real - 154.6) < 1e-9
 
+    def test_value_is_the_rounded_product(self):
+        for variant, q_or_p in (("iii", 7), ("iii", 25), ("iv", 13), ("v", 101), ("vi", 1009)):
+            coeff = prior_coefficient(variant, q_or_p)
+            for n in (*range(1, 3001, 7), 10**9 + 7, 2**60 + 1):
+                assert prior_bound(variant, q_or_p, n).value_real == round_up_15(float(coeff * n))
+
     def test_prime_power_variants_take_q(self):
         pb = prior_bound("iii", 25, 10)  # q = 25 = 5**2
         assert pb.p == 5 and pb.q == 25

@@ -230,6 +230,7 @@ class TestMultCommand:
         code, out = run(capsys, "mult", "--q", "2", "--n", "2")
         assert code == 3
         assert json.loads(out)["error"] == "verification_failure"
+        assert out == json.dumps(VerificationError(2, 2, 1, 2, 3, 0).to_json_dict(), indent=2) + "\n"
 
 
 class TestCompareCommand:
@@ -367,6 +368,15 @@ class TestUsageAndDeterminism:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
 
+    def test_parser_build_asks_terminal_size_once(self, monkeypatch):
+        calls = []
+        size = cli.shutil.get_terminal_size
+        monkeypatch.setattr(cli.shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+        parser = cli._build_parser()
+        assert len(calls) == 1
+        parser.format_help()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -393,6 +403,10 @@ class TestUsageAndDeterminism:
             ("bound", "--p", "5", "--n", "100", "--method", "all"),
             ("mult", "--q", "3", "--n", "2"),
             ("table", "--p-set", "5", "--n-range", "30:40:10", "--format", "csv"),
+            ("table", "--p-set", "5", "--n-range", "5:1"),
+            ("table", "--p-set", "5", "--n-range", "30:40:10", "--format", "json"),
+            ("compare", "--p", "11", "--n", "22"),
+            ("bound", "--p", "5", "--n", "3", "--method", "constructive"),
         ]
         in_process = [run(capsys, *argv) for argv in sequence]
         fresh = []
@@ -402,7 +416,7 @@ class TestUsageAndDeterminism:
             )
             fresh.append((proc.returncode, proc.stdout.decode()))
         assert in_process == fresh
-        assert [code for code, _ in fresh] == [1, 0, 0, 0]
+        assert [code for code, _ in fresh] == [1, 0, 0, 0, 1, 0, 0, 2]
 
 
 # sha256 over "exit code, newline, stdout" of each command of a group, in

@@ -487,6 +487,33 @@ class TestRowTableKernel:
             verify(build_algorithm(q, n), "exhaustive")
         assert dtypes == {np.dtype(np.uint16)}
 
+    def test_rows_with_equal_recon_entries_share_tables(self, monkeypatch):
+        # (3, 5): 39 nonzero recon entries give 22 distinct (recon[j][k], k,
+        # first of its row) keys; the other 5 tables are the reference's S_j'
+        tables = set()
+        gather_sum = multiplier._gather_sum
+
+        def spy(add, terms, chunk):
+            tables.update(id(table) for _, table in terms)
+            return gather_sum(add, terms, chunk)
+
+        monkeypatch.setattr(multiplier, "_gather_sum", spy)
+        verify(build_algorithm(3, 5), "exhaustive")
+        assert len(tables) == 22 + 5
+
+    @pytest.mark.parametrize("q,n", [(5, 2), (13, 2), (3, 5)])
+    def test_entry_first_in_one_row_and_later_in_another(self, q, n):
+        # an entry recon[j][k] = c that starts one row (its table pre-scaled)
+        # and follows another row's first term (its table plain) needs both
+        algo = build_algorithm(q, n, plan_evaluation(q, n, True))
+        firsts, later = set(), set()
+        for row in algo.recon.to_int_lists():
+            terms = [(c, k) for k, c in enumerate(row) if c]
+            firsts.add(terms[0])
+            later.update(terms[1:])
+        assert firsts & later
+        assert verify(algo, "exhaustive").failures == 0
+
     def test_row_tables_memory(self):
         # (nnz(recon) + n) tables of q * q**n uint16 entries: 3.5 MiB at
         # (64, 2), built without full-size intp temporaries

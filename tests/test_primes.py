@@ -241,6 +241,12 @@ class TestPolicies:
         assert policy.x_alpha.value == 11
         assert policy.verified_limit == 10**5
 
+    def test_named_policies_are_shared(self):
+        assert GapPolicy.dudek() is GapPolicy.dudek()
+        assert GapPolicy.bhp() is GapPolicy.bhp()
+        assert GapPolicy.dudek() == GapPolicy("dudek", Fraction(2, 3), ExtendedInt.symbolic())
+        assert GapPolicy.bhp() == GapPolicy("bhp", Fraction(21, 40), ExtendedInt.unknown())
+
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
             GapPolicy("bhp", Fraction(2, 3), ExtendedInt.unknown())
