@@ -46,6 +46,7 @@ from .primes import (
 
 QUADRATIC = "p2"
 PRIME = "p"
+FLOAT_N_LIMIT = 1 << 1000  # closed forms and priors are binary64, which ends at 2**1024
 
 _CTX15 = Context(prec=15, rounding=ROUND_CEILING)
 
@@ -289,12 +290,15 @@ def _validity(policy: GapPolicy, fam: PairFamily, p: int, n: int) -> tuple[bool,
 def check_cell(p: int, n: int, method: str = "all") -> None:
     """The argument checks a bound method makes before it reads its policy,
     in their order: p, then n >= 1 for the closed form and n > 1 for the
-    constructive route ("all" runs both, closed first)."""
+    constructive route ("all" runs both, closed first), then n below
+    FLOAT_N_LIMIT for the closed form."""
     check_characteristic(p)
     if n < 1 and method != "constructive":
         raise ValueError("n must be >= 1")
     if n <= 1 and method != "closed":
         raise ValueError("n must be > 1")
+    if n >= FLOAT_N_LIMIT and method != "constructive":
+        raise ValueError("n must be below 2**1000: closed-form and prior bounds are binary64 floats")
 
 
 def _closed_form(p: int, n: int, field: str, policy: GapPolicy | None) -> BoundReport:
@@ -510,7 +514,7 @@ def compare_all(p: int, n: int) -> dict:
     The asymptotic block holds the exact coefficients of the new bounds and
     of each field's comparators.
     """
-    check_characteristic(p)
+    check_cell(p, n)
     policy = GapPolicy.dudek()
     # the "p" key holds the GF(p) block, so the prime itself goes under "prime"
     result: dict = {"prime": p, PRIME: None, "n": n}

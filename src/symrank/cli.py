@@ -146,6 +146,7 @@ def _table_rows(args) -> list[dict]:
     primes.check_gap_scan(args.sieve_limit, Fraction(2, 3))  # constructive rows' label; never scanned
     lo, hi, step = args.n_range
     bounds.check_cell(args.p_set[0], lo)  # the first cell to fail, if any does
+    bounds.check_cell(args.p_set[0], hi - (hi - lo) % step)  # the last n of the range
     policy = build_policy()
     rows = []
     for p in args.p_set:

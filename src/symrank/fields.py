@@ -13,10 +13,11 @@ polynomial over a field is a tuple of codes, low degree first, with no
 trailing zeros; () is the zero polynomial.
 
 An extension computes on its codes in one of two ways, chosen once from its
-order.  Above CODE_TABLE_CAP elements it uses digit arithmetic over its
-base.  At or below the cap every operation is a lookup in list tables built
-on first use and kept for the process.  The same tables drive the modulus
-search below, and flat numpy copies of them drive the multiplier's verifier.
+order.  Above CODE_TABLE_CAP elements it multiplies digit lists modulo its
+modulus, by the routine the modulus search runs there.  At or below the cap
+every operation is a lookup in list tables built on first use and kept for
+the process.  Those tables drive the search instead, and flat numpy copies
+of them drive the multiplier's verifier.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -210,7 +211,7 @@ class ExtensionField(Field):
     whose operations are table lookups.
     """
 
-    __slots__ = ("base", "degree", "modulus", "order", "_reduction")
+    __slots__ = ("base", "degree", "modulus", "order", "_negf")
 
     def __new__(cls, base, degree: int, modulus: Sequence | None = None):
         # the one table-or-digit choice, from the order alone
@@ -233,8 +234,7 @@ class ExtensionField(Field):
             if not is_irreducible(base, modulus):
                 raise ValueError("modulus is reducible over the base field")
         self.modulus = modulus
-        # u**k mod modulus for k < 2*degree-1; mul reads k >= degree
-        self._reduction = power_rows(base, modulus, 2 * degree - 1)
+        self._negf = [base.neg(c) for c in modulus[:degree]]  # u**n = -(low part)
 
     @property
     def char(self) -> int:
@@ -265,22 +265,8 @@ class ExtensionField(Field):
         return self.from_digits([self.base.neg(x) for x in self.digits(a)])
 
     def mul(self, a: int, b: int) -> int:
-        # schoolbook product of the digits, then reduction by the rows u**k
-        bf = self.base
-        q, n = bf.order, self.degree
-        ys = _digits(b, q, n)
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(_digits(a, q, n)):
-            if x:
-                for k, y in enumerate(ys, i):
-                    prod[k] = bf.add(prod[k], bf.mul(x, y))
-        res = prod[:n]
-        for k in range(n, 2 * n - 1):
-            c = prod[k]
-            if c:
-                for j, r in enumerate(self._reduction[k]):
-                    res[j] = bf.add(res[j], bf.mul(c, r))
-        return self.from_digits(res)
+        q, n = self.base.order, self.degree
+        return self.from_digits(_mulmod_ops(self.base, self._negf, _digits(a, q, n), _digits(b, q, n)))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -449,8 +435,8 @@ def _code_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over an arbitrary field
-# (coefficient tuples, low degree first, trailing zeros trimmed)
+# polynomials over an arbitrary field (coefficient tuples, low degree
+# first, trailing zeros trimmed) and the irreducibility test
 
 
 def _trim(field, coeffs) -> tuple:
@@ -462,25 +448,6 @@ def _trim(field, coeffs) -> tuple:
 
 def poly_deg(poly: tuple) -> int:
     return len(poly) - 1  # deg(0) == -1 by convention
-
-
-def poly_sub(field, a: tuple, b: tuple) -> tuple:
-    out = list(a) + [field.zero] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = field.sub(out[i], c)
-    return _trim(field, out)
-
-
-def poly_mul(field, a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == field.zero:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return _trim(field, out)
 
 
 def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
@@ -503,35 +470,11 @@ def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     return _trim(field, quot), _trim(field, rem[:db])
 
 
-def poly_mod(field, a: tuple, b: tuple) -> tuple:
-    return poly_divmod(field, a, b)[1]
-
-
-def poly_gcd(field, a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, poly_mod(field, a, b)
-    if a:
-        c = field.inv(a[-1])
-        a = tuple(field.mul(c, x) for x in a)  # monic normalization
-    return a
-
-
 def poly_eval(field, poly: tuple, x: int) -> int:
     acc = field.zero
     for c in reversed(poly):
         acc = field.add(field.mul(acc, x), c)
     return acc
-
-
-def poly_pow_mod(field, a: tuple, k: int, mod: tuple) -> tuple:
-    result = (field.one,)
-    a = poly_mod(field, a, mod)
-    while k:
-        if k & 1:
-            result = poly_mod(field, poly_mul(field, result, a), mod)
-        a = poly_mod(field, poly_mul(field, a, a), mod)
-        k >>= 1
-    return result
 
 
 def power_rows(field, modulus: tuple, count: int) -> list[list]:
@@ -553,8 +496,8 @@ def is_irreducible(field, poly: tuple) -> bool:
     """Irreducibility over the field, by gcd with x**(q**d) - x for d <= n/2.
 
     x**(q**d) - x is the product of all monic irreducibles of degree dividing
-    d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.  Over
-    a field with code tables the test runs on the monic multiple in them.
+    d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.  The
+    test runs on the monic multiple, in code tables where the field has them.
     """
     n = poly_deg(poly)
     if n < 1:
@@ -563,18 +506,14 @@ def is_irreducible(field, poly: tuple) -> bool:
         return True
     if poly[-1] == field.zero:
         raise ValueError("polynomial must have nonzero leading coefficient")
-    q = field.order
-    if q <= CODE_TABLE_CAP:
+    if field.order <= CODE_TABLE_CAP:
         tables = _list_tables(field)
         scale = tables[1][tables[3][poly[-1]]]
         return _irreducible_codes(tables, [scale[c] for c in poly])
-    x = (field.zero, field.one)
-    w = x
-    for _ in range(n // 2):
-        w = poly_pow_mod(field, w, q, poly)
-        if poly_deg(poly_gcd(field, poly_sub(field, w, x), poly)) >= 1:
-            return False
-    return True
+    if poly[-1] != 1:  # above the tables an extension inverts by exponentiation
+        scale = field.inv(poly[-1])
+        poly = [field.mul(scale, c) for c in poly]
+    return _irreducible_ops(field, poly)
 
 
 def find_irreducible(field, n: int) -> tuple:
@@ -593,9 +532,11 @@ def _is_pth_power(poly, p: int) -> bool:
     return not any(c for e, c in enumerate(poly) if e % p)
 
 
-# is_irreducible in a small field's list tables: f monic of degree n, a
-# residue mod f is a list of n codes, and negf holds the negated low
-# coefficients of f
+# is_irreducible's steps on code lists (f monic of degree n, a residue mod f
+# n codes, negf the negated low coefficients of f), bound twice: *_codes to
+# list tables, *_ops to the field's own operations (above CODE_TABLE_CAP, and
+# ExtensionField.mul).  *_ops alone made the walk at or below the cap 1.25-1.4x
+# and mult-construct 8-10 % slower (2-core x86-64 host, Python 3.11.7).
 
 
 def _irreducible_codes(tables: tuple, f: Sequence[int]) -> bool:
@@ -607,6 +548,17 @@ def _irreducible_codes(tables: tuple, f: Sequence[int]) -> bool:
     for _ in range(n // 2):
         w = _powmod_codes(add, mul, negf, w, len(add))
         if _common_factor_codes(tables, f, [w[0], add[w[1]][neg[1]], *w[2:]]):
+            return False
+    return True
+
+
+def _irreducible_ops(field, f: Sequence[int]) -> bool:
+    n = len(f) - 1
+    negf = [field.neg(c) for c in f[:n]]
+    w = [0, 1] + [0] * (n - 2)  # x
+    for _ in range(n // 2):
+        w = _powmod_ops(field, negf, w, field.order)
+        if _common_factor_ops(field, f, [w[0], field.sub(w[1], 1), *w[2:]]):
             return False
     return True
 
@@ -629,12 +581,38 @@ def _mulmod_codes(add: list, mul: list, negf: list, a: list, b: list) -> list:
     return prod
 
 
+def _mulmod_ops(field, negf: list, a: list, b: list) -> list:
+    n = len(negf)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                if bj:  # a zero term costs a call: residues like x**k are sparse
+                    prod[k] = field.add(prod[k], field.mul(ai, bj))
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        if c:
+            for j, fj in enumerate(negf, k - n):
+                prod[j] = field.add(prod[j], field.mul(c, fj))
+    del prod[n:]
+    return prod
+
+
 def _powmod_codes(add: list, mul: list, negf: list, a: list, e: int) -> list:
     out = a
     for bit in bin(e)[3:]:  # left to right, below the leading one
         out = _mulmod_codes(add, mul, negf, out, out)
         if bit == "1":
             out = _mulmod_codes(add, mul, negf, out, a)
+    return out
+
+
+def _powmod_ops(field, negf: list, a: list, e: int) -> list:
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mulmod_ops(field, negf, out, out)
+        if bit == "1":
+            out = _mulmod_ops(field, negf, out, a)
     return out
 
 
@@ -654,6 +632,26 @@ def _common_factor_codes(tables: tuple, f: list, g: list) -> bool:
                 row = mul[neg[mul[c][lead_inv]]]
                 for k, bj in enumerate(b, i):
                     a[k] = add[a[k]][row[bj]]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) > 1
+
+
+def _common_factor_ops(field, f: Sequence[int], g: list) -> bool:
+    a, b = list(f), list(g)
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        db = len(b) - 1
+        lead_inv = field.inv(b[-1])
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = a[i + db]
+            if c:
+                m = field.neg(field.mul(c, lead_inv))
+                for k, bj in enumerate(b, i):
+                    a[k] = field.add(a[k], field.mul(m, bj))
         del a[db:]
         while a and not a[-1]:
             a.pop()

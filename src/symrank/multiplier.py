@@ -144,6 +144,10 @@ class EvalPlan:
     def case(self) -> int:
         return 1 if not self.deg2_places else 2
 
+    @property
+    def contributions(self) -> tuple[int, ...]:  # per-place product counts, plan order
+        return (1,) * self.rational_slots + (3,) * len(self.deg2_places)
+
     def to_json_dict(self) -> dict:
         return {
             "rational_nodes": list(self.rational_nodes),
@@ -203,6 +207,12 @@ class BilinearAlgorithm:
     recon: Matrix  # n x rank over the base field
     contributions: tuple[int, ...]  # per-place product counts, plan order
 
+    def __post_init__(self):
+        c, n = self.plan.cost, self.ext.degree
+        shape = (self.rank, self.forms.rows, self.forms.cols, self.recon.rows, self.recon.cols)
+        if shape != (c, c, n, n, c):
+            raise ValueError(f"a plan of cost {c} at n = {n} needs rank {c}, {c} x {n} forms, {n} x {c} recon")
+
     @property
     def base(self) -> Field:
         return self.ext.base
@@ -221,13 +231,6 @@ class BilinearAlgorithm:
         return 2 * n - 1 if self.plan.case == 1 else 3 * n
 
 
-def _node_powers(base, a, count: int) -> list:
-    out = [base.one]
-    for _ in range(count - 1):
-        out.append(base.mul(out[-1], a))
-    return out
-
-
 def build_algorithm(
     q: int,
     n: int,
@@ -244,7 +247,16 @@ def build_algorithm(
     base = make_field(q)
     if plan is None:
         plan = plan_evaluation(q, n, allow_deg2=True)
-    if plan.q != q or plan.n != n:
+    _check_plan(base, n, plan)
+    ext = ExtensionField(base, n, modulus)
+    forms, recon = _interpolate(base, plan, ext.modulus)
+    assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
+    return BilinearAlgorithm(ext, plan, forms.rows, forms, recon, plan.contributions)
+
+
+def _check_plan(base: Field, n: int, plan: EvalPlan) -> None:
+    """Reject a supplied or read plan that does not fit the degree-n extension of base."""
+    if plan.q != base.order or plan.n != n:
         raise ValueError("plan does not match the requested field")
     if plan.total_degree != plan.rational_slots + 2 * len(plan.deg2_places):
         raise ValueError("plan total_degree is inconsistent with its places")
@@ -257,11 +269,6 @@ def build_algorithm(
     for pi in plan.deg2_places:
         if len(pi) != 3 or pi[-1] != base.one or not is_irreducible(base, pi):
             raise ValueError("degree-2 places must be monic irreducible quadratics")
-    ext = ExtensionField(base, n, modulus)
-    forms, recon = _interpolate(base, plan, ext.modulus)
-    contributions = (1,) * plan.rational_slots + (3,) * len(plan.deg2_places)
-    assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
-    return BilinearAlgorithm(ext, plan, forms.rows, forms, recon, contributions)
 
 
 def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
@@ -287,7 +294,7 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
         return row
 
     for a in plan.rational_nodes:
-        powers = _node_powers(base, a, prod_len)
+        powers = [base.pow(a, j) for j in range(prod_len)]
         s_rows.append(s_row([base.one]))
         forms_rows.append(powers[:n])
         eval_rows.append(powers)
@@ -461,7 +468,7 @@ class _CodeKernel:
         self.add, self.mul = _code_tables(algo.base)
         self.forms = algo.forms.to_int_lists()  # rank x n
         self.recon = algo.recon.to_int_lists()  # n x rank
-        self.red = algo.ext._reduction[algo.n :]  # u**k mod modulus, k in [n, 2n-2]
+        self.red = power_rows(algo.base, algo.ext.modulus, 2 * algo.n - 1)  # R[k] = u**k mod modulus
         # a fused table pays for its q*q entries only over at least as many
         # pairs; below that a product is a lookup in a row of mul
         self.fuse = q * q <= pairs
@@ -503,7 +510,7 @@ class _CodeKernel:
                 acc = conv[i + j]
                 conv[i + j] = self.add.take(m if acc is None else acc + m)
         out = conv[:n]
-        for k, row in enumerate(self.red, n):
+        for k, row in enumerate(self.red[n:], n):
             hk = conv[k] // self.q
             for j, rkj in enumerate(row):
                 if rkj:
@@ -552,8 +559,7 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
     kernel = _CodeKernel(algo, qn * qn)
     coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, n)
     phi = [f // q for f in kernel.linear_values(kernel.forms, coeffs)]
-    red = algo.ext._reduction  # R[k] = u**k mod modulus, k in [0, 2n-2]
-    m_rows = [[red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
+    m_rows = [[kernel.red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
     m_x = [f // q for f in kernel.linear_values(m_rows, coeffs)]  # M_x[j][j'] at j*n + j'
     add = kernel.add.astype(np.uint16)
     mul = kernel.mul.astype(np.uint16).reshape(q, q)
@@ -645,7 +651,7 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
     """Rebuild an algorithm from emit_tensor output; verify() re-checks it.
 
     Every base-field code in the document is range-checked here, the one
-    place where codes come from outside."""
+    place where codes come from outside; the ledger and shapes must fit the plan."""
     doc = json.loads(text)
     q, n = doc["q"], doc["n"]
     base = make_field(q)
@@ -667,9 +673,10 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
         tuple(map(codes, ledger["plan"]["deg2_places"])),
         ledger["plan"]["total_degree"],
     )
+    _check_plan(base, n, plan)
+    if ledger["plan"]["cost"] != plan.cost or tuple(ledger["contributions"]) != plan.contributions:
+        raise ValueError("tensor ledger is inconsistent: cost or contributions disagree with its plan")
     ext = ExtensionField(base, n, modulus)
     forms = Matrix.from_rows(base, [codes(row) for row in doc["forms"]])
     recon = Matrix.from_rows(base, [codes(row) for row in doc["recon"]])
-    if forms.rows != doc["rank"] or recon.cols != doc["rank"]:
-        raise ValueError("tensor document is inconsistent: rank does not match matrices")
-    return BilinearAlgorithm(ext, plan, doc["rank"], forms, recon, tuple(ledger["contributions"]))
+    return BilinearAlgorithm(ext, plan, doc["rank"], forms, recon, plan.contributions)

@@ -11,8 +11,6 @@ all of them.
 
 from __future__ import annotations
 
-from functools import reduce
-
 # Witnesses proving Miller-Rabin deterministic for n < PRIMALITY_LIMIT (psi_13).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -66,18 +64,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def euler_phi(n: int) -> int:
-    return reduce(lambda acc, p: acc // p * (p - 1), factorize(n), n)
 
 
 def mobius(n: int) -> int:

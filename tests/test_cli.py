@@ -87,6 +87,47 @@ class TestBoundCommand:
         assert "value_int: 316" in out
 
 
+# every command whose reply holds a binary64 bound, with n last
+FLOAT_REPLY_ARGV = {
+    "closed": lambda n: ("bound", "--p", "5", "--method", "closed", "--n", str(n)),
+    "all": lambda n: ("bound", "--p", "5", "--method", "all", "--n", str(n)),
+    "compare": lambda n: ("compare", "--p", "5", "--n", str(n)),
+    "table": lambda n: ("table", "--p-set", "5", "--n-range", f"{n}:{n}"),
+    "table-last": lambda n: ("table", "--p-set", "5", "--n-range", f"2:{n}:{n - 2}"),
+}
+
+
+class TestAstronomicalN:
+    """Binary64 ends below 2**1024: from n = 2**1000 on, a bound reported as
+    a float is refused as usage, where it once ended in an OverflowError."""
+
+    @pytest.mark.parametrize("command", sorted(FLOAT_REPLY_ARGV))
+    def test_last_n_below_the_limit_answers(self, capsys, command):
+        code, out = run(capsys, *FLOAT_REPLY_ARGV[command](2**1000 - 1))
+        assert code == 0
+        assert "error" not in json.loads(out)
+
+    @pytest.mark.parametrize("n", [2**1000, 2**1023, 10**400], ids=["2^1000", "2^1023", "10^400"])
+    @pytest.mark.parametrize("command", sorted(FLOAT_REPLY_ARGV))
+    def test_float_replies_refuse_n_from_the_limit(self, capsys, command, n):
+        code, out = run(capsys, *FLOAT_REPLY_ARGV[command](n))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "usage" and "binary64" in doc["reason"]
+
+    def test_table_checks_the_range_it_runs(self, capsys):
+        # the step skips every n from the limit on
+        code, out = run(capsys, "table", "--p-set", "5", "--n-range", f"2:{2**1000}:{2**1000}")
+        assert code == 0
+        assert {row["n"] for row in json.loads(out)["rows"]} == {2}
+
+    @pytest.mark.parametrize("n", [2**1000 - 1, 2**1000, 10**400], ids=["2^1000-1", "2^1000", "10^400"])
+    def test_constructive_keeps_its_pair_selection_reply(self, capsys, n):
+        code, out = run(capsys, "bound", "--p", "5", "--n", str(n), "--method", "constructive")
+        assert code == 2
+        assert json.loads(out)["failed_check"] == "pair_selection"
+
+
 class TestGapsCommand:
     def test_example(self, capsys):
         code, out = run(capsys, "gaps", "--limit", "100000", "--alpha", "2/3")

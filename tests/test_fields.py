@@ -113,6 +113,10 @@ class TestFindIrreducible:
 # as computed by the search that had its own candidate loops
 CANONICAL_MODULI_DIGEST = "6579c8573ff59eed1cbd6f3003bb9f023e711dd2e0bb13916aaca4aaff288fb9"
 FIRST_PLACES_DIGEST = "41fdab0a50f60b15200f0fdc1142b03b2e2e2109011674a8f1b558d916ce9170"
+# the same for the moduli above the code-table cap, as computed by the
+# polynomial-tuple routines; cells whose search took over 50 ms are left out
+ABOVE_CAP_MODULI_DIGEST = "c5d488149ec374ad8929be9e514126f8a0e149c263138b1e7e1669c1b133985a"
+SLOW_ABOVE_CAP_CELLS = {(343, 4), (512, 3), (1024, 4), (4096, 4)}
 
 
 def is_prime_power(q):
@@ -135,6 +139,15 @@ class TestIrreducibleWalk:
             for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64)
         ]
         assert hashlib.sha256(repr(places).encode()).hexdigest() == FIRST_PLACES_DIGEST
+
+    def test_moduli_above_table_cap_pinned(self):
+        cells = [(q, n) for q in (257, 289, 343, 512, 961, 1009, 1024, 4096) for n in (2, 3, 4)]
+        moduli = [
+            (q, n, find_irreducible(make_field(q), n))
+            for q, n in cells
+            if (q, n) not in SLOW_ABOVE_CAP_CELLS
+        ]
+        assert hashlib.sha256(repr(moduli).encode()).hexdigest() == ABOVE_CAP_MODULI_DIGEST
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -266,12 +279,18 @@ class TestCodeField:
 
     @pytest.mark.parametrize("q", [4, 5, 8, 9, 16])
     def test_is_irreducible_on_codes_against_factor_products(self, q):
+        # both bindings of the test: the code tables, and the field's own
+        # operations that fields above the cap use
+        import symrank.fields as fields_mod
+
         f = make_field(q)
         assert q <= CODE_TABLE_CAP
         for d in (2, 3, 4):
             reducible = reducible_codes(f, d)
             for c in itertools.product(range(q), repeat=d):
-                assert is_irreducible(f, (*c, 1)) == ((*c, 1) not in reducible), (q, c)
+                expected = (*c, 1) not in reducible
+                assert is_irreducible(f, (*c, 1)) == expected, (q, c)
+                assert fields_mod._irreducible_ops(f, (*c, 1)) == expected, (q, c)
 
     def test_non_monic_polynomial(self):
         f9 = make_field(9)
@@ -282,7 +301,7 @@ class TestCodeField:
 
     def test_above_cap_stays_on_raw_values(self):
         # x^2 + c is irreducible over GF(257) iff -c is a non-residue; the
-        # test runs on polynomial routines, not tables
+        # test runs on the field's own operations, not tables
         f = make_field(257)
         assert f.order > CODE_TABLE_CAP
         for c in range(1, 257):

@@ -601,3 +601,37 @@ class TestTensorSerialization:
         doc["rank"] = 4
         with pytest.raises(ValueError):
             parse_tensor(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "tamper,reason",
+        [
+            (lambda d: d["ledger"]["plan"].update(rational_nodes=[0, 0]), "rational nodes must be distinct"),
+            (lambda d: d["ledger"]["plan"].update(deg2_places=[[1, 0, 1]]), "monic irreducible quadratics"),
+            (lambda d: d["ledger"]["plan"].update(total_degree=42), "total_degree is inconsistent"),
+            (lambda d: d["ledger"]["plan"].update(cost=7), "cost or contributions disagree"),
+            (lambda d: d["ledger"].update(contributions=[9, 9, 9, 9]), "cost or contributions disagree"),
+            (lambda d: [row.append(0) for row in d["forms"]], "needs rank 6, 6 x 3 forms"),
+            (lambda d: d["recon"].append([0] * 6), "needs rank 6, 6 x 3 forms"),
+            # rank and matrices agree with each other, not with the plan
+            (lambda d: [d["forms"].append([0] * 3), [row.append(0) for row in d["recon"]],
+                        d.update(rank=7)], "needs rank 6, 6 x 3 forms"),
+        ],
+        ids=["duplicate-node", "reducible-place", "total-degree", "cost", "contributions",
+             "forms-extra-column", "recon-extra-row", "rank-beyond-plan"],
+    )
+    def test_ledger_and_shapes_must_fit_the_plan(self, tamper, reason):
+        # GF(2^3): nodes 0 and 1, infinity and the place u^2 + u + 1, cost 6
+        doc = json.loads(emit_tensor(build_algorithm(2, 3)))
+        assert doc["ledger"]["contributions"] == [1, 1, 1, 3]
+        tamper(doc)
+        with pytest.raises(ValueError, match=reason):
+            parse_tensor(json.dumps(doc))
+
+    def test_wrong_shapes_rejected_on_construction(self):
+        # the (4,3) tensor with one column too many in forms and one row too
+        # many in recon once passed exhaustive verification
+        algo = build_algorithm(4, 3)
+        forms = fields.Matrix.from_rows(algo.base, [row + [0] for row in algo.forms.to_int_lists()])
+        recon = fields.Matrix.from_rows(algo.base, algo.recon.to_int_lists() + [[0] * algo.rank])
+        with pytest.raises(ValueError, match="needs rank 5, 5 x 3 forms, 3 x 5 recon"):
+            BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon, algo.contributions)

@@ -1,8 +1,6 @@
 import pytest
 
 from symrank.ntheory import (
-    divisors,
-    euler_phi,
     factorize,
     iroot,
     is_prime,
@@ -37,17 +35,11 @@ def test_is_prime_large_known():
     assert is_prime(318665857834031151167461) is False
 
 
-def test_factorize_and_divisors():
+def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
     with pytest.raises(ValueError):
         factorize(0)
-
-
-def test_euler_phi():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_mobius():
