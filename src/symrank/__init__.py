@@ -44,7 +44,6 @@ from .primes import (
     PairFamily,
     PairSelectionError,
     PrimePair,
-    PrimeTable,
     policy_floor,
     select_pair,
     sieve,

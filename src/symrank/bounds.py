@@ -38,7 +38,6 @@ from .primes import (
     PairFamily,
     PairSelectionError,
     PrimePair,
-    PrimeTable,
     check_characteristic,
     policy_floor,
     select_pair,
@@ -373,7 +372,6 @@ def constructive_bound(
     n: int,
     field: str = QUADRATIC,
     policy: GapPolicy | None = None,
-    table: PrimeTable | None = None,
 ) -> BoundReport:
     """Envelope bound certified by an explicit witness chain.
 
@@ -389,7 +387,7 @@ def constructive_bound(
     policy = policy or GapPolicy.dudek()
     fam = _pair_family(field, p)
     try:
-        pair = select_pair(p, n, fam, table)
+        pair = select_pair(p, n, fam)
     except PairSelectionError as exc:
         raise InfeasiblePipelineError(p, n, field, "pair_selection", str(exc)) from exc
     curve = family_data(p, pair.l_k1)

@@ -190,10 +190,10 @@ def _cmd_gaps(args) -> tuple[str, int]:
 
 def _cmd_genus(args) -> tuple[str, int]:
     if args.N is not None:
-        if args.family or args.l or args.p:
+        if args.family is not None or args.l is not None or args.p is not None:
             raise ValueError("--N and --family/--l/--p are mutually exclusive")
         return _emit(curves.genus_X0(args.N).to_json_dict(), args.format), EXIT_OK
-    if not (args.family and args.l and args.p):
+    if args.family is None or args.l is None or args.p is None:
         raise ValueError("family mode requires --family, --l and --p")
     data = curves.family_data(args.p, args.l)
     if data.family != args.family:

@@ -6,7 +6,10 @@ here a container whose members are all scalars (empty containers count as
 scalars) is serialized in one call of a `json.JSONEncoder` without `indent`,
 which takes the C encoder, whose item separator carries the newline and
 the members' indentation.  Only containers that hold non-empty containers
-are walked in Python.
+are walked in Python.  It stays because replacing it with
+`json.dumps(indent=2)` cost bound-grid requests/s in four of four
+alternating 10 s benchmark pairs (median 215.1 -> 204.9, -4.7 %, against a
+quartile spread of about 2 %).
 """
 
 from __future__ import annotations

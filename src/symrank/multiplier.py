@@ -205,7 +205,6 @@ class BilinearAlgorithm:
     rank: int
     forms: Matrix  # rank x n over the base field
     recon: Matrix  # n x rank over the base field
-    contributions: tuple[int, ...]  # per-place product counts, plan order
 
     def __post_init__(self):
         c, n = self.plan.cost, self.ext.degree
@@ -216,6 +215,10 @@ class BilinearAlgorithm:
     @property
     def base(self) -> Field:
         return self.ext.base
+
+    @property
+    def contributions(self) -> tuple[int, ...]:  # per-place product counts, plan order
+        return self.plan.contributions
 
     @property
     def q(self) -> int:
@@ -251,7 +254,7 @@ def build_algorithm(
     ext = ExtensionField(base, n, modulus)
     forms, recon = _interpolate(base, plan, ext.modulus)
     assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
-    return BilinearAlgorithm(ext, plan, forms.rows, forms, recon, plan.contributions)
+    return BilinearAlgorithm(ext, plan, forms.rows, forms, recon)
 
 
 def _check_plan(base: Field, n: int, plan: EvalPlan) -> None:
@@ -650,16 +653,18 @@ def emit_tensor(algo: BilinearAlgorithm) -> str:
 def parse_tensor(text: str) -> BilinearAlgorithm:
     """Rebuild an algorithm from emit_tensor output; verify() re-checks it.
 
-    Every base-field code in the document is range-checked here, the one
-    place where codes come from outside; the ledger and shapes must fit the plan."""
+    Every base-field code in the document is type- and range-checked here,
+    the one place where codes come from outside; q, n, rank and total_degree
+    must be JSON integers and use_infinity a boolean, and the ledger and
+    shapes must fit the plan."""
     doc = json.loads(text)
-    q, n = doc["q"], doc["n"]
+    q, n = _json_typed(doc["q"], int, "q"), _json_typed(doc["n"], int, "n")
     base = make_field(q)
 
     def codes(values) -> tuple:
         values = tuple(values)
         for c in values:
-            if not 0 <= c < q:
+            if not 0 <= _json_typed(c, int, "code") < q:
                 raise ValueError(f"code {c} out of range for {base}")
         return values
 
@@ -669,9 +674,9 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
         q,
         n,
         codes(ledger["plan"]["rational_nodes"]),
-        ledger["plan"]["use_infinity"],
+        _json_typed(ledger["plan"]["use_infinity"], bool, "use_infinity"),
         tuple(map(codes, ledger["plan"]["deg2_places"])),
-        ledger["plan"]["total_degree"],
+        _json_typed(ledger["plan"]["total_degree"], int, "total_degree"),
     )
     _check_plan(base, n, plan)
     if ledger["plan"]["cost"] != plan.cost or tuple(ledger["contributions"]) != plan.contributions:
@@ -679,4 +684,12 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
     ext = ExtensionField(base, n, modulus)
     forms = Matrix.from_rows(base, [codes(row) for row in doc["forms"]])
     recon = Matrix.from_rows(base, [codes(row) for row in doc["recon"]])
-    return BilinearAlgorithm(ext, plan, doc["rank"], forms, recon, plan.contributions)
+    return BilinearAlgorithm(ext, plan, _json_typed(doc["rank"], int, "rank"), forms, recon)
+
+
+def _json_typed(value, kind: type, what: str):
+    """`value`, if its type is exactly `kind`: JSON's true is no integer and
+    1.0 no code, though Python compares them equal to 1."""
+    if type(value) is not kind:
+        raise ValueError(f"tensor {what} must be of type {kind.__name__}, got {value!r}")
+    return value

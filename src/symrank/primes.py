@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import re
 import time
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,32 +94,6 @@ def _flagged(flags: bytearray) -> Iterator[int]:
     return (m.start() for m in re.finditer(b"\x01", flags))
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to `limit`, ascending, with ordered lookups."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def prev_prime(self, x: int) -> int:
-        """Largest prime <= x."""
-        i = bisect_right(self.primes, x)
-        if i == 0:
-            raise ValueError(f"no prime <= {x}")
-        return self.primes[i - 1]
-
-    def next_prime(self, x: int) -> int:
-        """Smallest prime > x."""
-        i = bisect_right(self.primes, x)
-        if i >= len(self.primes):
-            raise ValueError(f"next prime after {x} exceeds table limit {self.limit}")
-        return self.primes[i]
-
-    def count_between(self, lo: int, hi: int) -> int:
-        """Number of primes p with lo < p < hi."""
-        return bisect_left(self.primes, hi) - bisect_right(self.primes, lo)
-
-
 def _check_sieve_limit(limit: int) -> None:
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
@@ -128,10 +101,11 @@ def _check_sieve_limit(limit: int) -> None:
         raise ValueError(f"sieve limit {limit} exceeds memory cap {SIEVE_MEMORY_CAP}")
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Eratosthenes table of all primes <= limit."""
+def sieve(limit: int) -> tuple[int, ...]:
+    """All primes <= limit, ascending, by Eratosthenes: an oracle independent
+    of the Miller-Rabin stepping that pair selection uses."""
     _check_sieve_limit(limit)
-    return PrimeTable(limit, tuple(_flagged(_sieve_flags(limit))))
+    return tuple(_flagged(_sieve_flags(limit)))
 
 
 @dataclass(frozen=True)
@@ -380,9 +354,7 @@ class PrimePair:
     skipped: tuple[int, ...] = field(default=())
 
 
-def select_pair(
-    p: int, n: int, family: PairFamily, table: PrimeTable | None = None
-) -> PrimePair:
+def select_pair(p: int, n: int, family: PairFamily) -> PrimePair:
     """The prime pair realizing the family's threshold inequalities.
 
     l_k is the largest non-degenerate prime <= T and l_{k+1} the next
@@ -392,8 +364,7 @@ def select_pair(
     deterministic primality test, so every integer passed over is proven
     composite or a listed skip.  floor(T) and T < 2 (that is, floor(T) < 2)
     are decided in integers; the exact T is kept for the pair and its
-    messages.  `table` is accepted for compatibility and is no longer
-    consulted.
+    messages.
     """
     family.validate_p(p)
     num, den = family.threshold_terms(p, n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -111,9 +112,9 @@ def suite_linear_solve() -> str:
 
 
 def suite_sieve_counts() -> str:
-    _check(primes.sieve(10).primes == (2, 3, 5, 7), "primes <= 10")
-    _check(len(primes.sieve(100).primes) == 25, "pi(100)")
-    _check(len(primes.sieve(10**6).primes) == 78498, "pi(10**6)")
+    _check(primes.sieve(10) == (2, 3, 5, 7), "primes <= 10")
+    _check(len(primes.sieve(100)) == 25, "pi(100)")
+    _check(len(primes.sieve(10**6)) == 78498, "pi(10**6)")
     return "pi(10)=4, pi(100)=25, pi(10**6)=78498"
 
 
@@ -129,7 +130,7 @@ def suite_gap_scan() -> str:
 
 
 def suite_pair_inequalities() -> str:
-    table = primes.sieve(20000)
+    pr = primes.sieve(20000)
     cells = 0
     for p in (5, 7, 13, 17, 19):
         for n in range(p, 1501):
@@ -143,7 +144,7 @@ def suite_pair_inequalities() -> str:
                 lk, lk1 = pair.l_k, pair.l_k1
                 _check((p - 1) * (lk1 + 1) > 2 * n + 2 * lk1 - 2, f"strict fails p={p} n={n}")
                 _check((p - 1) * (lk + 1) <= 2 * n + 2 * lk - 2, f"non-strict fails p={p} n={n}")
-                _check(table.count_between(lk, lk1) == 0, f"pair not consecutive p={p} n={n}")
+                _check(pr[bisect_right(pr, lk)] == lk1, f"pair not consecutive p={p} n={n}")
                 cells += 1
     for n in range(11, 1501):
         for fam in (primes.PairFamily.QUADRATIC_ELEVEN, primes.PairFamily.PRIME_ELEVEN):
@@ -161,13 +162,13 @@ def suite_pair_inequalities() -> str:
 
 
 def suite_genus_families() -> str:
-    table = primes.sieve(10**4)
-    for l in table.primes:
+    pr = primes.sieve(10**4)
+    for l in pr:
         if l != 11:
             _check(curves.genus_X0(11 * l).genus == l, f"genus(X0(11*{l}))")
         if l != 23:
             _check(curves.genus_X0(23 * l).genus == 2 * l + 1, f"genus(X0(23*{l}))")
-    return f"{len(table.primes)} primes below 10**4, both families"
+    return f"{len(pr)} primes below 10**4, both families"
 
 
 def suite_gamma0_consistency() -> str:
@@ -196,9 +197,8 @@ def suite_rr_cross_check() -> str:
 
 
 def suite_remark_dominance() -> str:
-    table = primes.sieve(10**4)
     count = 0
-    for p in table.primes:
+    for p in primes.sieve(10**4):
         if p < 5:
             continue
         _check(bounds.remark_quadratic_holds(p), f"quadratic remark fails at p={p}")

@@ -47,7 +47,7 @@ def test_criterion_1_multiplication_correctness():
 def test_criterion_2_genus_families():
     t0 = time.monotonic()
     mismatches = []
-    for l in primes.sieve(10**4).primes:
+    for l in primes.sieve(10**4):
         if l != 11 and curves.genus_X0(11 * l).genus != l:
             mismatches.append(("11l", l))
         if l != 23 and curves.genus_X0(23 * l).genus != 2 * l + 1:
@@ -71,7 +71,7 @@ def test_criterion_3_gap_verification():
 
 def test_criterion_4_remark_dominance_quadratic():
     failures = [
-        p for p in primes.sieve(10**4).primes if p >= 5 and not bounds.remark_quadratic_holds(p)
+        p for p in primes.sieve(10**4) if p >= 5 and not bounds.remark_quadratic_holds(p)
     ]
     spot = abs(float(bounds.prior_coefficient("vi", 5)) - 3.36170) < 1e-5
     new_at_5 = bounds.asymptotic_coefficient(5, "p2") == 3
@@ -83,7 +83,7 @@ def test_criterion_4_remark_dominance_quadratic():
 
 def test_criterion_5_remark_dominance_prime():
     failures = [
-        p for p in primes.sieve(10**4).primes if p >= 5 and not bounds.remark_prime_holds(p)
+        p for p in primes.sieve(10**4) if p >= 5 and not bounds.remark_prime_holds(p)
     ]
     spot = bounds.asymptotic_coefficient(5, "p") == 5
     spot_prior = float(bounds.prior_coefficient("iv", 5)) == 5.4
@@ -120,23 +120,22 @@ def test_criterion_7_proof_closed_form_consistency():
     and with T = 3 the relative successor gap is large).
     """
     t0 = time.monotonic()
-    table = primes.sieve(22000)
     policy = primes.GapPolicy.dudek()  # alpha = 2/3
     violations = []
     for p in (5, 7, 13, 17):
         for n in range(20, 5001):
             try:
-                pair = primes.select_pair(p, n, primes.PairFamily.QUADRATIC_GENERIC, table)
+                pair = primes.select_pair(p, n, primes.PairFamily.QUADRATIC_GENERIC)
             except primes.PairSelectionError:
                 continue
             if pair.skipped:
                 continue
             if pair.gap**3 > pair.l_k**2:
                 continue
-            cq = bounds.constructive_bound(p, n, "p2", policy, table)
+            cq = bounds.constructive_bound(p, n, "p2", policy)
             if cq.value_int > bounds.closed_form_quadratic(p, n, policy).value_real:
                 violations.append((p, n, "p2"))
-            cp = bounds.constructive_bound(p, n, "p", policy, table)
+            cp = bounds.constructive_bound(p, n, "p", policy)
             if cp.value_int > bounds.closed_form_prime(p, n, policy).value_real:
                 violations.append((p, n, "p"))
     elapsed = time.monotonic() - t0

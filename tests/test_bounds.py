@@ -19,7 +19,7 @@ from symrank.bounds import (
     remark_quadratic_holds,
     round_up_15,
 )
-from symrank.primes import GapPolicy, sieve
+from symrank.primes import GapPolicy
 
 
 def exact_eps(p, n, family):
@@ -272,11 +272,10 @@ class TestConstructive:
     def test_witness_epsilon_dominates_formula_epsilon(self):
         """At the witness, eps(l_k) >= eps_p(n): the witness prime sits below
         2n/(p-3), and x**(alpha-1) is decreasing."""
-        table = sieve(20000)
         for p in (5, 7, 13, 17):
             for n in range(20, 2000, 13):
                 try:
-                    r = constructive_bound(p, n, "p2", table=table)
+                    r = constructive_bound(p, n, "p2")
                 except InfeasiblePipelineError:
                     continue
                 lk = r.witnesses.pair.l_k

@@ -170,6 +170,18 @@ class TestGenusCommand:
         code, out = run(capsys, "genus", "--family", "11l")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--p", "--l"])
+    def test_zero_option_is_still_given(self, capsys, flag):
+        # a zero value counts as given: the level mode refuses it
+        code, out = run(capsys, "genus", "--N", "143", flag, "0")
+        assert code == 1
+        assert json.loads(out)["reason"] == "--N and --family/--l/--p are mutually exclusive"
+
+    def test_zero_level_factor_reaches_the_level_check(self, capsys):
+        code, out = run(capsys, "genus", "--family", "11l", "--l", "0", "--p", "5")
+        assert code == 1
+        assert json.loads(out)["reason"] == "level factor must be prime, got 0"
+
 
 class TestMultCommand:
     def test_example(self, capsys):

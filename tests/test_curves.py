@@ -41,7 +41,7 @@ class TestGenusX0:
             genus_X0(0)
 
     def test_family_closed_forms_to_1000(self):
-        for l in sieve(1000).primes:
+        for l in sieve(1000):
             if l != 11:
                 assert genus_X0(11 * l).genus == l
                 assert _gamma0_data(11 * l, {11: 1, l: 1}) == genus_X0(11 * l)

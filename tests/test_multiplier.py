@@ -28,7 +28,7 @@ def corrupted(algo, j=0, k=0, matrix="recon"):
     forms, recon = algo.forms.copy(), algo.recon.copy()
     m = recon if matrix == "recon" else forms
     m[j, k] = algo.base.add(m[j, k], algo.base.one)
-    return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon, algo.contributions)
+    return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon)
 
 
 def code_order_pairs(order):
@@ -627,6 +627,39 @@ class TestTensorSerialization:
         with pytest.raises(ValueError, match=reason):
             parse_tensor(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "tamper,what",
+        [
+            (lambda d: d.update(q=2.0), "q"),
+            (lambda d: d.update(n=3.0), "n"),
+            (lambda d: d.update(rank=6.0), "rank"),
+            (lambda d: d["forms"][0].__setitem__(0, 1.0), "code"),
+            (lambda d: d["forms"][0].__setitem__(0, True), "code"),
+            (lambda d: d["ledger"]["plan"].update(total_degree=5.0), "total_degree"),
+            (lambda d: d["ledger"]["plan"].update(use_infinity=1), "use_infinity"),
+        ],
+        ids=["float-q", "float-n", "float-rank", "float-code", "bool-code",
+             "float-total-degree", "integer-use-infinity"],
+    )
+    def test_values_of_the_wrong_json_type_rejected(self, tamper, what):
+        # each compares equal to the valid value it replaces, so a range or
+        # equality check alone lets it through
+        doc = json.loads(emit_tensor(build_algorithm(2, 3)))
+        tamper(doc)
+        with pytest.raises(ValueError, match=f"tensor {what} must be of type"):
+            parse_tensor(json.dumps(doc))
+
+    def test_directly_constructed_algorithm_round_trips(self):
+        # the ledger is the plan's own: a constructed algorithm cannot carry
+        # contributions that its emitted tensor would then fail to parse with
+        algo = build_algorithm(2, 3)
+        direct = BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, algo.recon)
+        blob = emit_tensor(direct)
+        assert blob == emit_tensor(algo)
+        assert emit_tensor(parse_tensor(blob)) == blob
+        with pytest.raises(TypeError):
+            BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, algo.recon, (9, 9, 9, 9))
+
     def test_wrong_shapes_rejected_on_construction(self):
         # the (4,3) tensor with one column too many in forms and one row too
         # many in recon once passed exhaustive verification
@@ -634,4 +667,4 @@ class TestTensorSerialization:
         forms = fields.Matrix.from_rows(algo.base, [row + [0] for row in algo.forms.to_int_lists()])
         recon = fields.Matrix.from_rows(algo.base, algo.recon.to_int_lists() + [[0] * algo.rank])
         with pytest.raises(ValueError, match="needs rank 5, 5 x 3 forms, 3 x 5 recon"):
-            BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon, algo.contributions)
+            BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -21,11 +22,11 @@ from symrank.primes import (
 
 class TestSieve:
     def test_small(self):
-        assert sieve(10).primes == (2, 3, 5, 7)
+        assert sieve(10) == (2, 3, 5, 7)
 
     def test_counts(self):
-        assert len(sieve(100).primes) == 25
-        assert len(sieve(10**6).primes) == 78498
+        assert len(sieve(100)) == 25
+        assert len(sieve(10**6)) == 78498
 
     def test_limits(self):
         with pytest.raises(ValueError):
@@ -34,17 +35,14 @@ class TestSieve:
             sieve(10**9 + 1)
 
     def test_lookups(self):
-        t = sieve(100)
-        assert t.prev_prime(97) == 97
-        assert t.prev_prime(96) == 89
-        assert t.next_prime(89) == 97
-        assert t.count_between(89, 97) == 0
-        assert t.count_between(7, 23) == 4  # 11, 13, 17, 19 (endpoints excluded)
-        assert 89 in t.primes and 91 not in t.primes
-        # stepping by primality test agrees with the table
-        for x in range(2, 97):
-            assert prev_prime(x) == t.prev_prime(x)
-            assert next_prime(x) == t.next_prime(x)
+        # stepping by primality test agrees with the sieve, through is_prime's
+        # trial-division range (below 43**2) and the selftest pair sweep's range
+        ps = sieve(20100)
+        assert ps[-1] > next_prime(20000)
+        for x in range(2, 20001):
+            i = bisect_right(ps, x)
+            assert prev_prime(x) == ps[i - 1], x
+            assert next_prime(x) == ps[i], x
         assert next_prime(0) == next_prime(1) == 2
         with pytest.raises(ValueError):
             prev_prime(1)
@@ -93,7 +91,7 @@ class TestVerifyGaps:
     @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(21, 40)])
     def test_matches_reference_scan_every_small_limit(self, alpha):
         # the successor of the last prime below the limit may lie past it
-        ps = sieve(1000).primes
+        ps = sieve(1000)
         c, d = alpha.numerator, alpha.denominator
         for limit in range(3, 401):
             gaps = [(l, l1 - l) for l, l1 in zip(ps, ps[1:]) if l < limit]
@@ -110,14 +108,14 @@ class TestVerifyGaps:
     def test_exact_comparison_matches_high_precision(self):
         """The integer decision gap**d <= l**c agrees with 50-digit logs."""
         getcontext().prec = 50
-        table = sieve(10**6)
+        ps = sieve(10**6)
         rng = random.Random(4242)
-        idx = rng.sample(range(len(table.primes) - 1), 10**4)
+        idx = rng.sample(range(len(ps) - 1), 10**4)
         for alpha in (Fraction(2, 3), Fraction(21, 40)):
             c, d = alpha.numerator, alpha.denominator
             for i in idx[:5000]:
-                l = table.primes[i]
-                gap = table.primes[i + 1] - l
+                l = ps[i]
+                gap = ps[i + 1] - l
                 exact = gap**d > l**c
                 approx = Decimal(gap).ln() * d > Decimal(l).ln() * c
                 assert exact == approx, (l, gap, alpha)
@@ -170,29 +168,29 @@ class TestSelectPair:
 
     def test_generic_inequalities_full_sweep(self):
         """Both proof-side inequalities hold exactly whenever no skip occurred."""
-        table = sieve(50000)
+        ps = sieve(50000)
         for p in (5, 7, 13, 17, 19):
             for n in range(p, 5001):
                 for fam in (PairFamily.QUADRATIC_GENERIC, PairFamily.PRIME_GENERIC):
                     try:
-                        pair = select_pair(p, n, fam, table)
+                        pair = select_pair(p, n, fam)
                     except PairSelectionError:
                         continue
                     if pair.skipped:
                         continue
                     lk, lk1 = pair.l_k, pair.l_k1
-                    assert (lk, lk1) == (table.prev_prime(int(pair.threshold)), table.next_prime(lk))
+                    i = bisect_right(ps, int(pair.threshold))
+                    assert (lk, lk1) == ps[i - 1 : i + 1]
                     assert (p - 1) * (lk1 + 1) > 2 * n + 2 * lk1 - 2
                     assert (p - 1) * (lk + 1) <= 2 * n + 2 * lk - 2
-                    assert table.count_between(lk, lk1) == 0
 
     def test_eleven_inequalities_full_sweep(self):
-        table = sieve(50000)
+        ps = sieve(50000)
         p = 11
         for n in range(p, 5001):
             for fam in (PairFamily.QUADRATIC_ELEVEN, PairFamily.PRIME_ELEVEN):
                 try:
-                    pair = select_pair(p, n, fam, table)
+                    pair = select_pair(p, n, fam)
                 except PairSelectionError:
                     continue
                 if pair.skipped:
@@ -200,14 +198,13 @@ class TestSelectPair:
                 lk, lk1 = pair.l_k, pair.l_k1
                 assert (p - 1) * (lk1 + 1) > n + 2 * lk1
                 assert (p - 1) * (lk + 1) <= n + 2 * lk
-                assert table.count_between(lk, lk1) == 0
+                assert ps[bisect_right(ps, lk)] == lk1
 
     def test_pair_brackets_threshold_even_with_skips(self):
-        table = sieve(50000)
         for p in (5, 7, 13):
             for n in range(p, 2001, 7):
                 try:
-                    pair = select_pair(p, n, PairFamily.QUADRATIC_GENERIC, table)
+                    pair = select_pair(p, n, PairFamily.QUADRATIC_GENERIC)
                 except PairSelectionError:
                     continue
                 assert pair.l_k <= pair.threshold < pair.l_k1
