@@ -16,7 +16,6 @@ from .bounds import (
 from .curves import CurveFamilyData, Gamma0Data, check_rr_hypothesis, family_data, genus_X0
 from .fields import (
     ExtensionField,
-    FieldElement,
     Matrix,
     PrimeField,
     SingularMatrixError,

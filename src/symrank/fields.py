@@ -1,7 +1,8 @@
 """Exact arithmetic in prime fields, one-step extension towers, polynomials
 and dense linear algebra over them.
 
-Every field value is an integer: the canonical code of its element.
+Every field value is an integer, the canonical code of its element; no
+object wraps it.
 
 * In a prime field the code is the residue in [0, p).
 * In an extension of degree n over a field of order q it is
@@ -51,69 +52,6 @@ class SingularMatrixError(ValueError):
         self.pivot_col = pivot_col
 
 
-class FieldElement:
-    """A field value bound to its field, with operator arithmetic.
-
-    Thin wrapper for API ergonomics; hot paths use the field methods on codes
-    directly.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.order
-        raise TypeError(f"cannot coerce {other!r} into {self.field}")
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return FieldElement(self.field, self.field.inv(self.field.pow(self.value, -k)))
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.value))
-
-    def __repr__(self):
-        return f"{self.field}({self.value})"
-
-    def to_int(self) -> int:
-        """The element's canonical code."""
-        return self.value
-
-
 class Field:
     """What every field offers on its codes besides its arithmetic."""
 
@@ -121,21 +59,6 @@ class Field:
 
     zero = 0
     one = 1
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
-    def element(self, v) -> FieldElement:
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise ValueError("field mismatch")
-            return v
-        if isinstance(v, int):
-            return FieldElement(self, v % self.order)
-        raise TypeError(f"cannot build {self} element from {v!r}")
 
 
 class PrimeField(Field):
@@ -281,13 +204,6 @@ class ExtensionField(Field):
             a = self.mul(a, a)
             k >>= 1
         return result
-
-    def element(self, v) -> FieldElement:
-        if isinstance(v, (tuple, list)):  # coordinates over the base, low degree first
-            if len(v) > self.degree:
-                raise ValueError(f"too many coordinates for {self}")
-            return FieldElement(self, self.from_digits([self.base.element(c).value for c in v]))
-        return super().element(v)
 
     def random(self, rng) -> int:
         return self.from_digits([self.base.random(rng) for _ in range(self.degree)])

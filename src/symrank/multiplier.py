@@ -40,7 +40,6 @@ from .fields import (
     CODE_TABLE_CAP,
     ExtensionField,
     Field,
-    FieldElement,
     Matrix,
     _code_tables,
     invert,
@@ -132,6 +131,10 @@ class EvalPlan:
     deg2_places: tuple  # monic irreducible quadratics, canonical order
     total_degree: int
 
+    def __post_init__(self):
+        if self.total_degree != self.rational_slots + 2 * len(self.deg2_places):
+            raise ValueError("plan total_degree is inconsistent with its places")
+
     @property
     def rational_slots(self) -> int:
         return len(self.rational_nodes) + (1 if self.use_infinity else 0)
@@ -167,8 +170,8 @@ def plan_evaluation(q: int, n: int, allow_deg2: bool = True) -> EvalPlan:
     degree is wasted (cost drops by 1).  Infeasibility mirrors the genus-0
     point-count hypotheses exactly.
     """
-    if n < 2:
-        raise ValueError("plan_evaluation requires n >= 2")
+    if n < 1:
+        raise ValueError("plan_evaluation requires n >= 1")
     base = make_field(q)
     required = 2 * n - 1
     rational_capacity = q + 1
@@ -187,9 +190,7 @@ def plan_evaluation(q: int, n: int, allow_deg2: bool = True) -> EvalPlan:
     use_infinity = slots > q
     places = tuple(itertools.islice(irreducible_polys(base, 2), deg2_count))
     assert len(places) == deg2_count
-    total = len(nodes) + (1 if use_infinity else 0) + 2 * deg2_count
-    assert total == required
-    return EvalPlan(q, n, nodes, use_infinity, places, total)
+    return EvalPlan(q, n, nodes, use_infinity, places, required)
 
 
 @dataclass(frozen=True)
@@ -261,8 +262,6 @@ def _check_plan(base: Field, n: int, plan: EvalPlan) -> None:
     """Reject a supplied or read plan that does not fit the degree-n extension of base."""
     if plan.q != base.order or plan.n != n:
         raise ValueError("plan does not match the requested field")
-    if plan.total_degree != plan.rational_slots + 2 * len(plan.deg2_places):
-        raise ValueError("plan total_degree is inconsistent with its places")
     if plan.total_degree < 2 * n - 1:
         raise ValueError("plan total degree is below 2n-1")
     if len(set(plan.rational_nodes)) != len(plan.rational_nodes):
@@ -322,15 +321,13 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
     return Matrix.from_rows(base, forms_rows), reduce_q @ invert(square) @ s_picked
 
 
-def multiply(algo: BilinearAlgorithm, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Multiply through the decomposition: forms, pointwise products, recon."""
-    if x.field != algo.ext or y.field != algo.ext:
-        raise ValueError("operands do not live in the algorithm's extension")
-    return FieldElement(algo.ext, _apply(algo, x.value, y.value))
-
-
-def _apply(algo: BilinearAlgorithm, x: int, y: int) -> int:
+def multiply(algo: BilinearAlgorithm, x: int, y: int) -> int:
+    """Multiply element codes through the decomposition: forms, pointwise
+    products, recon."""
     ext, base = algo.ext, algo.base
+    for v in (x, y):
+        if type(v) is not int or not 0 <= v < ext.order:
+            raise ValueError(f"operand {v!r} is not an element code of {ext}")
     fx = algo.forms.matvec(ext.digits(x))
     fy = algo.forms.matvec(ext.digits(y))
     w = [base.mul(a, b) for a, b in zip(fx, fy)]
@@ -414,14 +411,14 @@ def _seeded_codes(rng: random.Random, order: int) -> Iterator[int]:
 
 def _mismatch(algo: BilinearAlgorithm, x: int, y: int) -> VerificationError:
     """The error for a failing pair, both products taken by the scalar routes."""
-    return VerificationError(algo.q, algo.n, x, y, algo.ext.mul(x, y), _apply(algo, x, y))
+    return VerificationError(algo.q, algo.n, x, y, algo.ext.mul(x, y), multiply(algo, x, y))
 
 
 def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
     """Check (x code, y code) pairs one at a time, in the given order."""
     ext = algo.ext
     for x, y in pairs:
-        if _apply(algo, x, y) != ext.mul(x, y):
+        if multiply(algo, x, y) != ext.mul(x, y):
             raise _mismatch(algo, x, y)
 
 
@@ -654,9 +651,9 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
     """Rebuild an algorithm from emit_tensor output; verify() re-checks it.
 
     Every base-field code in the document is type- and range-checked here,
-    the one place where codes come from outside; q, n, rank and total_degree
-    must be JSON integers and use_infinity a boolean, and the ledger and
-    shapes must fit the plan."""
+    the one place where codes come from outside; q, n, rank, total_degree
+    and the ledger's cost and contributions must be JSON integers and
+    use_infinity a boolean, and the ledger and shapes must fit the plan."""
     doc = json.loads(text)
     q, n = _json_typed(doc["q"], int, "q"), _json_typed(doc["n"], int, "n")
     base = make_field(q)
@@ -679,7 +676,9 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
         _json_typed(ledger["plan"]["total_degree"], int, "total_degree"),
     )
     _check_plan(base, n, plan)
-    if ledger["plan"]["cost"] != plan.cost or tuple(ledger["contributions"]) != plan.contributions:
+    cost = _json_typed(ledger["plan"]["cost"], int, "cost")
+    contributions = tuple(_json_typed(c, int, "contribution") for c in ledger["contributions"])
+    if cost != plan.cost or contributions != plan.contributions:
         raise ValueError("tensor ledger is inconsistent: cost or contributions disagree with its plan")
     ext = ExtensionField(base, n, modulus)
     forms = Matrix.from_rows(base, [codes(row) for row in doc["forms"]])

@@ -194,6 +194,22 @@ class TestMultCommand:
         assert doc["verification"]["failures"] == 0
         assert doc["verification"]["pairs_checked"] == 64
 
+    @pytest.mark.parametrize("q,route", [(5, "table kernel"), (257, "scalar route")])
+    def test_degree_one_answers_rank_one(self, capsys, q, route):
+        # GF(q^1): one rational node, rank 2n-1 = 1, all q**2 pairs checked
+        code, out = run(capsys, "mult", "--q", str(q), "--n", "1")
+        assert code == 0, route
+        doc = json.loads(out)
+        assert doc["plan"]["rational_nodes"] == [0] and doc["rank"] == 1
+        assert doc["envelope"] == {"case": 1, "value": 1}
+        assert doc["verification"] == {
+            "mode": "exhaustive", "pairs_checked": q * q, "failures": 0, "rank": 1, "envelope": 1
+        }
+
+    def test_degree_zero_is_usage_error(self, capsys):
+        code, out = run(capsys, "mult", "--q", "5", "--n", "0")
+        assert (code, json.loads(out)) == (1, {"error": "usage", "reason": "plan_evaluation requires n >= 1"})
+
     def test_infeasible(self, capsys):
         code, out = run(capsys, "mult", "--q", "2", "--n", "4", "--allow-deg2")
         assert code == 2

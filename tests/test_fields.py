@@ -313,7 +313,7 @@ class TestCodeField:
         for q in (2, 9, 16, 64):
             f = make_field(q)
             F = oracle_of(f)
-            for a in f.elements():
+            for a in range(f.order):
                 assert F.add(a, f.neg(a)) == 0
                 if a:
                     assert F.mul(a, f.inv(a)) == 1
@@ -423,29 +423,23 @@ class TestExtensionAgainstOracle:
 class TestFieldArithmetic:
     def test_f4_modulus_relation(self):
         f4 = make_field(4)
-        t = f4.element(2)
-        assert (t * t).to_int() == 3  # t^2 = t + 1
+        assert f4.mul(2, 2) == 3  # t^2 = t + 1
 
     def test_f5_product(self):
         f5 = make_field(5)
-        assert (f5.element(3) * f5.element(4)).to_int() == 2
+        assert f5.mul(3, 4) == 2
 
     def test_f4_square_of_one_plus_t(self):
         f4 = make_field(4)
-        x = f4.element(3)
-        assert (x * x).to_int() == 2
+        assert f4.mul(3, 3) == 2
 
     def test_division_by_zero_is_distinct(self):
         f5 = make_field(5)
         with pytest.raises(ZeroDivisionError):
-            f5.element(3) / f5.element(0)
+            f5.inv(0)
         f4 = make_field(4)
         with pytest.raises(ZeroDivisionError):
             f4.inv(f4.zero)
-
-    def test_mismatched_fields_rejected(self):
-        with pytest.raises(ValueError):
-            make_field(4).element(1) + make_field(5).element(1)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 4, 8, 9, 25, 27])
     def test_axioms_on_random_triples(self, q):
@@ -475,9 +469,8 @@ class TestFieldArithmetic:
     def test_code_round_trip_and_order(self):
         for q in (2, 4, 9, 25):
             f = make_field(q)
-            assert list(f.elements()) == list(range(q))
-            for k in range(q):
-                assert f.element(k).to_int() == k
+            assert f.order == q
+            for k in range(f.order):
                 if isinstance(f, ExtensionField):
                     assert f.from_digits(f.digits(k)) == k
 

@@ -51,9 +51,8 @@ def scalar_first_failure(algo, pairs):
     route disagrees with ext.mul, or None."""
     ext = algo.ext
     for xc, yc in pairs:
-        x, y = ext.element(xc), ext.element(yc)
-        expected = ext.mul(x.value, y.value)
-        got = multiply(algo, x, y).value
+        expected = ext.mul(xc, yc)
+        got = multiply(algo, xc, yc)
         if got != expected:
             return xc, yc, expected, got
     return None
@@ -120,9 +119,18 @@ class TestPlanEvaluation:
                         with pytest.raises(InfeasiblePlanError):
                             plan_evaluation(q, n, allow)
 
-    def test_degree_one_rejected(self):
-        with pytest.raises(ValueError):
-            plan_evaluation(2, 1, True)
+    def test_degree_one_is_a_single_node(self):
+        # GF(q^1) = GF(q) needs 2n-1 = 1 degree: one rational node, rank 1
+        for q in (2, 5, 257):
+            assert plan_evaluation(q, 1) == EvalPlan(q, 1, (0,), False, (), 1)
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            plan_evaluation(2, 0, True)
+
+    def test_inconsistent_total_degree_refused(self):
+        # two nodes and infinity give 3 degrees, not 4; parse_tensor refuses
+        # such a ledger, so no algorithm may be built on it either
+        with pytest.raises(ValueError, match="total_degree is inconsistent"):
+            EvalPlan(2, 2, (0, 1), True, (), 4)
 
 
 class TestBuild:
@@ -267,24 +275,22 @@ class TestGoldenTensors:
 class TestMultiply:
     def test_f4_square_example(self):
         algo = build_algorithm(2, 2)
-        x = algo.ext.element(3)  # 1 + t
-        assert multiply(algo, x, x).to_int() == 2  # t
+        assert multiply(algo, 3, 3) == 2  # (1 + t)^2 = t
 
     def test_unit_and_zero_laws(self):
         algo = build_algorithm(5, 3)
         ext = algo.ext
-        for code in range(0, 125, 17):
-            x = ext.element(code)
-            assert multiply(algo, x, ext.element(1)) == x
-            assert multiply(algo, x, ext.element(0)).to_int() == 0
+        for code in range(0, ext.order, 17):
+            assert multiply(algo, code, ext.one) == code
+            assert multiply(algo, code, ext.zero) == 0
 
     def test_commutativity_random(self):
         algo = build_algorithm(4, 3)
         ext = algo.ext
         rng = random.Random(5150)
         for _ in range(100):
-            x = ext.element(rng.randrange(ext.order))
-            y = ext.element(rng.randrange(ext.order))
+            x = rng.randrange(ext.order)
+            y = rng.randrange(ext.order)
             assert multiply(algo, x, y) == multiply(algo, y, x)
 
     def test_agrees_with_reference_random(self):
@@ -293,14 +299,16 @@ class TestMultiply:
         rng = random.Random(31337)
         for _ in range(200):
             xv, yv = ext.random(rng), ext.random(rng)
-            got = multiply(algo, ext.element(xv), ext.element(yv))
-            assert got.value == ext.mul(xv, yv)
+            assert multiply(algo, xv, yv) == ext.mul(xv, yv)
 
-    def test_wrong_field_rejected(self):
+    @pytest.mark.parametrize("x", [4, -1, 1.0, True], ids=["past-order", "negative", "float", "bool"])
+    def test_non_code_operand_rejected(self, x):
+        # GF(2^2) codes are 0..3; the digits of 4 would silently drop its high digit
         algo = build_algorithm(2, 2)
-        other = make_field(5)
-        with pytest.raises(ValueError):
-            multiply(algo, other.element(1), other.element(2))
+        with pytest.raises(ValueError, match="not an element code of GF"):
+            multiply(algo, 1, x)
+        with pytest.raises(ValueError, match="not an element code of GF"):
+            multiply(algo, x, 1)
 
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3), (5, 3), (9, 2), (16, 2), (31, 2)])
     def test_scalar_loop_agrees_with_vectorized_engine(self, q, n):
@@ -637,9 +645,13 @@ class TestTensorSerialization:
             (lambda d: d["forms"][0].__setitem__(0, True), "code"),
             (lambda d: d["ledger"]["plan"].update(total_degree=5.0), "total_degree"),
             (lambda d: d["ledger"]["plan"].update(use_infinity=1), "use_infinity"),
+            (lambda d: d["ledger"]["plan"].update(cost=6.0), "cost"),
+            (lambda d: d["ledger"]["contributions"].__setitem__(0, True), "contribution"),
+            (lambda d: d["ledger"]["contributions"].__setitem__(3, 3.0), "contribution"),
         ],
         ids=["float-q", "float-n", "float-rank", "float-code", "bool-code",
-             "float-total-degree", "integer-use-infinity"],
+             "float-total-degree", "integer-use-infinity", "float-cost",
+             "bool-contribution", "float-contribution"],
     )
     def test_values_of_the_wrong_json_type_rejected(self, tamper, what):
         # each compares equal to the valid value it replaces, so a range or
