@@ -310,6 +310,13 @@ class TestMultiply:
         with pytest.raises(ValueError, match="not an element code of GF"):
             multiply(algo, x, 1)
 
+    def test_wrong_field_rejected(self):
+        # codes of GF(5) and GF(2^4) that lie past the order of GF(2^2)
+        algo = build_algorithm(2, 2)
+        for x, y in ((1, make_field(5).order - 1), (make_field(16).order - 1, 2)):
+            with pytest.raises(ValueError, match="not an element code of GF"):
+                multiply(algo, x, y)
+
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3), (5, 3), (9, 2), (16, 2), (31, 2)])
     def test_scalar_loop_agrees_with_vectorized_engine(self, q, n):
         # the scalar route over every pair reaches the same verdict as the
