@@ -452,17 +452,17 @@ def default_empirical_policy(limit: int = DEFAULT_SIEVE_LIMIT) -> GapPolicy:
 
 
 def evaluate_cell(
-    p: int, n: int, field: str, closed_policy: GapPolicy, constructive_policy: GapPolicy
+    p: int, n: int, field: str, policy: GapPolicy
 ) -> tuple[BoundReport, BoundReport | InfeasiblePipelineError]:
-    """The closed form of the cell (p, n, field) under closed_policy, and its
-    constructive bound under constructive_policy or the error declining it.
+    """The closed form of the cell (p, n, field) and its constructive bound,
+    or the error declining it, both under policy.
 
     `bound --method all`, `table` and `compare` all evaluate cells here.
     """
     closed_form = closed_form_quadratic if field == QUADRATIC else closed_form_prime
-    closed = closed_form(p, n, closed_policy)
+    closed = closed_form(p, n, policy)
     try:
-        return closed, constructive_bound(p, n, field, constructive_policy)
+        return closed, constructive_bound(p, n, field, policy)
     except InfeasiblePipelineError as exc:
         return closed, exc
 
@@ -519,7 +519,7 @@ def compare_all(p: int, n: int) -> dict:
     asym = {}
     for field, variants in COMPARATORS.items():
         entries = [_entry_from_prior(prior_bound(variant, p, n)) for variant in variants]
-        closed, constructive = evaluate_cell(p, n, field, policy, policy)
+        closed, constructive = evaluate_cell(p, n, field, policy)
         entries.append(_entry_from_report(closed))
         declined = []
         if isinstance(constructive, BoundReport):
@@ -534,7 +534,7 @@ def compare_all(p: int, n: int) -> dict:
         for variant, c in zip(variants, coeffs):
             block[f"prior_{variant}"] = str(c)
             block[f"prior_{variant}_value"] = float(c)
-        block["dominates_priors"] = all(new_coeff < c for c in coeffs)
+        block["dominates_priors"] = _remark_holds(p, field)
         asym[field] = block
     result["asymptotic"] = asym
     return result

@@ -134,7 +134,7 @@ def _cmd_bound(args) -> tuple[str, int]:
         return _emit(report.to_json_dict(), args.format), EXIT_OK
     # method == "all": the closed form plus the constructive route, which may
     # legitimately be infeasible at small n and is then reported in place
-    cell = bounds.evaluate_cell(args.p, args.n, args.field, policy, policy)
+    cell = bounds.evaluate_cell(args.p, args.n, args.field, policy)
     doc = {"p": args.p, "n": args.n, "field": args.field, "reports": [r.to_json_dict() for r in cell]}
     return _emit(doc, args.format), EXIT_OK
 
@@ -159,7 +159,7 @@ def _table_rows(args) -> list[dict]:
                         value_int=math.floor(pb.value_real), valid=True,
                     ))
                 # the constructive bound does not depend on the policy
-                closed, constructive = bounds.evaluate_cell(p, n, field, policy, policy)
+                closed, constructive = bounds.evaluate_cell(p, n, field, policy)
                 rows.append(_report_row(closed, policy.name))
                 if isinstance(constructive, InfeasiblePipelineError):
                     rows.append(_row(

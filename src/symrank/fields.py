@@ -52,16 +52,7 @@ class SingularMatrixError(ValueError):
         self.pivot_col = pivot_col
 
 
-class Field:
-    """What every field offers on its codes besides its arithmetic."""
-
-    __slots__ = ()
-
-    zero = 0
-    one = 1
-
-
-class PrimeField(Field):
+class PrimeField:
     """The field of integers modulo a prime p, 2 <= p < 2**61."""
 
     __slots__ = ("p",)
@@ -123,7 +114,16 @@ def _digits(code: int, q: int, n: int) -> list[int]:
     return out
 
 
-class ExtensionField(Field):
+def _check_codes(field, codes) -> None:
+    """Reject a value that is not an int in [0, field.order): bools and
+    floats compare equal to codes, and lookups would wrap other ints."""
+    order = field.order
+    for c in codes:
+        if type(c) is not int or not 0 <= c < order:
+            raise ValueError(f"code {c!r} out of range for {field}")
+
+
+class ExtensionField:
     """A degree-n extension of a base field in polynomial basis, on codes.
 
     A supplied modulus (base codes, low degree first) must be monic
@@ -152,6 +152,7 @@ class ExtensionField(Field):
             modulus = find_irreducible(base, degree)
         else:
             modulus = tuple(modulus)
+            _check_codes(base, modulus)
             if len(modulus) != degree + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree equal to the extension degree")
             if not is_irreducible(base, modulus):
@@ -271,7 +272,7 @@ class _Unbuilt:
 
 
 @lru_cache(maxsize=None)
-def make_field(q: int) -> Field:
+def make_field(q: int) -> PrimeField | ExtensionField:
     """The field with q elements over its canonical (smallest-code) modulus."""
     if q < PRIMALITY_LIMIT and is_prime(q):  # trial division would take sqrt(q) steps
         return PrimeField(q)
@@ -284,7 +285,7 @@ def make_field(q: int) -> Field:
 
 
 @lru_cache(maxsize=None)
-def _list_tables(field: Field) -> tuple[list, list, list, list]:
+def _list_tables(field: PrimeField | ExtensionField) -> tuple[list, list, list, list]:
     """Add rows, mul rows, negations and inverses (the inverse of 0 reads 0)
     of a field with at most CODE_TABLE_CAP elements, as Python lists.
 
@@ -336,7 +337,7 @@ def _generator_powers(field: ExtensionField) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _code_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
+def _code_tables(field: PrimeField | ExtensionField) -> tuple[np.ndarray, np.ndarray]:
     """The field's add and mul tables as flat read-only intp arrays indexed
     by a*q + b, for 1-D lookups: add holds pre-scaled sums add(a, b)*q, mul
     plain products."""
@@ -355,9 +356,9 @@ def _code_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
 # first, trailing zeros trimmed) and the irreducibility test
 
 
-def _trim(field, coeffs) -> tuple:
+def _trim(coeffs) -> tuple:
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == field.zero:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
@@ -373,21 +374,21 @@ def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     db = len(b) - 1
     # a monic divisor, such as every modulus, needs no inverse (above the
     # code tables an extension inverts by a whole exponentiation)
-    lead_inv = field.one if b[-1] == field.one else field.inv(b[-1])
-    quot = [field.zero] * max(0, len(a) - db)
+    lead_inv = 1 if b[-1] == 1 else field.inv(b[-1])
+    quot = [0] * max(0, len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
         f = rem[i + db]
-        if f == field.zero:
+        if not f:
             continue
         f = field.mul(f, lead_inv)
         quot[i] = f
         for j, c in enumerate(b):
             rem[i + j] = field.sub(rem[i + j], field.mul(f, c))
-    return _trim(field, quot), _trim(field, rem[:db])
+    return _trim(quot), _trim(rem[:db])
 
 
 def poly_eval(field, poly: tuple, x: int) -> int:
-    acc = field.zero
+    acc = 0
     for c in reversed(poly):
         acc = field.add(field.mul(acc, x), c)
     return acc
@@ -397,13 +398,13 @@ def power_rows(field, modulus: tuple, count: int) -> list[list]:
     """u**j mod the monic modulus as coefficient lists of its degree, for
     0 <= j < count."""
     n = len(modulus) - 1
-    cur = [field.one] + [field.zero] * (n - 1)
+    cur = [1] + [0] * (n - 1)
     rows = []
     for _ in range(count):
         rows.append(cur)
         top = cur[-1]
-        cur = [field.zero] + cur[:-1]
-        if top != field.zero:
+        cur = [0] + cur[:-1]
+        if top:
             cur = [field.sub(c, field.mul(top, m)) for c, m in zip(cur, modulus)]
     return rows
 
@@ -420,7 +421,7 @@ def is_irreducible(field, poly: tuple) -> bool:
         return False
     if n == 1:
         return True
-    if poly[-1] == field.zero:
+    if not poly[-1]:
         raise ValueError("polynomial must have nonzero leading coefficient")
     if field.order <= CODE_TABLE_CAP:
         tables = _list_tables(field)
@@ -623,9 +624,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        m = cls(field, n, n, [field.zero] * (n * n))
+        m = cls(field, n, n, [0] * (n * n))
         for i in range(n):
-            m[i, i] = field.one
+            m[i, i] = 1
         return m
 
     def __getitem__(self, ij):
@@ -658,9 +659,9 @@ class Matrix:
         other_rows = [other.row(k) for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            acc = [f.zero] * other.cols
+            acc = [0] * other.cols
             for a, orow in zip(self.row(i), other_rows):
-                if a != f.zero:
+                if a:
                     acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, orow)]
             out.extend(acc)
         return Matrix(f, self.rows, other.cols, out)
@@ -671,10 +672,10 @@ class Matrix:
         f = self.field
         out = []
         for i in range(self.rows):
-            acc = f.zero
+            acc = 0
             base = i * self.cols
             for j, v in enumerate(vec):
-                if v != f.zero:
+                if v:
                     acc = f.add(acc, f.mul(self.entries[base + j], v))
             out.append(acc)
         return out
@@ -697,7 +698,7 @@ def solve_linear(m: Matrix, rhs: Matrix) -> Matrix:
     n = m.rows
     rows = [m.row(i) + rhs.row(i) for i in range(n)]  # augmented [m | rhs]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != f.zero), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(col)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -705,7 +706,7 @@ def solve_linear(m: Matrix, rhs: Matrix) -> Matrix:
         prow = rows[col] = [f.mul(inv, x) for x in rows[col]]
         for r in range(n):
             factor = rows[r][col]
-            if r != col and factor != f.zero:
+            if r != col and factor:
                 rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], prow)]
     return Matrix(f, n, rhs.cols, [x for row in rows for x in row[n:]])
 
@@ -727,9 +728,9 @@ def select_independent_rows(m: Matrix, need: int) -> list[int]:
         row = m.row(i)
         for pc, brow in basis:
             factor = row[pc]
-            if factor != f.zero:
+            if factor:
                 row = [f.sub(x, f.mul(factor, y)) for x, y in zip(row, brow)]
-        pc = next((j for j, x in enumerate(row) if x != f.zero), None)
+        pc = next((j for j, x in enumerate(row) if x), None)
         if pc is None:
             continue
         inv = f.inv(row[pc])
@@ -745,7 +746,7 @@ def all_monic_polys(field, degree: int) -> Iterator[tuple]:
     """Monic degree-d polynomials in canonical (integer code) order."""
     q = field.order
     for code in range(q**degree):
-        yield (*_digits(code, q, degree), field.one)
+        yield (*_digits(code, q, degree), 1)
 
 
 def irreducible_polys(field, degree: int) -> Iterator[tuple]:
@@ -763,7 +764,7 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
     if degree < 1:
         return
     if degree == 1:
-        yield from ((c0, field.one) for c0 in range(q))
+        yield from ((c0, 1) for c0 in range(q))
         return
     if q <= CODE_TABLE_CAP:
         test = partial(_irreducible_codes, _list_tables(field))
@@ -789,8 +790,8 @@ def _candidates(field, degree: int) -> Iterator[tuple]:
     q, p = field.order, field.char
     split = q > p and math.gcd(degree, prime_power_split(q)[1]) > 1
     for high in range(q ** (degree - 1)):  # c_1, ..., c_{d-1} as one code
-        rest = (*_digits(high, q, degree - 1), field.one)
-        if _is_pth_power((field.zero, *rest), p):  # c_0 cannot change it
+        rest = (*_digits(high, q, degree - 1), 1)
+        if _is_pth_power((0, *rest), p):  # c_0 cannot change it
             continue
         for c0 in range(p if split and max(rest) < p else 1, q):
             yield (c0, *rest)
@@ -822,4 +823,4 @@ def _binary_quadratic_candidates(field) -> Iterator[tuple]:
         scale = field.inv(field.mul(c1, c1))
         for c0 in range(1, field.order):
             if trace(c0 if scale == 1 else field.mul(c0, scale)):  # Tr(c_0/c_1**2)
-                yield (c0, c1, field.one)
+                yield (c0, c1, 1)

@@ -39,8 +39,9 @@ from . import jsonout
 from .fields import (
     CODE_TABLE_CAP,
     ExtensionField,
-    Field,
     Matrix,
+    PrimeField,
+    _check_codes,
     _code_tables,
     invert,
     irreducible_polys,
@@ -122,7 +123,8 @@ class VerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class EvalPlan:
-    """Which places of the rational function field the construction consumes."""
+    """Which places of the rational function field the construction
+    consumes; a plan is checked once, on construction."""
 
     q: int
     n: int
@@ -134,6 +136,17 @@ class EvalPlan:
     def __post_init__(self):
         if self.total_degree != self.rational_slots + 2 * len(self.deg2_places):
             raise ValueError("plan total_degree is inconsistent with its places")
+        if self.total_degree < 2 * self.n - 1:
+            raise ValueError("plan total degree is below 2n-1")
+        base = make_field(self.q)
+        _check_codes(base, itertools.chain(self.rational_nodes, *self.deg2_places))
+        if len(set(self.rational_nodes)) != len(self.rational_nodes):
+            raise ValueError("rational nodes must be distinct")
+        if len(set(self.deg2_places)) != len(self.deg2_places):
+            raise ValueError("degree-2 places must be distinct")
+        for pi in self.deg2_places:
+            if len(pi) != 3 or pi[-1] != 1 or not is_irreducible(base, pi):
+                raise ValueError("degree-2 places must be monic irreducible quadratics")
 
     @property
     def rational_slots(self) -> int:
@@ -212,9 +225,10 @@ class BilinearAlgorithm:
         shape = (self.rank, self.forms.rows, self.forms.cols, self.recon.rows, self.recon.cols)
         if shape != (c, c, n, n, c):
             raise ValueError(f"a plan of cost {c} at n = {n} needs rank {c}, {c} x {n} forms, {n} x {c} recon")
+        _check_codes(self.base, itertools.chain(self.forms.entries, self.recon.entries))
 
     @property
-    def base(self) -> Field:
+    def base(self) -> PrimeField | ExtensionField:
         return self.ext.base
 
     @property
@@ -251,26 +265,12 @@ def build_algorithm(
     base = make_field(q)
     if plan is None:
         plan = plan_evaluation(q, n, allow_deg2=True)
-    _check_plan(base, n, plan)
+    elif (plan.q, plan.n) != (q, n):
+        raise ValueError("plan does not match the requested field")
     ext = ExtensionField(base, n, modulus)
     forms, recon = _interpolate(base, plan, ext.modulus)
     assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
     return BilinearAlgorithm(ext, plan, forms.rows, forms, recon)
-
-
-def _check_plan(base: Field, n: int, plan: EvalPlan) -> None:
-    """Reject a supplied or read plan that does not fit the degree-n extension of base."""
-    if plan.q != base.order or plan.n != n:
-        raise ValueError("plan does not match the requested field")
-    if plan.total_degree < 2 * n - 1:
-        raise ValueError("plan total degree is below 2n-1")
-    if len(set(plan.rational_nodes)) != len(plan.rational_nodes):
-        raise ValueError("rational nodes must be distinct")
-    if len(set(plan.deg2_places)) != len(plan.deg2_places):
-        raise ValueError("degree-2 places must be distinct")
-    for pi in plan.deg2_places:
-        if len(pi) != 3 or pi[-1] != base.one or not is_irreducible(base, pi):
-            raise ValueError("degree-2 places must be monic irreducible quadratics")
 
 
 def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
@@ -291,19 +291,19 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
 
     def s_row(values: list) -> list:
         # values at the product columns of the place whose forms come next
-        row = [base.zero] * rank
+        row = [0] * rank
         row[len(forms_rows) : len(forms_rows) + len(values)] = values
         return row
 
     for a in plan.rational_nodes:
         powers = [base.pow(a, j) for j in range(prod_len)]
-        s_rows.append(s_row([base.one]))
+        s_rows.append(s_row([1]))
         forms_rows.append(powers[:n])
         eval_rows.append(powers)
     if plan.use_infinity:
-        s_rows.append(s_row([base.one]))
-        forms_rows.append([base.zero] * (n - 1) + [base.one])
-        eval_rows.append([base.zero] * (prod_len - 1) + [base.one])
+        s_rows.append(s_row([1]))
+        forms_rows.append([0] * (n - 1) + [1])
+        eval_rows.append([0] * (prod_len - 1) + [1])
     for pi in plan.deg2_places:
         sub_forms, sub_recon = _interpolate(base, plan_evaluation(plan.q, 2, allow_deg2=False), pi)
         res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
@@ -650,20 +650,16 @@ def emit_tensor(algo: BilinearAlgorithm) -> str:
 def parse_tensor(text: str) -> BilinearAlgorithm:
     """Rebuild an algorithm from emit_tensor output; verify() re-checks it.
 
-    Every base-field code in the document is type- and range-checked here,
-    the one place where codes come from outside; q, n, rank, total_degree
-    and the ledger's cost and contributions must be JSON integers and
-    use_infinity a boolean, and the ledger and shapes must fit the plan."""
+    Codes, q, n, rank, total_degree and the ledger's cost and contributions
+    must be JSON integers, use_infinity a boolean, and the ledger must agree
+    with the plan; EvalPlan, ExtensionField and BilinearAlgorithm check the
+    rest, code ranges included, as they are built."""
     doc = json.loads(text)
     q, n = _json_typed(doc["q"], int, "q"), _json_typed(doc["n"], int, "n")
     base = make_field(q)
 
     def codes(values) -> tuple:
-        values = tuple(values)
-        for c in values:
-            if not 0 <= _json_typed(c, int, "code") < q:
-                raise ValueError(f"code {c} out of range for {base}")
-        return values
+        return tuple(_json_typed(c, int, "code") for c in values)
 
     modulus = codes(doc["modulus"])
     ledger = doc["ledger"]
@@ -675,7 +671,6 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
         tuple(map(codes, ledger["plan"]["deg2_places"])),
         _json_typed(ledger["plan"]["total_degree"], int, "total_degree"),
     )
-    _check_plan(base, n, plan)
     cost = _json_typed(ledger["plan"]["cost"], int, "cost")
     contributions = tuple(_json_typed(c, int, "contribution") for c in ledger["contributions"])
     if cost != plan.cost or contributions != plan.contributions:

@@ -27,7 +27,7 @@ def corrupted(algo, j=0, k=0, matrix="recon"):
     """A copy of algo with recon[j, k] (or forms[j, k]) moved by one."""
     forms, recon = algo.forms.copy(), algo.recon.copy()
     m = recon if matrix == "recon" else forms
-    m[j, k] = algo.base.add(m[j, k], algo.base.one)
+    m[j, k] = algo.base.add(m[j, k], 1)
     return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon)
 
 
@@ -195,6 +195,23 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_algorithm(5, 2, EvalPlan(5, 2, (0, 1), False, (), 3))  # lying degree
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fields.ExtensionField(make_field(5), 2, (-3, 0, 1)),
+            lambda: fields.ExtensionField(make_field(4), 2, (1, 9, 1)),
+            lambda: fields.ExtensionField(make_field(5), 2, (True, 0, 1)),
+            lambda: build_algorithm(5, 2, EvalPlan(5, 2, (0, 1, 7), False, (), 3)),
+            lambda: build_algorithm(4, 3, EvalPlan(4, 3, (0, 1, 2, 3, 7), False, (), 5)),
+        ],
+        ids=["negative-modulus-code", "modulus-code-past-base", "bool-modulus-code",
+             "node-past-prime-field", "node-past-extension-base"],
+    )
+    def test_library_route_codes_checked(self, make):
+        # the types that hold codes check them, not only parse_tensor
+        with pytest.raises(ValueError, match="code .* out of range for GF"):
+            make()
+
     def test_deterministic_rebuild(self):
         a = emit_tensor(build_algorithm(3, 3))
         b = emit_tensor(build_algorithm(3, 3))
@@ -281,8 +298,8 @@ class TestMultiply:
         algo = build_algorithm(5, 3)
         ext = algo.ext
         for code in range(0, ext.order, 17):
-            assert multiply(algo, code, ext.one) == code
-            assert multiply(algo, code, ext.zero) == 0
+            assert multiply(algo, code, 1) == code
+            assert multiply(algo, code, 0) == 0
 
     def test_commutativity_random(self):
         algo = build_algorithm(4, 3)
