@@ -55,6 +55,7 @@ EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
 EXHAUSTIVE_CHUNK = 1 << 14  # about this many exhaustive-mode pairs per pass
+LAZY_BITS = 16  # exhaustive-mode row-table values and their sums are uint16
 RANDOM_CHUNK = EXHAUSTIVE_CHUNK // 2  # random-mode pairs per pass: 2^14 x and y codes
 
 
@@ -134,6 +135,15 @@ class EvalPlan:
     total_degree: int
 
     def __post_init__(self):
+        # bools and floats compare equal to the ints they stand for, so only
+        # the type tells them apart; emit_tensor would write them as given
+        for name, kind in (("q", int), ("n", int), ("use_infinity", bool), ("total_degree", int)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ValueError(f"plan {name} must be of type {kind.__name__}, got {value!r}")
+        for pi in self.deg2_places:
+            if type(pi) is not tuple:
+                raise ValueError(f"a degree-2 place must be a tuple of codes, got {pi!r}")
         if self.total_degree != self.rational_slots + 2 * len(self.deg2_places):
             raise ValueError("plan total_degree is inconsistent with its places")
         if self.total_degree < 2 * self.n - 1:
@@ -364,9 +374,11 @@ def verify(
     offending pair, the first one in code order or stream order.  Over base
     fields with q <= CODE_TABLE_CAP both modes are vectorized on code
     tables: the exhaustive check gathers each term of both routes from a
-    per-x row table over all y (`_exhaustive_check`), random mode runs the
-    pairwise kernel (`_CodeKernel.first_mismatch`).  Above the cap each pair
-    goes through the scalar routes.
+    per-x row table over all y, sums a coordinate's terms by integer adds
+    (XOR in characteristic 2) and reduces the sum once
+    (`_exhaustive_check`); random mode runs the pairwise kernel
+    (`_CodeKernel.first_mismatch`).  Above the cap each pair goes through
+    the scalar routes.
     """
     q, n = algo.q, algo.n
     pair_count = q ** (2 * n)
@@ -548,12 +560,14 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
       where M_x[j][j'] = sum over i of x_i*R[i+j'][j] comes from the
       reduction rows R[k] = u**k mod modulus.
 
-    The terms of a coordinate are summed by lookups in the add table, the
-    first from a pre-scaled table so that the sums come out pre-scaled.
-    Rows j with equal recon[j][k] share T_jk (pre-scaled or not), so there
-    are at most nnz(recon) + n tables.  They hold uint16 codes (pre-scaled
-    ones are below q*q <= 2**16), q * q**n * 2 bytes each: at most 3.5 MiB
-    in all at (q, n) = (64, 2).
+    Coordinate j of x*y minus the tensor route's product is the sum of its
+    n reference terms and its nnz(recon[j]) tensor terms, stored negated,
+    and the pair passes iff that sum is 0 in every coordinate.  The tables
+    hold the values in a carry-free form (`_LazySum`), so the terms are
+    summed by plain integer adds, or XOR in characteristic 2, and reduced
+    once per coordinate.  Rows j with equal recon[j][k] share T_jk, so
+    there are at most nnz(recon) + n tables.  They hold uint16 values,
+    q * q**n * 2 bytes each: at most 3.5 MiB in all at (q, n) = (64, 2).
     """
     q, n, qn = algo.q, algo.n, algo.ext.order
     kernel = _CodeKernel(algo, qn * qn)
@@ -561,45 +575,82 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
     phi = [f // q for f in kernel.linear_values(kernel.forms, coeffs)]
     m_rows = [[kernel.red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
     m_x = [f // q for f in kernel.linear_values(m_rows, coeffs)]  # M_x[j][j'] at j*n + j'
-    add = kernel.add.astype(np.uint16)
-    mul = kernel.mul.astype(np.uint16).reshape(q, q)
-    s = [mul.take(y, axis=1) for y in coeffs]  # S_j'
-    s[0] *= q  # the first term of every reference coordinate
-    ref_terms = [list(zip(m_x[j * n : (j + 1) * n], s)) for j in range(n)]
-    got_terms = []
-    tables = {}  # T_jk by (recon[j][k], k, pre-scaled), shared by rows j
-    for row in kernel.recon:
-        terms = []
-        for k, c in enumerate(row):
-            if c:
-                key = (c, k, not terms)
-                if key not in tables:
-                    composed = mul[c].take(mul)  # mul(c, mul(a, b)) at [a, b]
-                    if not terms:
-                        composed *= q
-                    tables[key] = composed.take(phi[k], axis=1)
-                terms.append((phi[k], tables[key]))
-        got_terms.append(terms or [(np.zeros(qn, np.intp), np.zeros((1, qn), np.uint16))])
+    mul = kernel.mul.reshape(q, q)
+    terms = [[(c, k) for k, c in enumerate(row) if c] for row in kernel.recon]
+    lazy = _LazySum(algo.base, n + max(map(len, terms)))
+    prod = lazy.spread.take(mul)  # mul(a, b) at [a, b], carry-free
+    s = [prod.take(y, axis=1) for y in coeffs]  # S_j'
+    tables = {}  # -T_jk by (recon[j][k], k), shared by rows j
+    for c, k in set(itertools.chain(*terms)):
+        tables[c, k] = prod[algo.base.neg(c)].take(mul).take(phi[k], axis=1)
+    coord_terms = [
+        list(zip(m_x[j * n : (j + 1) * n], s)) + [(phi[k], tables[c, k]) for c, k in row]
+        for j, row in enumerate(terms)
+    ]
     rows = max(1, EXHAUSTIVE_CHUNK // qn)
     for start in range(0, qn, rows):
         chunk = slice(start, start + rows)
-        bad = _first_difference(
-            [_gather_sum(add, terms, chunk) for terms in ref_terms],
-            [_gather_sum(add, terms, chunk) for terms in got_terms],
-        )
+        sums = [lazy.sum(t, chunk) for t in coord_terms]
+        bad = _first_difference([np.zeros_like(sums[0])] * n, sums)
         if bad is not None:
             bx, by = bad
             raise _mismatch(algo, start + int(bx), int(by))
 
 
-def _gather_sum(add: np.ndarray, terms: list, chunk: slice) -> np.ndarray:
-    """The sum, pre-scaled, over (x index, row table) terms of each table's
-    rows at the chunk's x indices."""
-    acc = None
-    for index, table in terms:
-        rows = table.take(index[chunk], axis=0)
-        acc = rows if acc is None else add.take(acc + rows)
-    return acc
+class _LazySum:
+    """Sums of base-field values as plain integers, reduced lazily.
+
+    The base field has order q = p**m, and its codes add digitwise mod p in
+    base p.  A value c = sum of d_i*p**i is stored carry-free as spread[c] =
+    sum of d_i*2**(bits*i), in uint16: a sum of such values keeps each digit
+    sum in its own bits-wide field while no field passes 2**bits - 1, and
+    the lookup fold[s] sends a sum back to the carry-free form of the field
+    sum.  bits = bit_length(terms*(p-1)) lets a field hold `terms` terms,
+    so a sum of at most that many is folded once, at the end.  Where
+    bits*m would pass LAZY_BITS, bits shrinks to fit and a longer sum is
+    folded each time a field is full.  No canonical algorithm that
+    exhaustive mode allows needs that: the widest, over GF(3**5) at n = 1,
+    takes 15 bits.
+
+    In characteristic 2, bits = 1 and XOR is the field addition on codes,
+    so spread is the identity and no sum is ever folded.
+    """
+
+    def __init__(self, field: PrimeField | ExtensionField, terms: int):
+        q, p = field.order, field.char
+        m = 1
+        while p**m < q:
+            m += 1
+        if p == 2:
+            self.bits, self.capacity, self.fold = 1, terms, None
+            self.spread = np.arange(q, dtype=np.uint16)
+            return
+        self.bits = bits = min((terms * (p - 1)).bit_length(), LAZY_BITS // m)
+        self.capacity = ((1 << bits) - 1) // (p - 1)  # terms a field holds
+        self.spread = _spread(_code_digits(np.arange(q), p, m), bits)
+        mask = (1 << bits) - 1
+        self.fold = _spread([((np.arange(1 << bits * m) >> bits * i) & mask) % p for i in range(m)], bits)
+
+    def sum(self, terms: list, chunk: slice) -> np.ndarray:
+        """The sum, carry-free and reduced, over (x index, row table) terms
+        of each table's rows at the chunk's x indices."""
+        combine = np.add if self.fold is not None else np.bitwise_xor
+        acc, held = None, 0
+        for index, table in terms:
+            rows = table.take(index[chunk], axis=0)
+            if acc is None:
+                acc = rows
+            else:
+                if held == self.capacity:
+                    acc, held = self.fold.take(acc), 1
+                combine(acc, rows, out=acc)
+            held += 1
+        return acc if self.fold is None else self.fold.take(acc)
+
+
+def _spread(digits: list[np.ndarray], bits: int) -> np.ndarray:
+    """sum of digits[i] << bits*i, as uint16."""
+    return sum(d.astype(np.uint16) << np.uint16(bits * i) for i, d in enumerate(digits))
 
 
 def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 
@@ -131,6 +132,27 @@ class TestPlanEvaluation:
         # such a ledger, so no algorithm may be built on it either
         with pytest.raises(ValueError, match="total_degree is inconsistent"):
             EvalPlan(2, 2, (0, 1), True, (), 4)
+
+    @pytest.mark.parametrize(
+        "args,reason",
+        [
+            ((5, 2, (0, 1), 1, (), 3), "use_infinity must be of type bool, got 1"),
+            ((5, 2, (0, 1, 2), False, (), 3.0), "total_degree must be of type int, got 3.0"),
+            ((5, 2, (0, 1, 2), False, (), True), "total_degree must be of type int, got True"),
+            ((True, 1, (0,), False, (), 1), "q must be of type int, got True"),
+            ((5, 2.0, (0, 1, 2), False, (), 3), "n must be of type int, got 2.0"),
+        ],
+        ids=["integer-use-infinity", "float-total-degree", "bool-total-degree", "bool-q", "float-n"],
+    )
+    def test_fields_of_the_wrong_type_refused(self, args, reason):
+        # each compares equal to the valid value it stands for, so the plan
+        # used to build and verify, and parse_tensor then refused its tensor
+        with pytest.raises(ValueError, match=f"plan {reason}"):
+            EvalPlan(*args)
+
+    def test_place_given_as_a_list_refused(self):
+        with pytest.raises(ValueError, match=r"degree-2 place must be a tuple of codes, got \[1, 1, 1\]"):
+            EvalPlan(2, 3, (0, 1), True, ([1, 1, 1],), 5)
 
 
 class TestBuild:
@@ -405,12 +427,27 @@ class TestVerify:
         assert reported(exc) == scalar_first_failure(bad, seeded_pairs(bad.ext.order, 3, 500))
 
     @pytest.mark.parametrize(
-        "q,n,i,j", [(2, 2, 0, 0), (5, 3, 1, 0), (4, 3, 4, 2), (9, 3, 4, 2), (11, 3, 1, 0)]
+        "q,n,i,j",
+        [(2, 2, 0, 0), (5, 3, 1, 0), (4, 3, 4, 2), (9, 3, 4, 2), (11, 3, 1, 0),
+         (25, 2, 2, 1), (27, 2, 2, 1), (49, 2, 2, 1), (64, 2, 2, 1)],
     )
     def test_corrupted_forms_detected_exhaustive(self, q, n, i, j):
         # forms[i, j] moved by one (over GF(2), (0, 0) leaves a zero row); a
         # move that only scales a row by -1 would leave the algorithm correct
         bad = corrupted(build_algorithm(q, n), i, j, "forms")
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+
+    @pytest.mark.parametrize("q,n", [(25, 2), (27, 2), (49, 2), (64, 2)])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_corrupted_recon_over_extension_bases(self, q, n, j):
+        # odd characteristic bases of 2 and 3 digit fields, and XOR over
+        # GF(64): a moved recon entry of the last slot is reported at the
+        # scalar loop's first failure in code order
+        algo = build_algorithm(q, n)
+        assert verify(algo, "exhaustive").failures == 0
+        bad = corrupted(algo, j, algo.rank - 1)
         with pytest.raises(VerificationError) as exc:
             verify(bad, "exhaustive")
         assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
@@ -508,35 +545,37 @@ class TestRowTableKernel:
 
     def test_row_tables_are_uint16(self, monkeypatch):
         dtypes = set()
-        gather_sum = multiplier._gather_sum
+        lazy_sum = multiplier._LazySum.sum
 
-        def spy(add, terms, chunk):
+        def spy(self, terms, chunk):
             dtypes.update(table.dtype for _, table in terms)
-            return gather_sum(add, terms, chunk)
+            return lazy_sum(self, terms, chunk)
 
-        monkeypatch.setattr(multiplier, "_gather_sum", spy)
-        for q, n in ((5, 3), (4, 3), (16, 2)):
+        monkeypatch.setattr(multiplier._LazySum, "sum", spy)
+        for q, n in ((5, 3), (4, 3), (16, 2), (64, 2)):
             verify(build_algorithm(q, n), "exhaustive")
         assert dtypes == {np.dtype(np.uint16)}
 
     def test_rows_with_equal_recon_entries_share_tables(self, monkeypatch):
-        # (3, 5): 39 nonzero recon entries give 22 distinct (recon[j][k], k,
-        # first of its row) keys; the other 5 tables are the reference's S_j'
+        # (3, 5): 39 nonzero recon entries give 21 distinct (recon[j][k], k)
+        # keys; the other 5 tables are the reference's S_j'
         tables = set()
-        gather_sum = multiplier._gather_sum
+        lazy_sum = multiplier._LazySum.sum
 
-        def spy(add, terms, chunk):
+        def spy(self, terms, chunk):
             tables.update(id(table) for _, table in terms)
-            return gather_sum(add, terms, chunk)
+            return lazy_sum(self, terms, chunk)
 
-        monkeypatch.setattr(multiplier, "_gather_sum", spy)
-        verify(build_algorithm(3, 5), "exhaustive")
-        assert len(tables) == 22 + 5
+        monkeypatch.setattr(multiplier._LazySum, "sum", spy)
+        algo = build_algorithm(3, 5)
+        verify(algo, "exhaustive")
+        assert sum(map(bool, algo.recon.entries)) == 39
+        assert len(tables) == 21 + 5
 
     @pytest.mark.parametrize("q,n", [(5, 2), (13, 2), (3, 5)])
     def test_entry_first_in_one_row_and_later_in_another(self, q, n):
-        # an entry recon[j][k] = c that starts one row (its table pre-scaled)
-        # and follows another row's first term (its table plain) needs both
+        # an entry recon[j][k] = c that starts one row and follows another
+        # row's first term is one table, summed at both places
         algo = build_algorithm(q, n, plan_evaluation(q, n, True))
         firsts, later = set(), set()
         for row in algo.recon.to_int_lists():
@@ -545,6 +584,59 @@ class TestRowTableKernel:
             later.update(terms[1:])
         assert firsts & later
         assert verify(algo, "exhaustive").failures == 0
+
+    @pytest.mark.parametrize("q,n", [(64, 2), (16, 3), (32, 2), (27, 2), (4, 6), (243, 1)])
+    def test_digit_fields_hold_every_sum(self, monkeypatch, q, n):
+        # the widest cells: a coordinate sums n reference terms and
+        # nnz(recon[j]) tensor terms, each digit at most p - 1, so an odd
+        # characteristic field needs room for K*(p-1), K = n + max nnz, to
+        # be folded once; XOR in characteristic 2 needs one bit.  All m
+        # fields of a base code fit uint16.
+        made = []
+
+        class Spy(multiplier._LazySum):
+            def __init__(self, field, terms):
+                super().__init__(field, terms)
+                made.append((terms, self))
+
+        monkeypatch.setattr(multiplier, "_LazySum", Spy)
+        algo = build_algorithm(q, n)
+        assert verify(algo, "exhaustive").failures == 0
+        ((terms, lazy),) = made
+        p, m = algo.base.char, round(math.log(q, algo.base.char))
+        assert terms == n + max(sum(map(bool, row)) for row in algo.recon.to_int_lists())
+        if p == 2:
+            assert lazy.bits == 1 and lazy.fold is None
+        else:
+            assert terms * (p - 1) < 1 << lazy.bits and lazy.capacity >= terms
+            assert lazy.fold.dtype == np.uint16 and len(lazy.fold) == 1 << lazy.bits * m
+        assert lazy.bits * m <= 16 and lazy.spread.dtype == np.uint16
+        assert lazy.spread.tolist() == [
+            sum((c // p**i % p) << lazy.bits * i for i in range(m)) for c in range(q)
+        ]
+
+    @pytest.mark.parametrize("q,n,bits", [(5, 3, 4), (9, 3, 6), (27, 2, 9)])
+    def test_full_fields_are_folded(self, monkeypatch, q, n, bits):
+        # with fields too narrow for all K terms, a sum is folded each time
+        # a field is full: correct algorithms pass and a corrupted one is
+        # reported at the scalar loop's first failure
+        monkeypatch.setattr(multiplier, "LAZY_BITS", bits)
+        algo = build_algorithm(q, n)
+        assert verify(algo, "exhaustive").failures == 0
+        for bad in (corrupted(algo, n - 1, algo.rank - 1), corrupted(algo, 1, n - 1, "forms")):
+            with pytest.raises(VerificationError) as exc:
+                verify(bad, "exhaustive")
+            assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+
+    def test_dense_recon_past_the_field_width(self):
+        # 28 rational slots over GF(27): a recon of all ones sums 2 + 28
+        # terms a coordinate, past what 16 bits hold in 3 fields unfolded
+        algo = build_algorithm(27, 2, EvalPlan(27, 2, tuple(range(27)), True, (), 28))
+        dense = fields.Matrix.from_rows(algo.base, [[1] * algo.rank] * 2)
+        bad = BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, dense)
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "exhaustive")
+        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
 
     def test_row_tables_memory(self):
         # (nnz(recon) + n) tables of q * q**n uint16 entries: 3.5 MiB at
