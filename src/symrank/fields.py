@@ -17,8 +17,8 @@ An extension computes on its codes in one of two ways, chosen once from its
 order.  Above CODE_TABLE_CAP elements it multiplies digit lists modulo its
 modulus, by the routine the modulus search runs there.  At or below the cap
 every operation is a lookup in list tables built on first use and kept for
-the process.  Those tables drive the search instead, and flat numpy copies
-of them drive the multiplier's verifier.
+the process.  Those tables drive the search instead, and the multiplier's
+verifier derives its uint16 tables from them.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .ntheory import PRIMALITY_LIMIT, is_prime, mobius, prime_power_split
 
@@ -334,21 +332,6 @@ def _generator_powers(field: ExtensionField) -> list[int]:
         if len(powers) == field.order - 1:
             return powers
     raise AssertionError("unreachable: the multiplicative group is cyclic")
-
-
-@lru_cache(maxsize=None)
-def _code_tables(field: PrimeField | ExtensionField) -> tuple[np.ndarray, np.ndarray]:
-    """The field's add and mul tables as flat read-only intp arrays indexed
-    by a*q + b, for 1-D lookups: add holds pre-scaled sums add(a, b)*q, mul
-    plain products."""
-    add_rows, mul_rows, _, _ = _list_tables(field)
-    tables = (
-        np.array(add_rows, dtype=np.intp).ravel() * field.order,
-        np.array(mul_rows, dtype=np.intp).ravel(),
-    )
-    for t in tables:
-        t.setflags(write=False)
-    return tables
 
 
 # ---------------------------------------------------------------------------

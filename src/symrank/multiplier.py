@@ -31,7 +31,8 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .fields import (
     Matrix,
     PrimeField,
     _check_codes,
-    _code_tables,
+    _list_tables,
     invert,
     irreducible_polys,
     is_irreducible,
@@ -55,7 +56,7 @@ EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
 EXHAUSTIVE_CHUNK = 1 << 14  # about this many exhaustive-mode pairs per pass
-LAZY_BITS = 16  # exhaustive-mode row-table values and their sums are uint16
+LAZY_BITS = 16  # carry-free values and their sums, in both verification modes, are uint16
 RANDOM_CHUNK = EXHAUSTIVE_CHUNK // 2  # random-mode pairs per pass: 2^14 x and y codes
 
 
@@ -136,8 +137,11 @@ class EvalPlan:
 
     def __post_init__(self):
         # bools and floats compare equal to the ints they stand for, so only
-        # the type tells them apart; emit_tensor would write them as given
-        for name, kind in (("q", int), ("n", int), ("use_infinity", bool), ("total_degree", int)):
+        # the type tells them apart; emit_tensor would write them as given.
+        # Lists would leave the plan unhashable and unequal to its parsed copy
+        typed = (("q", int), ("n", int), ("rational_nodes", tuple), ("use_infinity", bool),
+                 ("deg2_places", tuple), ("total_degree", int))
+        for name, kind in typed:
             value = getattr(self, name)
             if type(value) is not kind:
                 raise ValueError(f"plan {name} must be of type {kind.__name__}, got {value!r}")
@@ -372,13 +376,14 @@ def verify(
     2**24 (and "auto" resolves accordingly); otherwise a seeded stream of
     random pairs.  Any mismatch raises VerificationError carrying the
     offending pair, the first one in code order or stream order.  Over base
-    fields with q <= CODE_TABLE_CAP both modes are vectorized on code
-    tables: the exhaustive check gathers each term of both routes from a
-    per-x row table over all y, sums a coordinate's terms by integer adds
-    (XOR in characteristic 2) and reduces the sum once
-    (`_exhaustive_check`); random mode runs the pairwise kernel
-    (`_CodeKernel.first_mismatch`).  Above the cap each pair goes through
-    the scalar routes.
+    fields with q <= CODE_TABLE_CAP both modes are vectorized on uint16
+    arrays of base-field values in a carry-free form (`_LazySum`): each
+    coordinate of x*y minus the tensor route's product is summed by integer
+    adds (XOR in characteristic 2) and reduced once, and a pair passes iff
+    every coordinate is 0.  The exhaustive check gathers its terms from
+    per-x row tables over all y (`_exhaustive_check`); random mode computes
+    them pair by pair (`_random_check`).  Above the cap each pair goes
+    through the scalar routes.
     """
     q, n = algo.q, algo.n
     pair_count = q ** (2 * n)
@@ -435,8 +440,8 @@ def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the integer-code kernel: both routes as 1-D lookups in flat tables over
-# canonical base-field codes
+# the vectorized kernel: both routes on uint16 arrays of base-field values,
+# summed carry-free and reduced once per sum
 
 
 def _code_digits(codes: np.ndarray, q: int, n: int) -> list[np.ndarray]:
@@ -449,100 +454,15 @@ def _code_digits(codes: np.ndarray, q: int, n: int) -> list[np.ndarray]:
     return out
 
 
-def _first_difference(ref: list[np.ndarray], got: list[np.ndarray]) -> np.ndarray | None:
-    """Index, first in C order, where the coordinate arrays ref and got
-    differ; None when they agree everywhere."""
+def _first_nonzero(sums: list[np.ndarray]) -> np.ndarray | None:
+    """Index, first in C order, where some of the arrays sums is nonzero;
+    None when all are zero."""
     # the passing case compares byte images, which pages in no numpy
     # comparison or reduction code (it shows in peak RSS)
-    if all(r.tobytes() == g.tobytes() for r, g in zip(ref, got)):
+    zero = bytes(sums[0].nbytes)
+    if all(s.tobytes() == zero for s in sums):
         return None
-    return np.argwhere(np.any([r != g for r, g in zip(ref, got)], axis=0))[0]
-
-
-class _CodeKernel:
-    """An algorithm's tensor route, checked against the reference route, as
-    lookups in its base field's flat code tables.
-
-    A table is indexed by a*q + b.  Left operands a are kept pre-scaled
-    (code*q), so an index is one add: `add` returns pre-scaled sums, `mul`
-    plain products, and `mac` fuses add(a, mul(c, b)) for a constant c into
-    one pre-scaled lookup in a table of c.  Accumulators start at 0, so a
-    first index is b alone.  Values are lists of per-coordinate arrays.
-
-    Random verification runs both routes pairwise on aligned (T,) arrays
-    (`first_mismatch`).  The exhaustive check only takes the linear values
-    of every element from here and gathers the rest from row tables (see
-    `_exhaustive_check`).
-    """
-
-    def __init__(self, algo: BilinearAlgorithm, pairs: int):
-        self.q = q = algo.q
-        self.add, self.mul = _code_tables(algo.base)
-        self.forms = algo.forms.to_int_lists()  # rank x n
-        self.recon = algo.recon.to_int_lists()  # n x rank
-        self.red = power_rows(algo.base, algo.ext.modulus, 2 * algo.n - 1)  # R[k] = u**k mod modulus
-        # a fused table pays for its q*q entries only over at least as many
-        # pairs; below that a product is a lookup in a row of mul
-        self.fuse = q * q <= pairs
-        self._mac: dict[int, np.ndarray] = {}
-
-    def mac(self, acc: np.ndarray | None, c: int, b: np.ndarray) -> np.ndarray:
-        """add(acc, mul(c, b)), pre-scaled, acc None reading 0: one lookup in
-        the fused table of c, built on its first use."""
-        q = self.q
-        row = self.mul[c * q : (c + 1) * q]  # mul(c, b) at b
-        if not self.fuse:
-            m = row.take(b)
-            return self.add.take(m if acc is None else acc + m)
-        table = self._mac.get(c)
-        if table is None:
-            table = self._mac[c] = self.add.take(np.arange(0, q * q, q)[:, None] + row).ravel()
-        return table.take(b if acc is None else acc + b)
-
-    def linear_values(self, matrix: list[list[int]], coeffs: list[np.ndarray]) -> list[np.ndarray]:
-        """The linear forms given by the rows of matrix at plain coefficient
-        codes, pre-scaled."""
-        out = []
-        for row in matrix:
-            acc = None
-            for fij, v in zip(row, coeffs):
-                if fij:
-                    acc = self.mac(acc, fij, v)
-            out.append(np.zeros_like(coeffs[0]) if acc is None else acc)
-        return out
-
-    def reference(self, x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
-        """Schoolbook convolution of coefficient codes (x pre-scaled, y plain),
-        then reduction by the rows u**k mod modulus; pre-scaled."""
-        n = len(x)
-        conv: list = [None] * (2 * n - 1)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                m = self.mul.take(xi + yj)
-                acc = conv[i + j]
-                conv[i + j] = self.add.take(m if acc is None else acc + m)
-        out = conv[:n]
-        for k, row in enumerate(self.red[n:], n):
-            hk = conv[k] // self.q
-            for j, rkj in enumerate(row):
-                if rkj:
-                    out[j] = self.mac(out[j], rkj, hk)
-        return out
-
-    def first_mismatch(self, x, y, fx, fy) -> np.ndarray | None:
-        """Index, first in C order, where the pointwise products of the form
-        values fx (pre-scaled) and fy (plain), reconstructed, differ from the
-        reference product of x (pre-scaled) and y (plain); None when they
-        agree everywhere."""
-        ref = self.reference(x, y)
-        got: list = [None] * len(ref)
-        for k, (fxk, fyk) in enumerate(zip(fx, fy)):
-            wk = self.mul.take(fxk + fyk)
-            for j, row in enumerate(self.recon):
-                if row[k]:
-                    got[j] = self.mac(got[j], row[k], wk)
-        got = [np.zeros_like(r) if g is None else g for r, g in zip(ref, got)]
-        return _first_difference(ref, got)
+    return np.argwhere(np.any(sums, axis=0))[0]
 
 
 def _exhaustive_check(algo: BilinearAlgorithm) -> None:
@@ -560,29 +480,26 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
       where M_x[j][j'] = sum over i of x_i*R[i+j'][j] comes from the
       reduction rows R[k] = u**k mod modulus.
 
-    Coordinate j of x*y minus the tensor route's product is the sum of its
-    n reference terms and its nnz(recon[j]) tensor terms, stored negated,
-    and the pair passes iff that sum is 0 in every coordinate.  The tables
-    hold the values in a carry-free form (`_LazySum`), so the terms are
-    summed by plain integer adds, or XOR in characteristic 2, and reduced
-    once per coordinate.  Rows j with equal recon[j][k] share T_jk, so
-    there are at most nnz(recon) + n tables.  They hold uint16 values,
-    q * q**n * 2 bytes each: at most 3.5 MiB in all at (q, n) = (64, 2).
+    Coordinate j of x*y minus the tensor route's product is the lazy sum of
+    its n reference terms and its nnz(recon[j]) tensor terms, stored
+    negated, and the pair passes iff that sum is 0 in every coordinate.
+    Rows j with equal recon[j][k] share T_jk, so there are at most
+    nnz(recon) + n tables.  They hold uint16 values, q * q**n * 2 bytes
+    each: at most 3.5 MiB in all at (q, n) = (64, 2).
     """
     q, n, qn = algo.q, algo.n, algo.ext.order
-    kernel = _CodeKernel(algo, qn * qn)
-    coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, n)
-    phi = [f // q for f in kernel.linear_values(kernel.forms, coeffs)]
-    m_rows = [[kernel.red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
-    m_x = [f // q for f in kernel.linear_values(m_rows, coeffs)]  # M_x[j][j'] at j*n + j'
-    mul = kernel.mul.reshape(q, q)
-    terms = [[(c, k) for k, c in enumerate(row) if c] for row in kernel.recon]
+    red = power_rows(algo.base, algo.ext.modulus, 2 * n - 1)  # R[k] = u**k mod modulus
+    terms = [[(c, k) for k, c in enumerate(row) if c] for row in algo.recon.to_int_lists()]
     lazy = _LazySum(algo.base, n + max(map(len, terms)))
-    prod = lazy.spread.take(mul)  # mul(a, b) at [a, b], carry-free
-    s = [prod.take(y, axis=1) for y in coeffs]  # S_j'
+    coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, n)
+    # the form values index every chunk's gathers, so they are cast once
+    phi = [f.astype(np.intp) for f in lazy.linear(algo.forms.to_int_lists(), coeffs)]
+    m_rows = [[red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
+    m_x = [f.astype(np.intp) for f in lazy.linear(m_rows, coeffs)]  # M_x[j][j'] at j*n + j'
+    s = [lazy.prod.take(y, axis=1) for y in coeffs]  # S_j'
     tables = {}  # -T_jk by (recon[j][k], k), shared by rows j
     for c, k in set(itertools.chain(*terms)):
-        tables[c, k] = prod[algo.base.neg(c)].take(mul).take(phi[k], axis=1)
+        tables[c, k] = lazy.prod[algo.base.neg(c)].take(lazy.mul).take(phi[k], axis=1)
     coord_terms = [
         list(zip(m_x[j * n : (j + 1) * n], s)) + [(phi[k], tables[c, k]) for c, k in row]
         for j, row in enumerate(terms)
@@ -590,11 +507,54 @@ def _exhaustive_check(algo: BilinearAlgorithm) -> None:
     rows = max(1, EXHAUSTIVE_CHUNK // qn)
     for start in range(0, qn, rows):
         chunk = slice(start, start + rows)
-        sums = [lazy.sum(t, chunk) for t in coord_terms]
-        bad = _first_difference([np.zeros_like(sums[0])] * n, sums)
+        bad = _first_nonzero([lazy.sum(t, chunk) for t in coord_terms])
         if bad is not None:
             bx, by = bad
             raise _mismatch(algo, start + int(bx), int(by))
+
+
+def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:
+    """`trials` pairs from the stream (x, then y, per trial), RANDOM_CHUNK at
+    a time, each pair on its own.
+
+    Coordinate j of x*y minus the tensor route's product is the lazy sum of
+    the schoolbook products x_i*y_i' of degree j, the high convolution sums
+    (degrees n..2n-2, each folded to a code) times their reduction rows
+    R[k][j], and the tensor terms recon[j][k]*w_k, stored negated, where
+    w_k = phi_k(x)*phi_k(y).  The pair passes iff every coordinate is 0.
+    """
+    q, n, base = algo.q, algo.n, algo.base
+    forms = algo.forms.to_int_lists()
+    red = power_rows(base, algo.ext.modulus, 2 * n - 1)  # R[k] = u**k mod modulus
+    terms = [[(base.neg(c), k) for k, c in enumerate(row) if c] for row in algo.recon.to_int_lists()]
+    lazy = _LazySum(base, 2 * n - 1 + max(map(len, terms)))
+    prod, mul = lazy.prod.ravel(), lazy.mul.ravel()  # at a*q + b
+    dtype = np.int64 if algo.ext.order <= 1 << 63 else object  # larger codes stay Python ints
+    for start in range(0, trials, RANDOM_CHUNK):
+        count = min(RANDOM_CHUNK, trials - start)
+        codes = np.fromiter(itertools.islice(stream, 2 * count), dtype=dtype, count=2 * count)
+        # every x, then every y: the digits and form values of both operands
+        # in one pass each, split into contiguous halves
+        coeffs = _code_digits(np.concatenate((codes[0::2], codes[1::2])), q, n)
+        x, y = [c[:count] for c in coeffs], [c[count:] for c in coeffs]
+        w = [mul.take(f[:count] * q + f[count:]) for f in lazy.linear(forms, coeffs)]
+
+        def products(d):  # x_i*y_i' over i + i' = d
+            return (prod.take(x[i] * q + y[d - i]) for i in range(max(0, d - n + 1), min(d, n - 1) + 1))
+
+        high = {d: lazy.total(products(d)) for d in range(n, 2 * n - 1)}
+        sums = [
+            lazy.total(itertools.chain(
+                products(j),
+                (lazy.prod[red[d][j]].take(h) for d, h in high.items() if red[d][j]),
+                (lazy.prod[c].take(w[k]) for c, k in row),
+            ))
+            for j, row in enumerate(terms)
+        ]
+        bad = _first_nonzero(sums)
+        if bad is not None:
+            (i,) = bad
+            raise _mismatch(algo, int(codes[2 * i]), int(codes[2 * i + 1]))
 
 
 class _LazySum:
@@ -604,81 +564,78 @@ class _LazySum:
     base p.  A value c = sum of d_i*p**i is stored carry-free as spread[c] =
     sum of d_i*2**(bits*i), in uint16: a sum of such values keeps each digit
     sum in its own bits-wide field while no field passes 2**bits - 1, and
-    the lookup fold[s] sends a sum back to the carry-free form of the field
-    sum.  bits = bit_length(terms*(p-1)) lets a field hold `terms` terms,
-    so a sum of at most that many is folded once, at the end.  Where
-    bits*m would pass LAZY_BITS, bits shrinks to fit and a longer sum is
-    folded each time a field is full.  No canonical algorithm that
-    exhaustive mode allows needs that: the widest, over GF(3**5) at n = 1,
-    takes 15 bits.
+    the lookup fold[s] sends a sum to the code of the field sum.
+    bits = bit_length(terms*(p-1)) lets a field hold `terms` terms, so a sum
+    of at most that many is folded once, at the end.  Where bits*m would
+    pass LAZY_BITS, bits shrinks to fit and a longer sum is refolded,
+    spread[fold[s]], each time a field is full.  Exhaustive mode's
+    canonical algorithms never need that (the widest, over GF(3**5) at
+    n = 1, takes 15 bits); random mode's longer sums can.
 
     In characteristic 2, bits = 1 and XOR is the field addition on codes,
     so spread is the identity and no sum is ever folded.
     """
 
     def __init__(self, field: PrimeField | ExtensionField, terms: int):
-        q, p = field.order, field.char
-        m = 1
-        while p**m < q:
-            m += 1
-        if p == 2:
-            self.bits, self.capacity, self.fold = 1, terms, None
-            self.spread = np.arange(q, dtype=np.uint16)
-            return
-        self.bits = bits = min((terms * (p - 1)).bit_length(), LAZY_BITS // m)
-        self.capacity = ((1 << bits) - 1) // (p - 1)  # terms a field holds
-        self.spread = _spread(_code_digits(np.arange(q), p, m), bits)
-        mask = (1 << bits) - 1
-        self.fold = _spread([((np.arange(1 << bits * m) >> bits * i) & mask) % p for i in range(m)], bits)
+        p = field.char
+        self.bits = 1 if p == 2 else min((terms * (p - 1)).bit_length(), LAZY_BITS // _digit_count(field))
+        self.capacity = ((1 << self.bits) - 1) // (p - 1)  # terms a field holds
+        self.mul, self.spread, self.fold, self.prod = _lazy_tables(field, self.bits)
+
+    def total(self, values: Iterable[np.ndarray]) -> np.ndarray:
+        """The codes of the sums of carry-free values, given as at least one
+        fresh uint16 array, which the sum may overwrite."""
+        values = iter(values)
+        acc = next(values)
+        if self.fold is None:
+            for v in values:
+                np.bitwise_xor(acc, v, out=acc)
+            return acc
+        held = 1
+        for v in values:
+            if held == self.capacity:
+                acc, held = self.spread.take(self.fold.take(acc)), 1
+            np.add(acc, v, out=acc)
+            held += 1
+        return self.fold.take(acc)
+
+    def linear(self, matrix: list[list[int]], coeffs: list[np.ndarray]) -> list[np.ndarray]:
+        """The codes of the linear forms given by the rows of matrix at
+        coefficient codes."""
+        return [
+            self.total(self.prod[c].take(v) for c, v in zip(row, coeffs) if c)
+            if any(row) else np.zeros(len(coeffs[0]), np.uint16)
+            for row in matrix
+        ]
 
     def sum(self, terms: list, chunk: slice) -> np.ndarray:
-        """The sum, carry-free and reduced, over (x index, row table) terms
-        of each table's rows at the chunk's x indices."""
-        combine = np.add if self.fold is not None else np.bitwise_xor
-        acc, held = None, 0
-        for index, table in terms:
-            rows = table.take(index[chunk], axis=0)
-            if acc is None:
-                acc = rows
-            else:
-                if held == self.capacity:
-                    acc, held = self.fold.take(acc), 1
-                combine(acc, rows, out=acc)
-            held += 1
-        return acc if self.fold is None else self.fold.take(acc)
+        """The codes of the sums over (x index, row table) terms of each
+        table's rows at the chunk's x indices."""
+        return self.total(table.take(index[chunk], axis=0) for index, table in terms)
 
 
-def _spread(digits: list[np.ndarray], bits: int) -> np.ndarray:
-    """sum of digits[i] << bits*i, as uint16."""
-    return sum(d.astype(np.uint16) << np.uint16(bits * i) for i, d in enumerate(digits))
+@lru_cache(maxsize=None)
+def _lazy_tables(field: PrimeField | ExtensionField, bits: int) -> tuple:
+    """mul, spread, fold and prod = spread[mul] of a base field with at most
+    CODE_TABLE_CAP elements, for fields `bits` wide, as read-only uint16
+    arrays; mul and prod are (q, q).  fold is None in characteristic 2."""
+    mul = np.array(_list_tables(field)[1], dtype=np.uint16)
+    q, p, m = field.order, field.char, _digit_count(field)
+    spread = sum(d << bits * i for i, d in enumerate(_code_digits(np.arange(q), p, m))).astype(np.uint16)
+    fold = None
+    if p != 2:  # built in uint16: at (27, 3) in random mode it has 2**15 entries
+        sums, mask = np.arange(1 << bits * m, dtype=np.uint16), (1 << bits) - 1
+        fold = sum((sums >> bits * i & mask) % p * p**i for i in range(m))
+    tables = (mul, spread, fold, spread.take(mul))
+    for t in tables:
+        if t is not None:
+            t.setflags(write=False)
+    return tables
 
 
-def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:
-    """`trials` pairs from the stream (x, then y, per trial), RANDOM_CHUNK at
-    a time."""
-    kernel = _CodeKernel(algo, trials)
-    q = algo.q
-    dtype = np.int64 if algo.ext.order <= 1 << 63 else object  # larger codes stay Python ints
-    for start in range(0, trials, RANDOM_CHUNK):
-        count = min(RANDOM_CHUNK, trials - start)
-        codes = np.fromiter(itertools.islice(stream, 2 * count), dtype=dtype, count=2 * count)
-        # every x, then every y: the digits and form values of both operands
-        # in one pass each, split into contiguous halves
-        coeffs = _code_digits(np.concatenate((codes[0::2], codes[1::2])), q, algo.n)
-        phi = kernel.linear_values(kernel.forms, coeffs)
-        for c in coeffs:  # x pre-scaled, y plain, in place
-            c[:count] *= q
-        for f in phi:
-            f[count:] //= q
-        bad = kernel.first_mismatch(
-            [c[:count] for c in coeffs],
-            [c[count:] for c in coeffs],
-            [f[:count] for f in phi],
-            [f[count:] for f in phi],
-        )
-        if bad is not None:
-            (i,) = bad
-            raise _mismatch(algo, int(codes[2 * i]), int(codes[2 * i + 1]))
+def _digit_count(field: PrimeField | ExtensionField) -> int:
+    """m, for a field of order p**m."""
+    return next(m for m in itertools.count(1) if field.char**m >= field.order)
 
 
 def emit_tensor(algo: BilinearAlgorithm) -> str:

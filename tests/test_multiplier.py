@@ -47,6 +47,24 @@ def seeded_pairs(order, seed, trials):
         yield xc, yc
 
 
+def in_both_modes(cells):
+    """Parameters for a test run in exhaustive mode, under the cell's plain
+    id, and in random mode, under that id and "-random"."""
+    return [
+        pytest.param(*cell, mode, id="-".join(map(str, cell)) + ("-random" if mode == "random" else ""))
+        for mode in ("exhaustive", "random")
+        for cell in cells
+    ]
+
+
+def checked_pairs(algo, mode, seed):
+    """The pairs verify(algo, mode, seed=seed) checks, in its order, at the
+    default trial count."""
+    if mode == "exhaustive":
+        return code_order_pairs(algo.ext.order)
+    return seeded_pairs(algo.ext.order, seed, multiplier.DEFAULT_TRIALS)
+
+
 def scalar_first_failure(algo, pairs):
     """(x, y, expected, got) codes at the first pair where the scalar tensor
     route disagrees with ext.mul, or None."""
@@ -147,6 +165,20 @@ class TestPlanEvaluation:
     def test_fields_of_the_wrong_type_refused(self, args, reason):
         # each compares equal to the valid value it stands for, so the plan
         # used to build and verify, and parse_tensor then refused its tensor
+        with pytest.raises(ValueError, match=f"plan {reason}"):
+            EvalPlan(*args)
+
+    @pytest.mark.parametrize(
+        "args,reason",
+        [
+            ((5, 2, [0, 1, 2], False, (), 3), r"rational_nodes must be of type tuple, got \[0, 1, 2\]"),
+            ((5, 2, (0, 1, 2), False, [], 3), r"deg2_places must be of type tuple, got \[\]"),
+        ],
+        ids=["list-nodes", "list-places"],
+    )
+    def test_lists_of_places_refused(self, args, reason):
+        # a plan on lists built, verified and emitted a tensor, but it was
+        # unhashable and unequal to the plan parsed back from that tensor
         with pytest.raises(ValueError, match=f"plan {reason}"):
             EvalPlan(*args)
 
@@ -419,8 +451,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("q,n", [(5, 3), (4, 4), (9, 3), (251, 8), (257, 2)])
     def test_corrupted_forms_detected_random(self, q, n):
-        # form values go through the fused tables: a moved forms entry is
-        # reported at the scalar loop's first failure in stream order
+        # form values are lazy sums of carry-free products: a moved forms
+        # entry is reported at the scalar loop's first failure in stream order
         bad = corrupted(build_algorithm(q, n), 1, n - 1, "forms")
         with pytest.raises(VerificationError) as exc:
             verify(bad, "random", trials=500, seed=3)
@@ -439,18 +471,18 @@ class TestVerify:
             verify(bad, "exhaustive")
         assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
 
-    @pytest.mark.parametrize("q,n", [(25, 2), (27, 2), (49, 2), (64, 2)])
+    @pytest.mark.parametrize("q,n,mode", in_both_modes([(25, 2), (27, 2), (49, 2), (64, 2)]))
     @pytest.mark.parametrize("j", [0, 1])
-    def test_corrupted_recon_over_extension_bases(self, q, n, j):
+    def test_corrupted_recon_over_extension_bases(self, q, n, j, mode):
         # odd characteristic bases of 2 and 3 digit fields, and XOR over
         # GF(64): a moved recon entry of the last slot is reported at the
-        # scalar loop's first failure in code order
+        # scalar loop's first failure in code order or stream order
         algo = build_algorithm(q, n)
-        assert verify(algo, "exhaustive").failures == 0
+        assert verify(algo, mode, seed=3).failures == 0
         bad = corrupted(algo, j, algo.rank - 1)
         with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+            verify(bad, mode, seed=3)
+        assert reported(exc) == scalar_first_failure(bad, checked_pairs(bad, mode, 3))
 
     @pytest.mark.parametrize("q,matrix", [(2, "recon"), (4, "forms")])
     def test_exhaustive_chunks_keep_code_order(self, monkeypatch, q, matrix):
@@ -615,18 +647,18 @@ class TestRowTableKernel:
             sum((c // p**i % p) << lazy.bits * i for i in range(m)) for c in range(q)
         ]
 
-    @pytest.mark.parametrize("q,n,bits", [(5, 3, 4), (9, 3, 6), (27, 2, 9)])
-    def test_full_fields_are_folded(self, monkeypatch, q, n, bits):
+    @pytest.mark.parametrize("q,n,bits,mode", in_both_modes([(5, 3, 4), (9, 3, 6), (27, 2, 9)]))
+    def test_full_fields_are_folded(self, monkeypatch, q, n, bits, mode):
         # with fields too narrow for all K terms, a sum is folded each time
         # a field is full: correct algorithms pass and a corrupted one is
         # reported at the scalar loop's first failure
         monkeypatch.setattr(multiplier, "LAZY_BITS", bits)
         algo = build_algorithm(q, n)
-        assert verify(algo, "exhaustive").failures == 0
+        assert verify(algo, mode, seed=3).failures == 0
         for bad in (corrupted(algo, n - 1, algo.rank - 1), corrupted(algo, 1, n - 1, "forms")):
             with pytest.raises(VerificationError) as exc:
-                verify(bad, "exhaustive")
-            assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+                verify(bad, mode, seed=3)
+            assert reported(exc) == scalar_first_failure(bad, checked_pairs(bad, mode, 3))
 
     def test_dense_recon_past_the_field_width(self):
         # 28 rational slots over GF(27): a recon of all ones sums 2 + 28
@@ -637,6 +669,18 @@ class TestRowTableKernel:
         with pytest.raises(VerificationError) as exc:
             verify(bad, "exhaustive")
         assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+
+    def test_random_mode_memory(self):
+        # a pass holds uint16 form values and sums of 1000 pairs, not intp
+        # arrays per coordinate
+        algo = build_algorithm(4, 8)
+        tracemalloc.start()
+        try:
+            verify(algo, "random")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 2**10
 
     def test_row_tables_memory(self):
         # (nnz(recon) + n) tables of q * q**n uint16 entries: 3.5 MiB at
@@ -656,15 +700,18 @@ class TestCodeTables:
     def test_tables_match_scalar_arithmetic(self, q):
         # the scalar arithmetic of the oracle
         F = oracle_of(make_field(q))
-        # flat tables at a*q + b: pre-scaled sums, plain products
-        add_t, mul_t = fields._code_tables(make_field(q))
-        assert add_t.tolist() == [F.add(a, b) * q for a in range(q) for b in range(q)]
-        assert mul_t.tolist() == [F.mul(a, b) for a in range(q) for b in range(q)]
-        assert not add_t.flags.writeable and not mul_t.flags.writeable
+        # carry-free products at [a, b], and fold sends a spread code back
+        lazy = multiplier._LazySum(make_field(q), 4)
+        assert lazy.mul.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+        assert lazy.prod.tolist() == [[int(lazy.spread[F.mul(a, b)]) for b in range(q)] for a in range(q)]
+        if lazy.fold is not None:
+            assert lazy.fold.take(lazy.spread).tolist() == list(range(q))
+        tables = [t for t in (lazy.mul, lazy.spread, lazy.fold, lazy.prod) if t is not None]
+        assert not any(t.flags.writeable for t in tables)
 
     def test_no_tables_above_cap(self):
         with pytest.raises(ValueError):
-            fields._code_tables(make_field(257))
+            multiplier._LazySum(make_field(257), 4)
 
     def test_tables_built_on_first_use(self, monkeypatch):
         # GF(4^4) has 256 elements, so it computes by table lookups; building
