@@ -17,8 +17,7 @@ An extension computes on its codes in one of two ways, chosen once from its
 order.  Above CODE_TABLE_CAP elements it multiplies digit lists modulo its
 modulus, by the routine the modulus search runs there.  At or below the cap
 every operation is a lookup in list tables built on first use and kept for
-the process.  Those tables drive the search instead, and the multiplier's
-verifier derives its uint16 tables from them.
+the process.  Those tables drive the search instead.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q

@@ -21,6 +21,10 @@ final reduction mod the extension's defining polynomial sends the product
 polynomial back to coordinates.  Both operands pass through the same linear
 forms, so the emitted tensor decomposition is symmetric by construction.
 
+verify checks that decomposition on the n(n+1)/2 basis pairs (u**i, u**j),
+i <= j; both products are bilinear and symmetric, so that certifies all
+q**(2n) operand pairs.
+
 Everything is canonical (node order, place order, modulus choice, pivoting),
 so emitted tensors are byte-stable across runs.
 """
@@ -31,19 +35,14 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterator
 
 from . import jsonout
 from .fields import (
-    CODE_TABLE_CAP,
     ExtensionField,
     Matrix,
     PrimeField,
     _check_codes,
-    _list_tables,
     invert,
     irreducible_polys,
     is_irreducible,
@@ -55,9 +54,6 @@ from .fields import (
 EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
-EXHAUSTIVE_CHUNK = 1 << 14  # about this many exhaustive-mode pairs per pass
-LAZY_BITS = 16  # carry-free values and their sums, in both verification modes, are uint16
-RANDOM_CHUNK = EXHAUSTIVE_CHUNK // 2  # random-mode pairs per pass: 2^14 x and y codes
 
 
 class InfeasiblePlanError(ValueError):
@@ -370,20 +366,26 @@ def verify(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Check the decomposition against reference (schoolbook) multiplication.
+    """Check the decomposition against reference (schoolbook) multiplication
+    on every operand pair, through the basis pairs.
 
-    Exhaustive over all q**(2n) operand pairs when that count is at most
-    2**24 (and "auto" resolves accordingly); otherwise a seeded stream of
-    random pairs.  Any mismatch raises VerificationError carrying the
-    offending pair, the first one in code order or stream order.  Over base
-    fields with q <= CODE_TABLE_CAP both modes are vectorized on uint16
-    arrays of base-field values in a carry-free form (`_LazySum`): each
-    coordinate of x*y minus the tensor route's product is summed by integer
-    adds (XOR in characteristic 2) and reduced once, and a pair passes iff
-    every coordinate is 0.  The exhaustive check gathers its terms from
-    per-x row tables over all y (`_exhaustive_check`); random mode computes
-    them pair by pair (`_random_check`).  Above the cap each pair goes
-    through the scalar routes.
+    Both products are GF(q)-bilinear and symmetric in the operands, so the
+    algorithm is right on all q**(2n) pairs iff it is right on the basis
+    pairs (u**i, u**j), i <= j: the tensor identity sum_k recon[c][k] *
+    forms[k][i] * forms[k][j] = (u**(i+j) mod modulus)[c], checked by
+    `_first_basis_failure` in O(n**3 * rank) base-field operations.  Any
+    mismatch raises VerificationError carrying a pair and both products,
+    taken by the scalar routes:
+
+    * "exhaustive" (allowed while q**(2n) <= 2**24; "auto" picks it then)
+      reports the first failing pair in code order, x-major.  The x with
+      D(x, .) = 0, D the reference minus the algorithm, form a subspace, so
+      the first code outside it is the basis code q**i, and likewise for y:
+      that pair is the first failing basis pair (q**i, q**j).
+    * "random" reports the first failing pair of `trials` pairs drawn from
+      random.Random(seed), x then y per trial; the stream is drawn only when
+      the identity fails.  If none of those pairs fails, the first failing
+      basis pair is reported instead: a wrong algorithm never passes.
     """
     q, n = algo.q, algo.n
     pair_count = q ** (2 * n)
@@ -395,22 +397,50 @@ def verify(
                 f"exhaustive verification capped at {EXHAUSTIVE_PAIR_CAP} pairs; "
                 f"q**(2n) = {pair_count}"
             )
-        if q <= CODE_TABLE_CAP:
-            _exhaustive_check(algo)
-        else:
-            _scalar_check(algo, itertools.product(range(algo.ext.order), repeat=2))
-        return VerificationReport("exhaustive", pair_count, 0, algo.rank, algo.envelope())
-    if mode != "random":
-        raise ValueError(f"unknown verification mode {mode!r}")
-    if trials < 1:
-        raise ValueError("random verification needs at least one trial")
-    codes = _seeded_codes(random.Random(seed), algo.ext.order)
-    if q <= CODE_TABLE_CAP:
-        _random_check(algo, codes, trials)
+        report = VerificationReport("exhaustive", pair_count, 0, algo.rank, algo.envelope())
+    elif mode == "random":
+        if trials < 1:
+            raise ValueError("random verification needs at least one trial")
+        report = VerificationReport("random", trials, 0, algo.rank, algo.envelope(), seed)
     else:
-        stream = itertools.islice(codes, 2 * trials)
+        raise ValueError(f"unknown verification mode {mode!r}")
+    bad = _first_basis_failure(algo)
+    if bad is None:
+        return report
+    if mode == "random":
+        stream = itertools.islice(_seeded_codes(random.Random(seed), algo.ext.order), 2 * trials)
         _scalar_check(algo, zip(stream, stream))
-    return VerificationReport("random", trials, 0, algo.rank, algo.envelope(), seed)
+    i, j = bad
+    raise _mismatch(algo, q**i, q**j)
+
+
+def _first_basis_failure(algo: BilinearAlgorithm) -> tuple[int, int] | None:
+    """The first (i, j), i <= j, i-major, at which the tensor route's product
+    of u**i and u**j differs from u**(i+j) mod modulus; None if there is none.
+
+    Every recon row is scaled by the form values at u**i once, and each
+    coordinate at u**j is then one dot product in the field with the form
+    values there.
+    """
+    base, n = algo.base, algo.n
+    add, mul = base.add, base.mul
+    red = power_rows(base, algo.ext.modulus, 2 * n - 1)  # u**k mod modulus
+    at_basis = list(zip(*algo.forms.to_int_lists()))  # the form values at u**i
+    recon = algo.recon.to_int_lists()
+
+    def dot(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
+
+    for i in range(n):
+        scaled = [[mul(c, f) for c, f in zip(row, at_basis[i])] for row in recon]
+        for j in range(i, n):
+            if [dot(row, at_basis[j]) for row in scaled] != red[i + j]:
+                return i, j
+    return None
 
 
 def _seeded_codes(rng: random.Random, order: int) -> Iterator[int]:
@@ -437,205 +467,6 @@ def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
     for x, y in pairs:
         if multiply(algo, x, y) != ext.mul(x, y):
             raise _mismatch(algo, x, y)
-
-
-# ---------------------------------------------------------------------------
-# the vectorized kernel: both routes on uint16 arrays of base-field values,
-# summed carry-free and reduced once per sum
-
-
-def _code_digits(codes: np.ndarray, q: int, n: int) -> list[np.ndarray]:
-    """Base-q digits, low first, of element codes: n intp arrays shaped like
-    codes (object codes, past int64, are split first and then cast)."""
-    out = []
-    for _ in range(n):
-        out.append((codes % q).astype(np.intp, copy=False))
-        codes = codes // q
-    return out
-
-
-def _first_nonzero(sums: list[np.ndarray]) -> np.ndarray | None:
-    """Index, first in C order, where some of the arrays sums is nonzero;
-    None when all are zero."""
-    # the passing case compares byte images, which pages in no numpy
-    # comparison or reduction code (it shows in peak RSS)
-    zero = bytes(sums[0].nbytes)
-    if all(s.tobytes() == zero for s in sums):
-        return None
-    return np.argwhere(np.any(sums, axis=0))[0]
-
-
-def _exhaustive_check(algo: BilinearAlgorithm) -> None:
-    """All pairs, x-major in code order: chunks of about EXHAUSTIVE_CHUNK
-    pairs, B x codes against all q**n y codes in code order.
-
-    Every term of either route depends on x only through one base-field
-    code, so it is tabulated once over all y as a (q, q**n) row table, and a
-    chunk gathers one row per x:
-
-    * the tensor route's term recon[j][k]*(phi_k(x)*phi_k(y)) is row
-      phi_k(x) of T_jk, T_jk[a] = mul(recon[j][k], mul(a, phi_k(Y)));
-    * the reference x*y = sum over j' of y_j'*(x*u**j') has coordinate j
-      the sum over j' of row M_x[j][j'] of S_j', S_j'[c] = mul(c, Y_j'),
-      where M_x[j][j'] = sum over i of x_i*R[i+j'][j] comes from the
-      reduction rows R[k] = u**k mod modulus.
-
-    Coordinate j of x*y minus the tensor route's product is the lazy sum of
-    its n reference terms and its nnz(recon[j]) tensor terms, stored
-    negated, and the pair passes iff that sum is 0 in every coordinate.
-    Rows j with equal recon[j][k] share T_jk, so there are at most
-    nnz(recon) + n tables.  They hold uint16 values, q * q**n * 2 bytes
-    each: at most 3.5 MiB in all at (q, n) = (64, 2).
-    """
-    q, n, qn = algo.q, algo.n, algo.ext.order
-    red = power_rows(algo.base, algo.ext.modulus, 2 * n - 1)  # R[k] = u**k mod modulus
-    terms = [[(c, k) for k, c in enumerate(row) if c] for row in algo.recon.to_int_lists()]
-    lazy = _LazySum(algo.base, n + max(map(len, terms)))
-    coeffs = _code_digits(np.arange(qn, dtype=np.intp), q, n)
-    # the form values index every chunk's gathers, so they are cast once
-    phi = [f.astype(np.intp) for f in lazy.linear(algo.forms.to_int_lists(), coeffs)]
-    m_rows = [[red[i + jp][j] for i in range(n)] for j in range(n) for jp in range(n)]
-    m_x = [f.astype(np.intp) for f in lazy.linear(m_rows, coeffs)]  # M_x[j][j'] at j*n + j'
-    s = [lazy.prod.take(y, axis=1) for y in coeffs]  # S_j'
-    tables = {}  # -T_jk by (recon[j][k], k), shared by rows j
-    for c, k in set(itertools.chain(*terms)):
-        tables[c, k] = lazy.prod[algo.base.neg(c)].take(lazy.mul).take(phi[k], axis=1)
-    coord_terms = [
-        list(zip(m_x[j * n : (j + 1) * n], s)) + [(phi[k], tables[c, k]) for c, k in row]
-        for j, row in enumerate(terms)
-    ]
-    rows = max(1, EXHAUSTIVE_CHUNK // qn)
-    for start in range(0, qn, rows):
-        chunk = slice(start, start + rows)
-        bad = _first_nonzero([lazy.sum(t, chunk) for t in coord_terms])
-        if bad is not None:
-            bx, by = bad
-            raise _mismatch(algo, start + int(bx), int(by))
-
-
-def _random_check(algo: BilinearAlgorithm, stream: Iterator[int], trials: int) -> None:
-    """`trials` pairs from the stream (x, then y, per trial), RANDOM_CHUNK at
-    a time, each pair on its own.
-
-    Coordinate j of x*y minus the tensor route's product is the lazy sum of
-    the schoolbook products x_i*y_i' of degree j, the high convolution sums
-    (degrees n..2n-2, each folded to a code) times their reduction rows
-    R[k][j], and the tensor terms recon[j][k]*w_k, stored negated, where
-    w_k = phi_k(x)*phi_k(y).  The pair passes iff every coordinate is 0.
-    """
-    q, n, base = algo.q, algo.n, algo.base
-    forms = algo.forms.to_int_lists()
-    red = power_rows(base, algo.ext.modulus, 2 * n - 1)  # R[k] = u**k mod modulus
-    terms = [[(base.neg(c), k) for k, c in enumerate(row) if c] for row in algo.recon.to_int_lists()]
-    lazy = _LazySum(base, 2 * n - 1 + max(map(len, terms)))
-    prod, mul = lazy.prod.ravel(), lazy.mul.ravel()  # at a*q + b
-    dtype = np.int64 if algo.ext.order <= 1 << 63 else object  # larger codes stay Python ints
-    for start in range(0, trials, RANDOM_CHUNK):
-        count = min(RANDOM_CHUNK, trials - start)
-        codes = np.fromiter(itertools.islice(stream, 2 * count), dtype=dtype, count=2 * count)
-        # every x, then every y: the digits and form values of both operands
-        # in one pass each, split into contiguous halves
-        coeffs = _code_digits(np.concatenate((codes[0::2], codes[1::2])), q, n)
-        x, y = [c[:count] for c in coeffs], [c[count:] for c in coeffs]
-        w = [mul.take(f[:count] * q + f[count:]) for f in lazy.linear(forms, coeffs)]
-
-        def products(d):  # x_i*y_i' over i + i' = d
-            return (prod.take(x[i] * q + y[d - i]) for i in range(max(0, d - n + 1), min(d, n - 1) + 1))
-
-        high = {d: lazy.total(products(d)) for d in range(n, 2 * n - 1)}
-        sums = [
-            lazy.total(itertools.chain(
-                products(j),
-                (lazy.prod[red[d][j]].take(h) for d, h in high.items() if red[d][j]),
-                (lazy.prod[c].take(w[k]) for c, k in row),
-            ))
-            for j, row in enumerate(terms)
-        ]
-        bad = _first_nonzero(sums)
-        if bad is not None:
-            (i,) = bad
-            raise _mismatch(algo, int(codes[2 * i]), int(codes[2 * i + 1]))
-
-
-class _LazySum:
-    """Sums of base-field values as plain integers, reduced lazily.
-
-    The base field has order q = p**m, and its codes add digitwise mod p in
-    base p.  A value c = sum of d_i*p**i is stored carry-free as spread[c] =
-    sum of d_i*2**(bits*i), in uint16: a sum of such values keeps each digit
-    sum in its own bits-wide field while no field passes 2**bits - 1, and
-    the lookup fold[s] sends a sum to the code of the field sum.
-    bits = bit_length(terms*(p-1)) lets a field hold `terms` terms, so a sum
-    of at most that many is folded once, at the end.  Where bits*m would
-    pass LAZY_BITS, bits shrinks to fit and a longer sum is refolded,
-    spread[fold[s]], each time a field is full.  Exhaustive mode's
-    canonical algorithms never need that (the widest, over GF(3**5) at
-    n = 1, takes 15 bits); random mode's longer sums can.
-
-    In characteristic 2, bits = 1 and XOR is the field addition on codes,
-    so spread is the identity and no sum is ever folded.
-    """
-
-    def __init__(self, field: PrimeField | ExtensionField, terms: int):
-        p = field.char
-        self.bits = 1 if p == 2 else min((terms * (p - 1)).bit_length(), LAZY_BITS // _digit_count(field))
-        self.capacity = ((1 << self.bits) - 1) // (p - 1)  # terms a field holds
-        self.mul, self.spread, self.fold, self.prod = _lazy_tables(field, self.bits)
-
-    def total(self, values: Iterable[np.ndarray]) -> np.ndarray:
-        """The codes of the sums of carry-free values, given as at least one
-        fresh uint16 array, which the sum may overwrite."""
-        values = iter(values)
-        acc = next(values)
-        if self.fold is None:
-            for v in values:
-                np.bitwise_xor(acc, v, out=acc)
-            return acc
-        held = 1
-        for v in values:
-            if held == self.capacity:
-                acc, held = self.spread.take(self.fold.take(acc)), 1
-            np.add(acc, v, out=acc)
-            held += 1
-        return self.fold.take(acc)
-
-    def linear(self, matrix: list[list[int]], coeffs: list[np.ndarray]) -> list[np.ndarray]:
-        """The codes of the linear forms given by the rows of matrix at
-        coefficient codes."""
-        return [
-            self.total(self.prod[c].take(v) for c, v in zip(row, coeffs) if c)
-            if any(row) else np.zeros(len(coeffs[0]), np.uint16)
-            for row in matrix
-        ]
-
-    def sum(self, terms: list, chunk: slice) -> np.ndarray:
-        """The codes of the sums over (x index, row table) terms of each
-        table's rows at the chunk's x indices."""
-        return self.total(table.take(index[chunk], axis=0) for index, table in terms)
-
-
-@lru_cache(maxsize=None)
-def _lazy_tables(field: PrimeField | ExtensionField, bits: int) -> tuple:
-    """mul, spread, fold and prod = spread[mul] of a base field with at most
-    CODE_TABLE_CAP elements, for fields `bits` wide, as read-only uint16
-    arrays; mul and prod are (q, q).  fold is None in characteristic 2."""
-    mul = np.array(_list_tables(field)[1], dtype=np.uint16)
-    q, p, m = field.order, field.char, _digit_count(field)
-    spread = sum(d << bits * i for i, d in enumerate(_code_digits(np.arange(q), p, m))).astype(np.uint16)
-    fold = None
-    if p != 2:  # built in uint16: at (27, 3) in random mode it has 2**15 entries
-        sums, mask = np.arange(1 << bits * m, dtype=np.uint16), (1 << bits) - 1
-        fold = sum((sums >> bits * i & mask) % p * p**i for i in range(m))
-    tables = (mul, spread, fold, spread.take(mul))
-    for t in tables:
-        if t is not None:
-            t.setflags(write=False)
-    return tables
-
-
-def _digit_count(field: PrimeField | ExtensionField) -> int:
-    """m, for a field of order p**m."""
-    return next(m for m in itertools.count(1) if field.char**m >= field.order)
 
 
 def emit_tensor(algo: BilinearAlgorithm) -> str:

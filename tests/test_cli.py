@@ -487,6 +487,14 @@ class TestUsageAndDeterminism:
         assert in_process == fresh
         assert [code for code, _ in fresh] == [1, 0, 0, 0, 1, 0, 0, 2]
 
+    def test_import_loads_no_numpy(self):
+        # verification needs no array library, so none is imported at start-up
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, symrank.cli; print('numpy' in sys.modules)"],
+            capture_output=True, check=True,
+        )
+        assert proc.stdout == b"False\n"
+
 
 # sha256 over "exit code, newline, stdout" of each command of a group, in
 # order.  Byte-identical bound-side stdout is part of the contract, so a

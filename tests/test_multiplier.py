@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from gf_oracle import ExtOracle, oracle_of
 
@@ -80,6 +79,38 @@ def scalar_first_failure(algo, pairs):
 def reported(exc_info):
     err = exc_info.value
     return err.x_code, err.y_code, err.expected, err.got
+
+
+def seeded_corruptions(algo, seed, per_matrix=3):
+    """Copies of algo with one seeded entry of forms, then of recon, moved
+    by one, per_matrix of each."""
+    rng = random.Random(seed)
+    for matrix, rows, cols in (("forms", algo.rank, algo.n), ("recon", algo.n, algo.rank)):
+        for _ in range(per_matrix):
+            yield corrupted(algo, rng.randrange(rows), rng.randrange(cols), matrix)
+
+
+def canonical_cells(max_pairs):
+    """Every (q, n) with a canonical plan and q**(2n) <= max_pairs."""
+    cells = []
+    for q in range(2, math.isqrt(max_pairs) + 1):
+        try:
+            make_field(q)
+        except ValueError:  # not a prime power
+            continue
+        for n in range(1, max_pairs.bit_length()):
+            if q ** (2 * n) > max_pairs:
+                break
+            try:
+                plan_evaluation(q, n)
+            except InfeasiblePlanError:
+                continue
+            cells.append((q, n))
+    return cells
+
+
+# the cells of the benchmark's mult-construct workload
+CONSTRUCT_CELLS = [(16, 4), (64, 3), (25, 4), (9, 6), (4, 8), (27, 3), (49, 3), (7, 6), (5, 8)]
 
 
 class TestPlanEvaluation:
@@ -391,8 +422,8 @@ class TestMultiply:
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3), (5, 3), (9, 2), (16, 2), (31, 2)])
     def test_scalar_loop_agrees_with_vectorized_engine(self, q, n):
         # the scalar route over every pair reaches the same verdict as the
-        # table-driven exhaustive engine, and for a corrupted algorithm the
-        # engine reports the scalar loop's first failure in code order
+        # exhaustive check, and for a corrupted algorithm that check
+        # reports the scalar loop's first failure in code order
         algo = build_algorithm(q, n)
         every_pair = [(xc, yc) for xc in range(algo.ext.order) for yc in range(algo.ext.order)]
         assert scalar_first_failure(algo, every_pair) is None
@@ -451,8 +482,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("q,n", [(5, 3), (4, 4), (9, 3), (251, 8), (257, 2)])
     def test_corrupted_forms_detected_random(self, q, n):
-        # form values are lazy sums of carry-free products: a moved forms
-        # entry is reported at the scalar loop's first failure in stream order
+        # a moved forms entry is reported at the scalar loop's first failure
+        # in stream order
         bad = corrupted(build_algorithm(q, n), 1, n - 1, "forms")
         with pytest.raises(VerificationError) as exc:
             verify(bad, "random", trials=500, seed=3)
@@ -484,27 +515,10 @@ class TestVerify:
             verify(bad, mode, seed=3)
         assert reported(exc) == scalar_first_failure(bad, checked_pairs(bad, mode, 3))
 
-    @pytest.mark.parametrize("q,matrix", [(2, "recon"), (4, "forms")])
-    def test_exhaustive_chunks_keep_code_order(self, monkeypatch, q, matrix):
-        # a moved entry of the infinity slot (the leading coefficient) first
-        # fails at x = y = q**2; with chunks of two x codes that lies past
-        # the second chunk and is still the first failure in code order,
-        # over a prime base and an extension base
-        algo = build_algorithm(q, 3)
-        assert algo.plan.use_infinity
-        slot = algo.plan.rational_slots - 1
-        bad = corrupted(algo, *((slot, 2) if matrix == "forms" else (2, slot)), matrix)
-        monkeypatch.setattr(multiplier, "EXHAUSTIVE_CHUNK", 2 * algo.ext.order)
-        first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
-        assert first[:2] == (q * q, q * q)
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == first
-
     @pytest.mark.parametrize("q", [2, 5, 16, 256])
     def test_exhaustive_degree_one(self, q):
-        # n = 1 has no reduction rows; the kernel still checks all q**2 pairs
-        # and reports a corrupted algorithm at its first failure
+        # n = 1 has one basis pair; the report still counts all q**2 pairs,
+        # and a corrupted algorithm is reported at its first failure
         line = build_algorithm(q, 1, EvalPlan(q, 1, (0,), False, (), 1))
         report = verify(line, "exhaustive")
         assert report.pairs_checked == q * q and report.failures == 0
@@ -513,22 +527,33 @@ class TestVerify:
             verify(bad, "exhaustive")
         assert reported(exc) == scalar_first_failure(bad, code_order_pairs(q))
 
-    def test_random_chunks_keep_stream_order(self, monkeypatch):
-        # with tiny chunks the first failure lies past the first chunk and is
-        # still the stream's first failure
-        monkeypatch.setattr(multiplier, "RANDOM_CHUNK", 4)
-        bad = corrupted(build_algorithm(2, 3), 2, 5)
-        pairs = list(seeded_pairs(bad.ext.order, 6, 40))
-        first = scalar_first_failure(bad, pairs)
-        assert pairs.index(first[:2]) >= 8
+    def test_exhaustive_above_table_cap(self):
+        # 4093**2 = 16,752,649 pairs is within the exhaustive cap; the scalar
+        # routes over every pair took about 113 s, the basis pair takes one
+        line = build_algorithm(4093, 1)
+        assert 4093**2 <= multiplier.EXHAUSTIVE_PAIR_CAP
+        report = verify(line, "exhaustive")
+        assert report.mode == "exhaustive" and report.pairs_checked == 4093**2
+        assert verify(line).mode == "exhaustive"
+        bad = corrupted(line)
         with pytest.raises(VerificationError) as exc:
-            verify(bad, "random", trials=40, seed=6)
+            verify(bad, "exhaustive")
+        # reached after 4,095 pairs of the code order: every (0, y), then (1, 0)
+        first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+        assert first[:2] == (1, 1)
         assert reported(exc) == first
 
-    def test_random_just_past_one_chunk(self):
-        trials = multiplier.RANDOM_CHUNK + 1
-        report = verify(build_algorithm(2, 2), "random", trials=trials, seed=9)
-        assert report.pairs_checked == trials and report.failures == 0
+    def test_random_mode_reports_a_basis_pair_when_the_stream_passes(self):
+        # rank 1 over GF(4) with recon moved to 0 fails every pair of nonzero
+        # codes; seed 1 draws the one trial (1, 0), which passes, and the
+        # first failing basis pair is reported instead of a passing report
+        bad = corrupted(build_algorithm(4, 1))
+        (pair,) = seeded_pairs(bad.ext.order, 1, 1)
+        assert 0 in pair and scalar_first_failure(bad, [pair]) is None
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, "random", trials=1, seed=1)
+        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+        assert reported(exc)[:2] == (1, 1)
 
     @pytest.mark.parametrize(
         "order", [2, 3, 255, 256, 257, 2**64, 257**2, (2**31 - 1) ** 2], ids=str
@@ -556,113 +581,45 @@ class TestVerify:
             verify(build_algorithm(2, 2), "sometimes")
 
 
-class TestRowTableKernel:
-    @pytest.mark.parametrize("q", [2, 4])
-    @pytest.mark.parametrize("rows", [None, 3])
-    def test_first_failure_inside_a_multi_row_chunk(self, monkeypatch, q, rows):
-        # a moved recon entry of the infinity slot first fails at x = y =
-        # q**2, over a prime base and an extension base; with three-row
-        # chunks that x is row 1 of the chunk starting at q**2 - 1, with
-        # the default chunk it is row q**2 of the only chunk
-        algo = build_algorithm(q, 3)
-        if rows:
-            monkeypatch.setattr(multiplier, "EXHAUSTIVE_CHUNK", rows * algo.ext.order)
-        rows = max(1, multiplier.EXHAUSTIVE_CHUNK // algo.ext.order)
-        bad = corrupted(algo, 2, algo.plan.rational_slots - 1)
-        first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
-        assert first[:2] == (q * q, q * q) and rows > 1 and first[0] % rows >= 1
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == first
+class TestFirstBasisFailure:
+    """The first failing pair of a wrong algorithm is a basis pair, and
+    both modes report the pair a scalar loop over their pairs stops at."""
 
-    def test_row_tables_are_uint16(self, monkeypatch):
-        dtypes = set()
-        lazy_sum = multiplier._LazySum.sum
-
-        def spy(self, terms, chunk):
-            dtypes.update(table.dtype for _, table in terms)
-            return lazy_sum(self, terms, chunk)
-
-        monkeypatch.setattr(multiplier._LazySum, "sum", spy)
-        for q, n in ((5, 3), (4, 3), (16, 2), (64, 2)):
-            verify(build_algorithm(q, n), "exhaustive")
-        assert dtypes == {np.dtype(np.uint16)}
-
-    def test_rows_with_equal_recon_entries_share_tables(self, monkeypatch):
-        # (3, 5): 39 nonzero recon entries give 21 distinct (recon[j][k], k)
-        # keys; the other 5 tables are the reference's S_j'
-        tables = set()
-        lazy_sum = multiplier._LazySum.sum
-
-        def spy(self, terms, chunk):
-            tables.update(id(table) for _, table in terms)
-            return lazy_sum(self, terms, chunk)
-
-        monkeypatch.setattr(multiplier._LazySum, "sum", spy)
-        algo = build_algorithm(3, 5)
-        verify(algo, "exhaustive")
-        assert sum(map(bool, algo.recon.entries)) == 39
-        assert len(tables) == 21 + 5
-
-    @pytest.mark.parametrize("q,n", [(5, 2), (13, 2), (3, 5)])
-    def test_entry_first_in_one_row_and_later_in_another(self, q, n):
-        # an entry recon[j][k] = c that starts one row and follows another
-        # row's first term is one table, summed at both places
-        algo = build_algorithm(q, n, plan_evaluation(q, n, True))
-        firsts, later = set(), set()
-        for row in algo.recon.to_int_lists():
-            terms = [(c, k) for k, c in enumerate(row) if c]
-            firsts.add(terms[0])
-            later.update(terms[1:])
-        assert firsts & later
-        assert verify(algo, "exhaustive").failures == 0
-
-    @pytest.mark.parametrize("q,n", [(64, 2), (16, 3), (32, 2), (27, 2), (4, 6), (243, 1)])
-    def test_digit_fields_hold_every_sum(self, monkeypatch, q, n):
-        # the widest cells: a coordinate sums n reference terms and
-        # nnz(recon[j]) tensor terms, each digit at most p - 1, so an odd
-        # characteristic field needs room for K*(p-1), K = n + max nnz, to
-        # be folded once; XOR in characteristic 2 needs one bit.  All m
-        # fields of a base code fit uint16.
-        made = []
-
-        class Spy(multiplier._LazySum):
-            def __init__(self, field, terms):
-                super().__init__(field, terms)
-                made.append((terms, self))
-
-        monkeypatch.setattr(multiplier, "_LazySum", Spy)
+    @pytest.mark.parametrize("q,n", canonical_cells(2**12), ids=lambda v: str(v))
+    def test_exhaustive_reports_the_code_order_first_failure(self, q, n):
         algo = build_algorithm(q, n)
         assert verify(algo, "exhaustive").failures == 0
-        ((terms, lazy),) = made
-        p, m = algo.base.char, round(math.log(q, algo.base.char))
-        assert terms == n + max(sum(map(bool, row)) for row in algo.recon.to_int_lists())
-        if p == 2:
-            assert lazy.bits == 1 and lazy.fold is None
-        else:
-            assert terms * (p - 1) < 1 << lazy.bits and lazy.capacity >= terms
-            assert lazy.fold.dtype == np.uint16 and len(lazy.fold) == 1 << lazy.bits * m
-        assert lazy.bits * m <= 16 and lazy.spread.dtype == np.uint16
-        assert lazy.spread.tolist() == [
-            sum((c // p**i % p) << lazy.bits * i for i in range(m)) for c in range(q)
-        ]
-
-    @pytest.mark.parametrize("q,n,bits,mode", in_both_modes([(5, 3, 4), (9, 3, 6), (27, 2, 9)]))
-    def test_full_fields_are_folded(self, monkeypatch, q, n, bits, mode):
-        # with fields too narrow for all K terms, a sum is folded each time
-        # a field is full: correct algorithms pass and a corrupted one is
-        # reported at the scalar loop's first failure
-        monkeypatch.setattr(multiplier, "LAZY_BITS", bits)
-        algo = build_algorithm(q, n)
-        assert verify(algo, mode, seed=3).failures == 0
-        for bad in (corrupted(algo, n - 1, algo.rank - 1), corrupted(algo, 1, n - 1, "forms")):
+        basis_pairs = {(q**i, q**j) for i in range(n) for j in range(i, n)}
+        for bad in seeded_corruptions(algo, q * 100 + n):
+            first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+            if first is None:  # the move left the algorithm correct
+                assert verify(bad, "exhaustive").failures == 0
+                continue
             with pytest.raises(VerificationError) as exc:
-                verify(bad, mode, seed=3)
-            assert reported(exc) == scalar_first_failure(bad, checked_pairs(bad, mode, 3))
+                verify(bad, "exhaustive")
+            assert reported(exc) == first
+            assert first[:2] in basis_pairs
+
+    @pytest.mark.parametrize("q,n", CONSTRUCT_CELLS + [(257, 2), (251, 8)], ids=lambda v: str(v))
+    def test_random_reports_the_stream_first_failure(self, q, n):
+        algo = build_algorithm(q, n)
+        for bad in seeded_corruptions(algo, q * 100 + n):
+            first = scalar_first_failure(bad, seeded_pairs(bad.ext.order, 5, multiplier.DEFAULT_TRIALS))
+            if first is None:  # no stream pair fails: the move left it correct
+                assert verify(bad, "random", seed=5).failures == 0
+                continue
+            with pytest.raises(VerificationError) as exc:
+                verify(bad, "random", seed=5)
+            assert reported(exc) == first
+
+
+class TestRowTableKernel:
+    """Corruption and memory checks of verify; the class keeps the name of
+    the numpy kernel it once tested so that the test ids stay stable."""
 
     def test_dense_recon_past_the_field_width(self):
-        # 28 rational slots over GF(27): a recon of all ones sums 2 + 28
-        # terms a coordinate, past what 16 bits hold in 3 fields unfolded
+        # 28 rational slots over GF(27) and a recon of all ones: every
+        # coordinate sums 28 tensor terms
         algo = build_algorithm(27, 2, EvalPlan(27, 2, tuple(range(27)), True, (), 28))
         dense = fields.Matrix.from_rows(algo.base, [[1] * algo.rank] * 2)
         bad = BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, dense)
@@ -671,8 +628,7 @@ class TestRowTableKernel:
         assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
 
     def test_random_mode_memory(self):
-        # a pass holds uint16 form values and sums of 1000 pairs, not intp
-        # arrays per coordinate
+        # the identity holds, so no operand pair is drawn
         algo = build_algorithm(4, 8)
         tracemalloc.start()
         try:
@@ -683,8 +639,7 @@ class TestRowTableKernel:
         assert peak <= 512 * 2**10
 
     def test_row_tables_memory(self):
-        # (nnz(recon) + n) tables of q * q**n uint16 entries: 3.5 MiB at
-        # (64, 2), built without full-size intp temporaries
+        # the basis pairs hold a few lists of n codes, not tables over all pairs
         algo = build_algorithm(64, 2)
         tracemalloc.start()
         try:
@@ -698,20 +653,18 @@ class TestRowTableKernel:
 class TestCodeTables:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 81, 251, 256])
     def test_tables_match_scalar_arithmetic(self, q):
-        # the scalar arithmetic of the oracle
+        # the list tables that small fields compute in and the modulus
+        # search walks, against the scalar arithmetic of the oracle
         F = oracle_of(make_field(q))
-        # carry-free products at [a, b], and fold sends a spread code back
-        lazy = multiplier._LazySum(make_field(q), 4)
-        assert lazy.mul.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
-        assert lazy.prod.tolist() == [[int(lazy.spread[F.mul(a, b)]) for b in range(q)] for a in range(q)]
-        if lazy.fold is not None:
-            assert lazy.fold.take(lazy.spread).tolist() == list(range(q))
-        tables = [t for t in (lazy.mul, lazy.spread, lazy.fold, lazy.prod) if t is not None]
-        assert not any(t.flags.writeable for t in tables)
+        add, mul, neg, inv = fields._list_tables(make_field(q))
+        assert add == [[F.add(a, b) for b in range(q)] for a in range(q)]
+        assert mul == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+        assert neg == [F.neg(a) for a in range(q)]
+        assert inv[0] == 0 and all(F.mul(a, inv[a]) == 1 for a in range(1, q))
 
     def test_no_tables_above_cap(self):
-        with pytest.raises(ValueError):
-            multiplier._LazySum(make_field(257), 4)
+        with pytest.raises(ValueError, match="code tables are built only for q <= 256"):
+            fields._list_tables(make_field(257))
 
     def test_tables_built_on_first_use(self, monkeypatch):
         # GF(4^4) has 256 elements, so it computes by table lookups; building
