@@ -22,7 +22,13 @@ the process.  Those tables drive the search instead.
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
 digits, low to high) is smallest.  That makes every derived object, tensors
-included, reproducible byte for byte.
+included, reproducible byte for byte.  The search walks the candidates in
+that order and tests them by Ben-Or's gcd test.  Rules proven in the
+docstrings of irreducible_polys, _candidates and _affine_exponents skip
+reducible candidates untested without changing the order, among them whole
+rows of affine p-polynomials and, in fields with tables, the constant terms
+that give a candidate a root.  Listing those takes a pass over the field,
+affordable only in tables, so above the cap nothing is sieved.
 
 All arithmetic is exact; there is no floating point in this module.  Moduli
 are limited to p < 2**61 so residues stay single-word with double-width
@@ -736,11 +742,23 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
 
     A monic candidate c_0 + c_1 u + ... + u**d is ranked by the integer
     sum(c_i * q**i) and the candidates are walked in that order, lazily in q.
-    Degree 1 yields every monic linear.  From degree 2 on, candidates
-    divisible by u (c_0 = 0) and p-th powers (see _is_pth_power) are skipped
-    untested, and so are the quadratics over GF(2**k) that the trace rule
-    of _binary_quadratic_candidates proves reducible.  Over a field with code
-    tables the remaining candidates are tested in them.
+    Degree 1 yields every monic linear.  From degree 2 on, _candidates
+    gives the walk one row c_1 ... c_{d-1} at a time and leaves out the
+    candidates its rules prove reducible; over GF(2**k) the quadratics are
+    decided by the trace rule of _binary_quadratic_candidates instead.  The
+    remaining candidates are tested by is_irreducible's test, in code tables
+    where the field has them.
+
+    Over a field with tables the walk also sieves roots.  For a fixed row,
+    the candidate with constant term c_0 has a root a exactly when
+    c_0 = -(a**d + c_{d-1} a**(d-1) + ... + c_1 a), a != 0 since c_0 != 0.
+    At a row's first rejected candidate those c_0 are listed, by one Horner
+    pass over the field in its tables (_rooted_constants), and the rest of
+    the row skips them untested; a row whose candidates up to the wanted
+    one are irreducible lists nothing.  Above the tables nothing is sieved:
+    the list costs a pass over all of GF(q) per row, which would make the
+    degree-2 search over GF(65537) hundreds of times slower and the one
+    over GF(2**61 - 1) endless.
     """
     q = field.order
     if degree < 1:
@@ -748,35 +766,89 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
     if degree == 1:
         yield from ((c0, 1) for c0 in range(q))
         return
-    if q <= CODE_TABLE_CAP:
-        test = partial(_irreducible_codes, _list_tables(field))
-    else:
-        test = partial(is_irreducible, field)
+    tables = _list_tables(field) if q <= CODE_TABLE_CAP else None
+    test = partial(_irreducible_codes, tables) if tables else partial(is_irreducible, field)
     if degree == 2 and field.char == 2:
-        candidates = _binary_quadratic_candidates(field)
-    else:
-        candidates = _candidates(field, degree)
-    yield from filter(test, candidates)
+        yield from filter(test, _binary_quadratic_candidates(field))
+        return
+    for rest, c0s in _candidates(field, degree):
+        rooted = None  # the row's constants with a root, listed at its first rejection
+        for c0 in c0s:
+            if rooted is not None and c0 in rooted:
+                continue
+            candidate = (c0, *rest)
+            if test(candidate):
+                yield candidate
+            elif tables and rooted is None:
+                rooted = _rooted_constants(tables, rest)
 
 
-def _candidates(field, degree: int) -> Iterator[tuple]:
-    """The monic candidates of degree >= 2 in canonical order, without those
-    divisible by u, the p-th powers, and those over the prime field when
-    the degree d and the field's degree k over GF(p) share a factor.
+def _rooted_constants(tables: tuple, rest: tuple) -> set:
+    """The c_0 != 0 for which c_0 + c_1 u + ... + u**d has a root, given
+    rest = (c_1, ..., c_{d-1}, 1): -(a**d + ... + c_1 a) over a != 0, by
+    Horner's rule run on every a at once."""
+    add, mul, neg, _ = tables
+    xs = range(1, len(add))
+    acc = list(xs)  # 1 * a
+    for c in reversed(rest[:-1]):  # c_{d-1}, ..., c_1
+        acc = [mul[add[v][c]][a] for v, a in zip(acc, xs)]
+    return {neg[v] for v in acc}
 
-    The codes below p are the prime field.  A polynomial over GF(p) factors
-    there into irreducibles of degrees d_i, and over GF(p**k) each of them
-    splits into gcd(d_i, k) factors, so with gcd(d, k) > 1 it is reducible.
-    Over GF(p**2) and larger even degrees this skips the first p - 1
-    candidates of a quadratic walk, all reducible."""
+
+def _candidates(field, degree: int) -> Iterator[tuple[tuple, range]]:
+    """The monic candidates of degree d >= 2 in canonical order, as rows:
+    (c_1, ..., c_{d-1}, 1) with the range of c_0 to walk.  Left out, all
+    reducible:
+
+    * c_0 = 0, divisible by u;
+    * p-th powers (_is_pth_power), whole rows, since c_0 cannot change it;
+    * over GF(p**k), the polynomials over the prime field GF(p) when d and
+      k share a factor.  A polynomial over GF(p) factors there into
+      irreducibles of degrees d_i, and over GF(p**k) each of them splits
+      into gcd(d_i, k) factors.  The codes below p are the prime field, so
+      over GF(p**2) at even degree this drops the first p - 1 candidates of
+      a row with every c_i < p;
+    * affine p-polynomials at the degrees _affine_exponents proves them
+      reducible, whole rows: over GF(2**k) at degree 8 the first q**2.
+    """
     q, p = field.order, field.char
     split = q > p and math.gcd(degree, prime_power_split(q)[1]) > 1
+    affine = _affine_exponents(degree, p)
     for high in range(q ** (degree - 1)):  # c_1, ..., c_{d-1} as one code
         rest = (*_digits(high, q, degree - 1), 1)
         if _is_pth_power((0, *rest), p):  # c_0 cannot change it
             continue
-        for c0 in range(p if split and max(rest) < p else 1, q):
-            yield (c0, *rest)
+        if affine and not any(c for e, c in enumerate(rest, 1) if e not in affine):
+            continue
+        yield rest, range(p if split and max(rest) < p else 1, q)
+
+
+def _affine_exponents(degree: int, p: int) -> frozenset:
+    """The exponents 1, p, ..., p**k = d at which an affine p-polynomial of
+    degree d may have terms, when every such polynomial is reducible: d = p**k
+    with k >= 2, except d = 4 in characteristic 2.  Empty otherwise.
+
+    Such a candidate is A = L + c_0, L = sum c_{p**i} u**(p**i) additive.
+    With c_1 = 0 it is a p-th power; otherwise L is separable, so its roots
+    form a GF(p)-space U of dimension k (L is GF(p)-linear) and the roots
+    of A a coset b + U.  Frobenius x -> x**q maps U onto itself (L has
+    coefficients in GF(q)), so on the coset it acts as the affine map
+    g: v -> Mv + w of U, M its restriction to U and w = b**q - b in U.  A is
+    irreducible iff g permutes its p**k roots in one cycle.  If it does,
+    g**(p**k) = 1 gives M**(p**k) = 1, so N = M - 1 is nilpotent with
+    N**k = 0, and with m = p**(k-1) >= k the linear part of g**m is
+    (1 + N)**m = 1 + N**m = 1 and its translation part is
+    (1 + M + ... + M**(m-1)) w = N**(m-1) w.  That is 0 when m - 1 >= k, i.e.
+    p**(k-1) >= k + 1, which holds unless p = 2 and k = 2; then g**m = 1
+    with m < p**k, so g is no such cycle and A is reducible.  At d = 4 over
+    GF(2) and GF(4), 1 of 8 and 12 of 64 such candidates are irreducible.
+    """
+    k, m = 0, 1
+    while m < degree:
+        k, m = k + 1, m * p
+    if m != degree or k < 2 or (p, k) == (2, 2):
+        return frozenset()
+    return frozenset(p**i for i in range(k + 1))
 
 
 def _binary_quadratic_candidates(field) -> Iterator[tuple]:

@@ -268,9 +268,11 @@ def build_algorithm(
     """Construct and assemble the symmetric decomposition for GF(q^n)/GF(q).
 
     The defining modulus defaults to the canonical irreducible of degree n.
-    The interpolation system is inverted on the first full-rank square row
-    subsystem in canonical order (for the canonical plans the system is
-    square already), which cannot be singular for distinct places.
+    The interpolation system has one row per evaluation degree.  A plan
+    with exactly 2n-1 degrees, such as every plan of plan_evaluation, gives
+    a square system, regular for distinct places, which is inverted as it
+    is; a plan with surplus degrees is inverted on its first full-rank
+    square row subsystem in canonical order.
     """
     base = make_field(q)
     if plan is None:
@@ -314,8 +316,10 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
         s_rows.append(s_row([1]))
         forms_rows.append([0] * (n - 1) + [1])
         eval_rows.append([0] * (prod_len - 1) + [1])
+    if plan.deg2_places:
+        sub_plan = plan_evaluation(plan.q, 2, allow_deg2=False)
     for pi in plan.deg2_places:
-        sub_forms, sub_recon = _interpolate(base, plan_evaluation(plan.q, 2, allow_deg2=False), pi)
+        sub_forms, sub_recon = _interpolate(base, sub_plan, pi)
         res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
         s_rows += [s_row(row) for row in sub_recon.to_int_lists()]
         # compose the three sub-forms with the residue map: rows over x coords
@@ -323,12 +327,14 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
             forms_rows.append([base.add(base.mul(s0, r0), base.mul(s1, r1)) for r0, r1 in res[:n]])
         eval_rows.extend(map(list, zip(*res)))
 
-    picked = select_independent_rows(Matrix.from_rows(base, eval_rows), prod_len)
-    square = Matrix.from_rows(base, [eval_rows[i] for i in picked])
-    s_picked = Matrix.from_rows(base, [s_rows[i] for i in picked])
+    if len(eval_rows) > prod_len:  # a plan with surplus degrees
+        picked = select_independent_rows(Matrix.from_rows(base, eval_rows), prod_len)
+        eval_rows = [eval_rows[i] for i in picked]
+        s_rows = [s_rows[i] for i in picked]
     # reduction of product coefficients mod the defining polynomial
     reduce_q = Matrix.from_rows(base, list(zip(*power_rows(base, modulus, prod_len))))
-    return Matrix.from_rows(base, forms_rows), reduce_q @ invert(square) @ s_picked
+    inverse = invert(Matrix.from_rows(base, eval_rows))
+    return Matrix.from_rows(base, forms_rows), reduce_q @ inverse @ Matrix.from_rows(base, s_rows)
 
 
 def multiply(algo: BilinearAlgorithm, x: int, y: int) -> int:

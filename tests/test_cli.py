@@ -291,6 +291,26 @@ class TestMultCommand:
         assert refused == (1, {"error": "usage", "reason": (
             "primality test limited to n < 3317044064679887385961981")})
 
+    def test_degree_8_over_gf256_answers(self, capsys):
+        # its canonical modulus sits just past the q**2 affine rows that the
+        # modulus search skips; testing them did not finish in 600 s
+        code, out = run(capsys, "mult", "--q", "256", "--n", "8", "--allow-deg2")
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["rank"], doc["modulus"]) == (15, [14, 1, 0, 1, 0, 0, 0, 0, 1])
+
+    def test_modulus_search_above_the_cap_makes_no_pass_over_the_field(self, capsys, monkeypatch):
+        from symrank import fields
+
+        def refuse(*args):
+            raise AssertionError("a pass over GF(q) above the code-table cap")
+
+        monkeypatch.setattr(fields, "_rooted_constants", refuse)
+        monkeypatch.setattr(fields, "_list_tables", refuse)
+        q = (2**31 - 1) ** 2
+        code, out = run(capsys, "mult", "--q", str(q), "--n", "2", "--verify", "random:10")
+        assert code == 0 and json.loads(out)["modulus"] == [2**31 + 1, 0, 1]
+
     def test_verification_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise VerificationError(2, 2, 1, 2, 3, 0)

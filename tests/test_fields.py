@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -117,6 +118,9 @@ FIRST_PLACES_DIGEST = "41fdab0a50f60b15200f0fdc1142b03b2e2e2109011674a8f1b558d91
 # polynomial-tuple routines; cells whose search took over 50 ms are left out
 ABOVE_CAP_MODULI_DIGEST = "c5d488149ec374ad8929be9e514126f8a0e149c263138b1e7e1669c1b133985a"
 SLOW_ABOVE_CAP_CELLS = {(343, 4), (512, 3), (1024, 4), (4096, 4)}
+# the same for every q <= 32 at 4 <= n <= 8, as computed by the walk that
+# sent every candidate left by the p-th-power and prime-field rules to the test
+DEGREE_4_TO_8_MODULI_DIGEST = "f9f7977ffc4cbe0670a986dcaa795117b48b3476f75039f4af5bd612cd5f316f"
 
 
 def is_prime_power(q):
@@ -132,6 +136,26 @@ class TestIrreducibleWalk:
         qs = [q for q in range(2, 257) if is_prime_power(q)]
         moduli = [(q, n, find_irreducible(make_field(q), n)) for q in qs for n in (2, 3)]
         assert hashlib.sha256(repr(moduli).encode()).hexdigest() == CANONICAL_MODULI_DIGEST
+
+    def test_canonical_moduli_to_degree_8_pinned(self):
+        qs = [q for q in range(2, 33) if is_prime_power(q)]
+        moduli = [(q, n, find_irreducible(make_field(q), n)) for q in qs for n in range(4, 9)]
+        assert hashlib.sha256(repr(moduli).encode()).hexdigest() == DEGREE_4_TO_8_MODULI_DIGEST
+
+    def test_degree_8_moduli_past_the_affine_rows_pinned(self):
+        # both sit at c_3 = 1, just past the q**2 affine rows; the walk that
+        # tested those rows took 1.4 s and 15 s on them
+        assert find_irreducible(make_field(32), 8) == (2, 1, 0, 1, 0, 0, 0, 0, 1)
+        assert find_irreducible(make_field(64), 8) == (3, 1, 0, 1, 0, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_walk_yields_what_testing_every_candidate_yields(self, q, d):
+        f = make_field(q)
+        every = filter(lambda c: is_irreducible(f, c), all_monic_polys(f, d))
+        assert list(itertools.islice(irreducible_polys(f, d), 40)) == list(
+            itertools.islice(every, 40)
+        )
 
     def test_first_degree_two_places_pinned(self):
         places = [
@@ -190,6 +214,111 @@ class TestIrreducibleWalk:
         # above the primality test's limit and free of its bases 2..41, so
         # is_prime would refuse it: it is split instead
         assert fields_mod.make_field.__wrapped__(43**16).order == 43**16
+
+
+def affine_polys(f, d):
+    """Every c_0 + sum c_{p**i} u**(p**i), monic of degree d = p**k."""
+    p = f.char
+    exps = [0] + [p**i for i in range(d.bit_length()) if p**i < d]
+    for coeffs in itertools.product(range(f.order), repeat=len(exps)):
+        poly = [0] * d + [1]
+        for e, c in zip(exps, coeffs):
+            poly[e] = c
+        yield tuple(poly)
+
+
+def has_root(f, poly):
+    """Whether some a in the field is a root, by Horner in the oracle."""
+    F = oracle_of(f)
+    for a in range(f.order):
+        acc = 0
+        for c in reversed(poly):
+            acc = F.add(F.mul(acc, a), c)
+        if not acc:
+            return True
+    return False
+
+
+class TestAffineRows:
+    """An affine p-polynomial of degree p**k, k >= 2, is reducible, except
+    at degree 4 in characteristic 2 (proof in fields._affine_exponents)."""
+
+    @pytest.mark.parametrize(
+        "q,d,count", [(2, 8, 16), (4, 8, 256), (8, 8, 4096), (2, 16, 32), (3, 9, 27), (9, 9, 729), (5, 25, 125)]
+    )
+    def test_none_is_irreducible(self, q, d, count):
+        import symrank.fields as fields_mod
+
+        f = make_field(q)
+        polys = list(affine_polys(f, d))
+        assert len(polys) == count
+        assert not any(is_irreducible(f, c) for c in polys)
+        assert fields_mod._affine_exponents(d, f.char)
+
+    @pytest.mark.parametrize("q,irreducible", [(2, 1), (4, 12)])
+    def test_degree_4_in_characteristic_2_is_the_exception(self, q, irreducible):
+        import symrank.fields as fields_mod
+
+        f = make_field(q)
+        found = [c for c in affine_polys(f, 4) if is_irreducible(f, c)]
+        assert len(found) == irreducible
+        assert set(found) <= set(irreducible_polys(f, 4))
+        assert not fields_mod._affine_exponents(4, 2)
+
+
+class TestRootSieve:
+    @pytest.mark.parametrize(
+        "q,d", [(2, 8), (4, 8), (3, 9), (16, 4), (4, 4), (9, 6), (27, 3), (5, 4), (25, 2)]
+    )
+    def test_skipped_candidates_have_a_root_or_are_affine(self, monkeypatch, q, d):
+        # spy on the test: up to the walk's fifth answer, every candidate
+        # it leaves untested is ruled out by a stated rule (a root counts
+        # only after its row's first rejection), and none that is tested is
+        # affine or has a root after its row's first rejection
+        import symrank.fields as fields_mod
+
+        f = make_field(q)
+        p = f.char
+        tested = []
+        real = fields_mod._irreducible_codes
+        monkeypatch.setattr(
+            fields_mod, "_irreducible_codes", lambda t, c: tested.append(tuple(c)) or real(t, c)
+        )
+        last = list(itertools.islice(irreducible_polys(f, d), 5))[-1]
+        monkeypatch.undo()
+        affine = fields_mod._affine_exponents(d, p)
+        split = q > p and math.gcd(d, prime_power_split(q)[1]) > 1
+        rejected_rows = set()
+        seen = set(tested)
+        for c in all_monic_polys(f, d):
+            row = c[1:]
+            in_affine_row = bool(affine) and all(e in affine for e, x in enumerate(c) if x and e)
+            if c in seen:
+                assert not in_affine_row, c
+                if row in rejected_rows:
+                    assert not has_root(f, c), c
+                if not is_irreducible(f, c):
+                    rejected_rows.add(row)
+            elif c[0] and any(x for e, x in enumerate(c) if e % p) and not (split and max(c) < p):
+                assert in_affine_row or (row in rejected_rows and has_root(f, c)), c
+            if c == last:
+                break
+
+    def test_no_pass_over_the_field_above_the_cap(self, monkeypatch):
+        # the moduli the walk without a sieve found; above the cap nothing
+        # lists a row's rooted constants or builds tables
+        import symrank.fields as fields_mod
+
+        def refuse(*args):
+            raise AssertionError("a pass over the field above the cap")
+
+        monkeypatch.setattr(fields_mod, "_rooted_constants", refuse)
+        monkeypatch.setattr(fields_mod, "_list_tables", refuse)
+        cells = {(2**61 - 1, 2): (1, 0, 1), (2**61 - 1, 3): (5, 0, 0, 1), (65537, 2): (3, 0, 1),
+                 ((2**31 - 1) ** 2, 2): (2**31 + 1, 0, 1)}
+        for (q, n), modulus in cells.items():
+            f = fields_mod.make_field.__wrapped__(q)
+            assert find_irreducible(f, n) == modulus
 
 
 class TestBinaryQuadratics:

@@ -245,6 +245,19 @@ class TestBuild:
         assert algo.rank == 4
         assert verify(algo, "exhaustive").failures == 0
 
+    def test_only_surplus_plans_pick_rows(self, monkeypatch):
+        # a plan of exactly 2n-1 degrees is a square, regular system
+        picks = []
+        real = multiplier.select_independent_rows
+        monkeypatch.setattr(
+            multiplier, "select_independent_rows", lambda m, need: picks.append(need) or real(m, need)
+        )
+        for q, n in [(9, 6), (4, 8), (5, 2)]:
+            build_algorithm(q, n)
+        assert picks == []
+        build_algorithm(5, 2, EvalPlan(5, 2, (0, 1, 2, 3), False, (), 4))
+        assert picks == [3]
+
     @pytest.mark.parametrize(
         "plan,rank,digest",
         [
