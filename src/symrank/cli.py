@@ -7,7 +7,8 @@ seeded (default seed printed with the output), and identical argv produces
 byte-identical output.  JSON replies (error replies included) and emitted
 tensors come from one emitter, `jsonout.dumps`, byte-identical to
 `json.dumps(doc, indent=2)`.  Each `main` call builds its own argument
-parser (see `_build_parser`).
+parser, and of the subcommand parsers only the one its argv names (see
+`_build_parser`).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input or failed
 precondition (structured report on stdout), 3 verification failure.
@@ -25,7 +26,7 @@ import operator
 import shutil
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import bounds, curves, jsonout, multiplier, primes
 from .bounds import InfeasiblePipelineError
@@ -246,92 +247,6 @@ def _cmd_selftest(args) -> tuple[str, int]:
     return buf.getvalue(), code
 
 
-def _add_format(sub, *, csv_ok: bool = False) -> None:
-    choices = ["json", "text"] + (["csv"] if csv_ok else [])
-    sub.add_argument("--format", choices=choices, default="json")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """A fresh argument parser; `main` builds one per call.
-
-    A parser shared by the calls of a process would save the build, about
-    1 ms, but a warm `bound` call would then take about 0.3 ms, and refilling
-    the CPU caches that other work evicts between calls can cost as much
-    again, so timings of repeated in-process calls would follow machine load
-    more than the work (2-core x86-64 VM, Python 3.11).
-    """
-    # argparse makes a HelpFormatter for every argument it adds, and each
-    # asks for the terminal size unless given a width; ask once per parser
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="symrank",
-        formatter_class=formatter,
-        description="Symmetric multiplication algorithms and tensor-rank bounds "
-        "for finite field extensions",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(subs.add_parser, formatter_class=formatter)
-
-    sub = add_parser("bound", help="closed-form or constructive rank bound")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--field", choices=["p", "p2"], default="p2")
-    sub.add_argument("--method", choices=["closed", "constructive", "all"], default="all")
-    sub.add_argument("--policy", choices=["dudek", "bhp", "empirical"], default="dudek")
-    sub.add_argument("--alpha", help="gap exponent C/D (empirical policy only)")
-    sub.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    _add_format(sub)
-    sub.set_defaults(fn=_cmd_bound)
-
-    sub = add_parser("table", help="bound table over a (p, n) grid")
-    sub.add_argument("--p-set", type=_parse_p_set, required=True, dest="p_set")
-    sub.add_argument("--n-range", type=_parse_n_range, required=True, dest="n_range")
-    sub.add_argument("--policy", choices=["dudek", "bhp", "empirical"], default="dudek")
-    sub.add_argument("--alpha")
-    sub.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    _add_format(sub, csv_ok=True)
-    sub.set_defaults(fn=_cmd_table)
-
-    sub = add_parser("gaps", help="scan successor gaps against l**alpha")
-    sub.add_argument("--limit", type=int, required=True)
-    sub.add_argument("--alpha", default="2/3")
-    sub.add_argument("--timing", action="store_true", help="include runtime_ms (non-reproducible)")
-    _add_format(sub)
-    sub.set_defaults(fn=_cmd_gaps)
-
-    sub = add_parser("genus", help="genus of X0(N) or curve-family data")
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--family", choices=["11l", "23l"])
-    sub.add_argument("--l", type=int)
-    sub.add_argument("--p", type=int)
-    _add_format(sub)
-    sub.set_defaults(fn=_cmd_genus)
-
-    sub = add_parser("mult", help="build and verify a multiplication algorithm")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--allow-deg2", action="store_true")
-    sub.add_argument("--verify", default="auto", help="exhaustive | random:N | auto")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--emit-tensor", metavar="PATH")
-    _add_format(sub)
-    sub.set_defaults(fn=_cmd_mult)
-
-    sub = add_parser("compare", help="rank every applicable bound method")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    _add_format(sub)
-    sub.set_defaults(fn=_cmd_compare)
-
-    sub = add_parser("selftest", help="run the invariant suites")
-    sub.add_argument(
-        "--timing", action="store_true", help="per-suite milliseconds to stderr (non-reproducible)"
-    )
-    sub.set_defaults(fn=_cmd_selftest)
-
-    return parser
-
-
 def _parse_p_set(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(x) for x in text.split(","))
@@ -358,8 +273,108 @@ def _parse_n_range(text: str) -> tuple[int, int, int]:
     return lo, hi, step
 
 
+_POLICY = ("--policy", {"choices": ("dudek", "bhp", "empirical"), "default": "dudek"})
+_SIEVE_LIMIT = ("--sieve-limit", {"type": int, "default": DEFAULT_SIEVE_LIMIT})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+
+# Every subcommand, in the order of the usage line: its help line, its
+# handler and its arguments as (flag, add_argument keywords).
+_COMMANDS = {
+    "bound": ("closed-form or constructive rank bound", _cmd_bound, (
+        ("--p", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--field", {"choices": ("p", "p2"), "default": "p2"}),
+        ("--method", {"choices": ("closed", "constructive", "all"), "default": "all"}),
+        _POLICY,
+        ("--alpha", {"help": "gap exponent C/D (empirical policy only)"}),
+        _SIEVE_LIMIT,
+        _FORMAT,
+    )),
+    "table": ("bound table over a (p, n) grid", _cmd_table, (
+        ("--p-set", {"type": _parse_p_set, "required": True, "dest": "p_set"}),
+        ("--n-range", {"type": _parse_n_range, "required": True, "dest": "n_range"}),
+        _POLICY,
+        ("--alpha", {}),
+        _SIEVE_LIMIT,
+        ("--format", {"choices": ("json", "text", "csv"), "default": "json"}),
+    )),
+    "gaps": ("scan successor gaps against l**alpha", _cmd_gaps, (
+        ("--limit", {"type": int, "required": True}),
+        ("--alpha", {"default": "2/3"}),
+        ("--timing", {"action": "store_true", "help": "include runtime_ms (non-reproducible)"}),
+        _FORMAT,
+    )),
+    "genus": ("genus of X0(N) or curve-family data", _cmd_genus, (
+        ("--N", {"type": int}),
+        ("--family", {"choices": ("11l", "23l")}),
+        ("--l", {"type": int}),
+        ("--p", {"type": int}),
+        _FORMAT,
+    )),
+    "mult": ("build and verify a multiplication algorithm", _cmd_mult, (
+        ("--q", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--allow-deg2", {"action": "store_true"}),
+        ("--verify", {"default": "auto", "help": "exhaustive | random:N | auto"}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ("--emit-tensor", {"metavar": "PATH"}),
+        _FORMAT,
+    )),
+    "compare": ("rank every applicable bound method", _cmd_compare, (
+        ("--p", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        _FORMAT,
+    )),
+    "selftest": ("run the invariant suites", _cmd_selftest, (
+        ("--timing", {"action": "store_true", "help": "per-suite milliseconds to stderr (non-reproducible)"}),
+    )),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """A fresh argument parser for `argv`; `main` builds one per call.
+
+    Once `argv[0]` names a subcommand, argparse hands every later token to
+    that subcommand's parser, so only that one is built: 0.21 ms against
+    0.85 ms for all seven (min of repeated builds, 2-core x86-64 VM,
+    Python 3.11).  Any other `argv` builds all seven: none at all, `--help`
+    or one of its abbreviations, an unknown command or a leading option.
+    The names left unbuilt keep their place among the subparsers' `choices`,
+    because the top-level usage line of an `unrecognized arguments` error
+    lists every command.
+
+    A parser shared by the calls of a process would save the build, but a
+    warm `bound` call would then take about 0.3 ms, and refilling the CPU
+    caches that other work evicts between calls can cost as much again, so
+    timings of repeated in-process calls would follow machine load more than
+    the work (2-core x86-64 VM, Python 3.11).
+    """
+    # argparse makes a HelpFormatter for every argument it adds, and each
+    # asks for the terminal size unless given a width; ask once per parser
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="symrank",
+        formatter_class=formatter,
+        description="Symmetric multiplication algorithms and tensor-rank bounds "
+        "for finite field extensions",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_line, handler, arguments) in _COMMANDS.items():
+        if named not in (None, name):
+            subs.choices[name] = None  # listed in usage lines, never parsed
+            continue
+        sub = subs.add_parser(name, help=help_line, formatter_class=formatter)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(fn=handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -441,6 +442,31 @@ class TestSelftestCommand:
         assert len(lines) == 16 and all(line.endswith(" ms") for line in lines)
 
 
+# argv that reach every path of argparse a per-command build could change:
+# each subcommand's help, missing and repeated options, abbreviations,
+# --opt=value, parse-time type errors, unknown flags and trailing tokens
+# (unrecognized arguments, reported with the top-level usage line), --
+# and the argv that build every subcommand
+PARSE_CORPUS = [
+    (), ("--help",), ("-h",), ("--he",), ("frobnicate",), ("frobnicate", "--q", "3"),
+    ("--format", "json", "bound"), ("--", "mult", "--q", "5", "--n", "2"),
+    *((name, "--help") for name in cli._COMMANDS),
+    ("mult", "-h"), ("mult", "--q", "3", "--n", "2", "--help"),
+    ("bound", "--p", "5"), ("mult",), ("table", "--p-set", "5"), ("mult", "--q", "5", "--n"),
+    ("bound", "--p", "5", "--n", "9", "--meth", "closed"),
+    ("mult", "--q", "5", "--n", "2", "--ver", "random:3"),
+    ("table", "--p", "5", "--n-range", "2:9"),
+    ("mult", "--q=5", "--n=2"), ("table", "--p-set=5,7", "--n-range=2:9", "--format=csv"),
+    ("table", "--p-set", "5,", "--n-range", "2:9"), ("table", "--p-set", "5", "--n-range", "9:2"),
+    ("bound", "--p", "x", "--n", "3"), ("bound", "--p", "5", "--n", "9", "--field", "p3"),
+    ("genus", "--N", "11", "--N", "12"), ("gaps", "--limit", "100", "--timing", "--format", "csv"),
+    ("bound", "--p", "5", "--n", "9", "--frob", "1"), ("bound", "--p", "5", "--n", "9", "-x"),
+    ("mult", "--q", "5", "--n", "2", "bound"), ("mult", "--q", "3", "--n", "2", "bound", "--p", "5"),
+    ("selftest", "extra"), ("mult", "--", "--q", "5"), ("mult", "--q", "5", "--n", "2", "--"),
+    ("mult", "--q", "5", "--n", "2", "--", "x"),
+]
+
+
 class TestUsageAndDeterminism:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "bound", "--p", "5", "--n", "9", "--frob", "1")[0] == 1
@@ -465,6 +491,63 @@ class TestUsageAndDeterminism:
         assert len(calls) == 1
         parser.format_help()
         assert len(calls) == 1
+        # the per-command build too, its subcommand's help included
+        parser = cli._build_parser(["mult", "--q", "3"])
+        assert len(calls) == 2
+        parser.format_help()
+        parser._subparsers._group_actions[0].choices["mult"].format_help()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (("mult", "--q", "3", "--n", "2"), ["mult"]),
+            (("bound", "--p", "5", "--n", "9", "--method", "closed"), ["bound"]),
+            (("mult", "--q", "3", "--n", "2", "bound"), ["mult"]),
+            (("--help",), list(cli._COMMANDS)),
+            ((), list(cli._COMMANDS)),
+            (("frobnicate",), list(cli._COMMANDS)),
+            (("--format", "json", "bound"), list(cli._COMMANDS)),
+        ],
+    )
+    def test_main_builds_only_the_named_subcommand(self, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(
+            argparse._SubParsersAction, "add_parser",
+            lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw),
+        )
+        monkeypatch.setattr(sys, "argv", ["symrank", *argv])
+        cli.main()  # argv from sys.argv, as the console entry point calls it
+        assert names == built
+
+    def test_every_call_builds_a_new_parser(self):
+        for argv in ((), ("mult",)):
+            assert cli._build_parser(argv) is not cli._build_parser(argv)
+
+    @pytest.mark.parametrize("columns", ["100", "40"])
+    def test_per_command_build_parses_as_the_full_build(self, monkeypatch, columns):
+        # the full build, which `--help` and unknown commands still get, is
+        # the reference
+        monkeypatch.setenv("COLUMNS", columns)
+
+        def parse(parser, argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = vars(parser.parse_args(argv))
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue(), err.getvalue()
+
+        unrecognized = 0
+        for argv in PARSE_CORPUS:
+            expected = parse(cli._build_parser(), list(argv))
+            assert parse(cli._build_parser(argv), list(argv)) == expected, argv
+            unrecognized += "unrecognized arguments" in expected[2]
+        # each of these errors prints the top-level usage line, which lists
+        # every command, from a parser that built only one of them
+        assert unrecognized == 7
 
     @pytest.mark.parametrize(
         "argv",
@@ -484,7 +567,7 @@ class TestUsageAndDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_in_process_calls_match_fresh_processes(self, capsys):
+    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
         # after a usage error, later calls in the same process still reply
         # exactly as fresh processes do
         sequence = [
@@ -496,16 +579,25 @@ class TestUsageAndDeterminism:
             ("table", "--p-set", "5", "--n-range", "30:40:10", "--format", "json"),
             ("compare", "--p", "11", "--n", "22"),
             ("bound", "--p", "5", "--n", "3", "--method", "constructive"),
+            ("--help",),
+            ("mult", "--help"),
+            ("frobnicate",),
+            ("mult", "--q", "3", "--n", "2", "bound"),
         ]
-        in_process = [run(capsys, *argv) for argv in sequence]
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage lines wrap alike in both
+        in_process = []
+        for argv in sequence:
+            code = cli.main(list(argv))
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
         fresh = []
         for argv in sequence:
             proc = subprocess.run(
                 [sys.executable, "-m", "symrank.cli", *argv], capture_output=True, check=False
             )
-            fresh.append((proc.returncode, proc.stdout.decode()))
+            fresh.append((proc.returncode, proc.stdout.decode(), proc.stderr.decode()))
         assert in_process == fresh
-        assert [code for code, _ in fresh] == [1, 0, 0, 0, 1, 0, 0, 2]
+        assert [code for code, *_ in fresh] == [1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1, 1]
 
     def test_import_loads_no_numpy(self):
         # verification needs no array library, so none is imported at start-up
