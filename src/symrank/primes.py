@@ -3,8 +3,10 @@ prime pair that realizes the bound pipeline's threshold inequalities.
 
 Neighbouring primes are found by stepping with the deterministic
 Miller-Rabin test (`prev_prime`, `next_prime`), so pair selection costs about
-one prime gap of primality tests and no table.  The exhaustive gap scan walks
-the Eratosthenes sieve's flags pair by pair and never stores the primes.
+one prime gap of primality tests and no table.  The Eratosthenes sieve keeps
+one flag per odd number.  The exhaustive gap scan never stores the primes:
+a record search on the flags finds the largest gap G, and only the primes
+below the cutoff where l**alpha reaches G are tested one by one.
 
 `prev_prime`, `next_prime` and `policy_floor` are pure, and a sweep asks them
 the same questions cell after cell, so each is a bounded `functools.lru_cache`
@@ -28,17 +30,19 @@ terms, gap <= l**alpha is decided as gap**d <= l**c.
 from __future__ import annotations
 
 import enum
-import re
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, pairwise
+from itertools import chain, compress, pairwise
 
 from .ntheory import PrimalityLimitError, is_prime
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
+# the flags take (limit + 1) // 2 bytes and crossing off the multiples of 3
+# a transient third of that, so the cap means about 0.67 GB at peak
 SIEVE_MEMORY_CAP = 1_000_000_000
 DUDEK_X_ALPHA_EXPR = "exp(exp(33.3))"
 # cache bounds, above the distinct keys of a selftest run plus a bound-grid
@@ -79,19 +83,23 @@ def next_prime(x: int) -> int:
 
 
 def _sieve_flags(limit: int) -> bytearray:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    i = 2
-    while i * i <= limit:
+    """One flag per odd number up to `limit`: flags[i] is set iff 2i+1 is prime."""
+    size = (limit + 1) // 2
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    i = 1
+    while (p := 2 * i + 1) * p <= limit:
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+            # the odd multiples of p from p*p on sit p indices apart
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
         i += 1
     return flags
 
 
-def _flagged(flags: bytearray) -> Iterator[int]:
-    """The indices of the set bytes of `flags` (the primes), ascending."""
-    return (m.start() for m in re.finditer(b"\x01", flags))
+def _flagged(flags: bytearray, count: int | None = None) -> Iterator[int]:
+    """2, then the odd primes flagged in `flags[:count]`, ascending."""
+    n = len(flags) if count is None else count
+    return chain((2,), compress(range(1, 2 * n, 2), flags))
 
 
 def _check_sieve_limit(limit: int) -> None:
@@ -139,12 +147,61 @@ def check_gap_scan(limit: int, alpha: Fraction) -> None:
     _check_sieve_limit(limit)
 
 
+def _largest_gap(flags: bytearray, end: int) -> int:
+    """The largest gap between consecutive primes up to 2*end + 1, where
+    flags[end] is set and end >= 1.
+
+    Consecutive odd primes at indices a < b lie 2(b - a) apart with b - a - 1
+    unset flags between them, and every maximal run of unset flags in
+    flags[1:end] has a prime on each side (flags[1] is the prime 3), so for
+    end > 1 the largest gap is 2(R + 1), R the longest run; for end = 1 it is
+    the gap 2 -> 3.  The search keeps `run`, the longest run in flags[1:pos],
+    with flags[pos] set.  `find(bytes(run + 1), pos, end)` is the first start
+    j of a longer run inside flags[pos:end].  flags[j - 1] is set: j > pos,
+    and an unset flags[j - 1] would start such a run at j - 1.  So that run
+    is maximal, it ends at the next set flag k, its length k - j beats `run`,
+    and the invariant holds again at pos = k.  When find fails no run in
+    flags[pos:end] is longer, so run = R.  Each step sets a new record, so
+    Python steps once per record gap.
+    """
+    run, pos = 0, 1
+    while (j := flags.find(bytes(run + 1), pos, end)) >= 0:
+        pos = flags.find(1, j, end + 1)
+        run = pos - j
+    return 2 * (run + 1) if end > 1 else 1
+
+
+def _cutoff(g: int, c: int, d: int, limit: int) -> int:
+    """min(limit, the least b with b**c >= g**d), for g >= 1.
+
+    A float estimate of g**(d/c) only decides whether b lies past `limit` (the
+    margin e swamps its rounding) and gives the start; exact integer steps
+    settle b.
+    """
+    x = d * math.log(g) / c
+    if x > math.log(limit) + 1:
+        return limit
+    gd = g**d
+    b = math.ceil(math.exp(x))
+    while b**c < gd:
+        b += 1
+    while (b - 1) ** c >= gd:
+        b -= 1
+    return min(b, limit)
+
+
 def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     """Every prime l < limit whose successor gap exceeds l**alpha.
 
     The comparison is exact: gap**d <= l**c with alpha = c/d in lowest terms.
     The successor of the largest prime below `limit` is always included in the
     scan; when it lies past `limit` it comes from `next_prime`.
+
+    No Python loop runs over all the primes.  The largest scanned gap G comes
+    from a record search on the sieve flags (`_largest_gap`) and the tail gap.
+    Then gap**d > l**c is tested only for the primes l below the cutoff b,
+    the least integer with b**c >= G**d: from b on, gap**d <= G**d <= b**c <=
+    l**c, so no larger prime can be a violation.
     """
     check_gap_scan(limit, alpha)
     alpha = Fraction(alpha)
@@ -152,17 +209,17 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     c, d = alpha.numerator, alpha.denominator
     flags = _sieve_flags(limit)
     last = flags.rfind(1)
-    tail = [next_prime(last)] if last < limit else []
-    violations = []
-    max_gap = 0
-    for l, l1 in pairwise(chain(_flagged(flags), tail)):
-        gap = l1 - l
-        if gap > max_gap:
-            max_gap = gap
-        if gap**d > l**c:
-            violations.append(l)
+    top = 2 * last + 1  # the largest prime <= limit
+    tail = [next_prime(top)] if top < limit else []
+    max_gap = max([_largest_gap(flags, last)] + [t - top for t in tail])
+    stop = _cutoff(max_gap, c, d, limit)
+    # the primes below stop and the successor of the last of them (with
+    # stop <= 2 the pair 2 -> 3, whose gap 1 is no violation)
+    succ = flags.find(1, stop // 2)
+    walk = _flagged(flags, succ + 1) if succ >= 0 else chain(_flagged(flags), tail)
+    violations = tuple(l for l, l1 in pairwise(walk) if (l1 - l) ** d > l**c)
     runtime_ms = (time.monotonic() - start) * 1000.0
-    return GapScan(limit, alpha, tuple(violations), max_gap, runtime_ms)
+    return GapScan(limit, alpha, violations, max_gap, runtime_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """`jsonout.dumps` against its reference, `json.dumps(obj, indent=2)`."""
 
+import enum
 import json
 import math
 import random
 
 import pytest
 
-from symrank import jsonout
+from symrank import cli, jsonout
 
 _FLOATS = [0.0, -0.0, 5e-324, 1e300, -1e300, 1.5, math.nan, math.inf, -math.inf, 0.1 + 0.2]
 _INTS = [0, -1, 2**63, 2**64 + 1, -(2**70), 3**200]
@@ -81,6 +82,48 @@ def test_seeded_random_documents_match_json_dumps(block):
 )
 def test_edge_documents_match_json_dumps(doc):
     assert jsonout.dumps(doc) == json.dumps(doc, indent=2)
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Level(enum.IntEnum):
+    ELEVEN = 11
+
+
+def test_scalar_subclasses_match_json_dumps():
+    # scalars that are not exact str, int, float, bool or None still take
+    # the encoder, as members and as keys of a walked container
+    doc = {"nested": [[]], "s": _Str("é"), "f": _Float(2.5), "e": _Level.ELEVEN,
+           _Str("k"): [_Str("x"), {}], _Level.ELEVEN: _Float(math.nan)}
+    assert jsonout.dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--p", "5", "--n", "100", "--method", "all"],
+        ["compare", "--p", "5", "--n", "100"],
+        ["mult", "--q", "11", "--n", "3"],
+        ["mult", "--q", "11", "--n", "3", "--emit-tensor", "{tensor}"],
+    ],
+    ids=["bound-all", "compare", "mult", "mult-tensor"],
+)
+def test_reply_documents_match_json_dumps(argv, monkeypatch, tmp_path, capsys):
+    """Every document a reply (and an emitted tensor) hands to `dumps`."""
+    docs = []
+    dumps = jsonout.dumps
+    monkeypatch.setattr(jsonout, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+    assert cli.main([a.format(tensor=tmp_path / "t.json") for a in argv]) == 0
+    assert len(docs) == (2 if "--emit-tensor" in argv else 1)
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=2)
+    assert capsys.readouterr().out == json.dumps(docs[-1], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [{(1, 2): 3}, {"a": {frozenset(): 1}}, [object()], {"a": [1, {2}]}])

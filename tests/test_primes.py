@@ -1,11 +1,13 @@
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import accumulate, pairwise
 
 import pytest
 
 from symrank import primes
+from symrank.ntheory import is_prime
 from symrank.primes import (
     ExtendedInt,
     GapPolicy,
@@ -28,6 +30,11 @@ class TestSieve:
         assert len(sieve(100)) == 25
         assert len(sieve(10**6)) == 78498
 
+    def test_every_small_limit_against_is_prime(self):
+        # the odd-only flags hold (limit + 1) // 2 entries: odd and even limits
+        for limit in range(2, 2001):
+            assert sieve(limit) == tuple(filter(is_prime, range(limit + 1))), limit
+
     def test_limits(self):
         with pytest.raises(ValueError):
             sieve(1)
@@ -46,6 +53,29 @@ class TestSieve:
         assert next_prime(0) == next_prime(1) == 2
         with pytest.raises(ValueError):
             prev_prime(1)
+
+
+_ALPHAS = [Fraction(2, 3), Fraction(21, 40), Fraction(1, 2), Fraction(1, 3), Fraction(1, 10),
+           Fraction(9, 10), Fraction(99, 100)]
+
+
+def _reference_walk(ps, alpha):
+    """The pair-by-pair scan: (l, gap, gap**d > l**c) for consecutive primes of ps."""
+    c, d = alpha.numerator, alpha.denominator
+    return [(l, l1 - l, (l1 - l) ** d > l**c) for l, l1 in pairwise(ps)]
+
+
+def _reference_scans(ps, alpha):
+    """limit -> (violations, max_gap_seen) of the walk over the primes l < limit,
+    for every limit up to ps[-1] (so every scanned l has its successor in ps)."""
+    walk = _reference_walk(ps, alpha)
+    bad = [l for l, _, violated in walk if violated]
+    maxima = list(accumulate((gap for _, gap, _ in walk), max))
+
+    def scan(limit):
+        return tuple(bad[: bisect_left(bad, limit)]), maxima[bisect_left(ps, limit) - 1]
+
+    return scan
 
 
 class TestVerifyGaps:
@@ -88,16 +118,54 @@ class TestVerifyGaps:
         v3 = set(verify_gaps(10**5, alpha).violations)
         assert v1 <= v2 <= v3
 
-    @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(21, 40)])
+    @pytest.mark.parametrize("alpha", _ALPHAS)
     def test_matches_reference_scan_every_small_limit(self, alpha):
         # the successor of the last prime below the limit may lie past it
-        ps = sieve(1000)
-        c, d = alpha.numerator, alpha.denominator
-        for limit in range(3, 401):
-            gaps = [(l, l1 - l) for l, l1 in zip(ps, ps[1:]) if l < limit]
+        reference = _reference_scans(sieve(3100), alpha)
+        for limit in range(3, 3001):
             scan = verify_gaps(limit, alpha)
-            assert scan.violations == tuple(l for l, gap in gaps if gap**d > l**c), limit
-            assert scan.max_gap_seen == max(gap for _, gap in gaps), limit
+            assert (scan.violations, scan.max_gap_seen) == reference(limit), limit
+
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    def test_matches_reference_scan_random_limits(self, alpha):
+        reference = _reference_scans(sieve(10**6 + 200), alpha)
+        rng = random.Random(2400)
+        for limit in [rng.randrange(3, 10**6 + 1) for _ in range(12)] + [10**6]:
+            scan = verify_gaps(limit, alpha)
+            assert (scan.violations, scan.max_gap_seen) == reference(limit), limit
+
+    def test_reference_cases_reach_every_branch(self):
+        ps = sieve(3100)
+        # a prime limit: the scan has no tail
+        assert 2999 in ps
+        # a tail gap that is the largest: 1327 -> 1361 is 34, and no gap
+        # between primes below 1327 exceeds 22
+        assert max(l1 - l for l, l1 in pairwise(ps) if l1 <= 1327) == 22
+        assert next_prime(1327) == 1361
+        for limit in (1328, 1330, 1360):
+            assert verify_gaps(limit, Fraction(2, 3)).max_gap_seen == 34
+        # a cutoff past the limit: 34**10 > 3000, so every prime below the
+        # limit is tested, and 1/10 flags some of them
+        scan = verify_gaps(3000, Fraction(1, 10))
+        assert scan.max_gap_seen**10 > 3000 and scan.violations
+
+    def test_pair_loop_stops_at_the_cutoff(self, monkeypatch):
+        # the largest gap below 10**6 is 114 (492113 -> 492227), and 1218 is
+        # the least B with B**2 >= 114**3: no prime from 1218 on can have a
+        # gap above l**(2/3), so only the primes below 1218 are tested
+        visited = []
+        walk_pairs = primes.pairwise
+
+        def spy(walk):
+            for pair in walk_pairs(walk):
+                visited.append(pair[0])
+                yield pair
+
+        monkeypatch.setattr(primes, "pairwise", spy)
+        scan = verify_gaps(10**6, Fraction(2, 3))
+        assert (scan.violations, scan.max_gap_seen) == ((7,), 114)
+        assert 1217**2 < 114**3 <= 1218**2
+        assert visited == list(sieve(1217))
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
