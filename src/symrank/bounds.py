@@ -261,18 +261,16 @@ def _pair_family(field: str, p: int) -> PairFamily:
 def _validity(policy: GapPolicy, fam: PairFamily, p: int, n: int) -> tuple[bool, list[str]]:
     floor = policy_floor(policy, fam, p)
     caveats: list[str] = []
-    valid = floor.satisfied_by(n)
+    valid = isinstance(floor, int) and n >= floor
     if policy.name == "bhp":
         caveats.append("validity floor for the 21/40 gap exponent has never been published")
     elif policy.name == "dudek":
         if not valid:
-            caveats.append(
-                f"unconditional validity requires n >= {floor.render()}, far beyond this n"
-            )
+            caveats.append(f"unconditional validity requires n >= {floor}, far beyond this n")
     elif policy.name == "empirical":
         threshold = fam.threshold(p, n)
         if not valid:
-            caveats.append(f"unconditional validity requires n >= {floor.render()}")
+            caveats.append(f"unconditional validity requires n >= {floor}")
         elif threshold > policy.verified_limit:
             valid = False
             caveats.append(

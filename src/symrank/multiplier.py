@@ -35,7 +35,6 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 from . import jsonout
 from .fields import (
@@ -414,8 +413,10 @@ def verify(
     if bad is None:
         return report
     if mode == "random":
-        stream = itertools.islice(_seeded_codes(random.Random(seed), algo.ext.order), 2 * trials)
-        _scalar_check(algo, zip(stream, stream))
+        # the operand stream (x, then y, per trial) on which a reported first
+        # failure depends
+        rng, order = random.Random(seed), algo.ext.order
+        _scalar_check(algo, ((rng.randrange(order), rng.randrange(order)) for _ in range(trials)))
     i, j = bad
     raise _mismatch(algo, q**i, q**j)
 
@@ -447,19 +448,6 @@ def _first_basis_failure(algo: BilinearAlgorithm) -> tuple[int, int] | None:
             if [dot(row, at_basis[j]) for row in scaled] != red[i + j]:
                 return i, j
     return None
-
-
-def _seeded_codes(rng: random.Random, order: int) -> Iterator[int]:
-    """The codes rng.randrange(order) would draw, one after another: the
-    random-mode operand stream (x, then y, per trial), on which reported
-    first failures depend.  randrange's own getrandbits rejection is inlined,
-    which leaves the stream as it is and saves its Python frames."""
-    getrandbits = rng.getrandbits
-    k = order.bit_length()
-    while True:
-        r = getrandbits(k)
-        if r < order:
-            yield r
 
 
 def _mismatch(algo: BilinearAlgorithm, x: int, y: int) -> VerificationError:

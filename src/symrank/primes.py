@@ -20,20 +20,24 @@ satisfy l_{k+1} - l_k <= l_k**alpha from x_alpha on.  Three policies are
 supported: the Baker-Harman-Pintz exponent 21/40 (whose validity floor has
 never been published), Dudek's exponent 2/3 with the explicit floor
 exp(exp(33.3)), and an empirical policy whose floor is established by an
-exhaustive sieve scan up to a stated limit.  exp(exp(33.3)) is kept symbolic
-throughout: it is around 10**(1.2*10**14) and must never be materialized.
+exhaustive sieve scan up to a stated limit.  exp(exp(33.3)) is kept as its
+text throughout: it is around 10**(1.2*10**14) and must never be materialized.
 
-All gap comparisons are exact integer arithmetic: with alpha = c/d in lowest
-terms, gap <= l**alpha is decided as gap**d <= l**c.
+All gap comparisons are exact: with alpha = c/d in lowest terms, gap <=
+l**alpha is decided as gap**d <= l**c, by bit lengths, by integer powers
+while they are small, and past that by certified high-precision logarithms,
+so no exponent, however large its numerator or denominator, builds a huge
+power.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import time
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, Context
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, pairwise
@@ -45,6 +49,10 @@ DEFAULT_SIEVE_LIMIT = 10_000_000
 # a transient third of that, so the cap means about 0.67 GB at peak
 SIEVE_MEMORY_CAP = 1_000_000_000
 DUDEK_X_ALPHA_EXPR = "exp(exp(33.3))"
+# a gap comparison builds its two powers exactly only while they have at most
+# this many bits together; larger ones are compared by their logarithms (see
+# `_exceeds`), which costs about as much as two powers of this total size
+EXACT_POWER_BITS = 16384
 # cache bounds, above the distinct keys of a selftest run plus a bound-grid
 # benchmark round (prev_prime 5.0k + 0.7k, next_prime 0.7k + 0.3k,
 # policy_floor 9 + 42): an LRU smaller than a sweep's cycle never hits
@@ -171,29 +179,56 @@ def _largest_gap(flags: bytearray, end: int) -> int:
     return 2 * (run + 1) if end > 1 else 1
 
 
-def _cutoff(g: int, c: int, d: int, limit: int) -> int:
-    """min(limit, the least b with b**c >= g**d), for g >= 1.
+def _exceeds(x: int, d: int, y: int, c: int) -> bool:
+    """Whether x**d > y**c, for x, y >= 1 and coprime c, d >= 1, without
+    building powers of more than EXACT_POWER_BITS bits together.
 
-    A float estimate of g**(d/c) only decides whether b lies past `limit` (the
-    margin e swamps its rounding) and gives the start; exact integer steps
-    settle b.
+    With kx, ky the bit lengths, 2**(kx-1) <= x < 2**kx, so d*(kx-1) >= c*ky
+    gives x**d > y**c and d*kx <= c*(ky-1) gives x**d < y**c.  Otherwise,
+    when d*kx + c*ky <= EXACT_POWER_BITS, the powers are compared exactly.
+    Past that, d*ln(x) and c*ln(y) are compared in Decimal at rising
+    precision P: `ln` and the product are each correctly rounded, so each
+    computed side s lies within |s| * 10**(2-P) of its true value, and once
+    the two computed sides differ by more than the sum of those radii the
+    sign is certain.
+
+    This ends because the powers differ there.  Equal powers with c, d
+    coprime mean x = t**c and y = t**d for an integer t >= 2 (x = 1 is
+    settled first), so c < kx, d < ky and d*kx + c*ky < 2*kx*ky: within the
+    budget for all x, y < 2**90, and every operand here is below 2**31.  A
+    gap never ties anyway: 1 <= gap < l with l prime, so l divides l**c but
+    not gap**d.
     """
-    x = d * math.log(g) / c
-    if x > math.log(limit) + 1:
-        return limit
-    gd = g**d
-    b = math.ceil(math.exp(x))
-    while b**c < gd:
-        b += 1
-    while (b - 1) ** c >= gd:
-        b -= 1
-    return min(b, limit)
+    if x == 1:
+        return False
+    kx, ky = x.bit_length(), y.bit_length()
+    if d * (kx - 1) >= c * ky:
+        return True
+    if d * kx <= c * (ky - 1):
+        return False
+    if d * kx + c * ky <= EXACT_POWER_BITS:
+        return x**d > y**c
+    prec = 20
+    while True:
+        ctx = Context(prec=prec, Emax=MAX_EMAX)
+        a = Fraction(ctx.multiply(d, ctx.ln(x)))
+        b = Fraction(ctx.multiply(c, ctx.ln(y)))
+        if abs(a - b) * 10 ** (prec - 2) > abs(a) + abs(b):
+            return a > b
+        prec *= 2
+
+
+def _cutoff(g: int, c: int, d: int, limit: int) -> int:
+    """min(limit, the least b >= 1 with b**c >= g**d): a binary search on
+    b -> not g**d > b**c, which is False up to that b and True from it on."""
+    return 1 + bisect_left(range(1, limit), True, key=lambda b: not _exceeds(g, d, b, c))
 
 
 def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     """Every prime l < limit whose successor gap exceeds l**alpha.
 
-    The comparison is exact: gap**d <= l**c with alpha = c/d in lowest terms.
+    The comparison is exact: gap**d <= l**c with alpha = c/d in lowest terms,
+    decided by `_exceeds`, which never builds a power past a fixed size.
     The successor of the largest prime below `limit` is always included in the
     scan; when it lies past `limit` it comes from `next_prime`.
 
@@ -217,74 +252,16 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     # stop <= 2 the pair 2 -> 3, whose gap 1 is no violation)
     succ = flags.find(1, stop // 2)
     walk = _flagged(flags, succ + 1) if succ >= 0 else chain(_flagged(flags), tail)
-    violations = tuple(l for l, l1 in pairwise(walk) if (l1 - l) ** d > l**c)
+    violations = tuple(l for l, l1 in pairwise(walk) if _exceeds(l1 - l, d, l, c))
     runtime_ms = (time.monotonic() - start) * 1000.0
     return GapScan(limit, alpha, violations, max_gap, runtime_ms)
 
 
-# ---------------------------------------------------------------------------
-# extended integers: finite, unknown, or linear in the symbolic Dudek floor
-
-
-@dataclass(frozen=True)
-class ExtendedInt:
-    """A finite rational, an unknown, or coeff*exp(exp(33.3)) + offset."""
-
-    kind: str  # "finite" | "unknown" | "symbolic"
-    value: Fraction | None = None
-    coeff: Fraction | None = None
-    offset: Fraction | None = None
-
-    @classmethod
-    def finite(cls, v) -> "ExtendedInt":
-        return cls("finite", value=Fraction(v))
-
-    @classmethod
-    def unknown(cls) -> "ExtendedInt":
-        return cls("unknown")
-
-    @classmethod
-    def symbolic(cls, coeff=1, offset=0) -> "ExtendedInt":
-        return cls("symbolic", coeff=Fraction(coeff), offset=Fraction(offset))
-
-    def scale_add(self, a, b) -> "ExtendedInt":
-        """a*self + b, staying in the extended domain."""
-        a, b = Fraction(a), Fraction(b)
-        if self.kind == "finite":
-            return ExtendedInt.finite(a * self.value + b)
-        if self.kind == "unknown":
-            return ExtendedInt.unknown()
-        return ExtendedInt("symbolic", coeff=a * self.coeff, offset=a * self.offset + b)
-
-    def satisfied_by(self, n: int) -> bool:
-        """Whether n >= self is certain.
-
-        Unknown thresholds can never be certified.  Symbolic thresholds carry
-        a positive multiple of exp(exp(33.3)), astronomically above any
-        representable n, so they are never satisfied either.
-        """
-        if self.kind == "finite":
-            return Fraction(n) >= self.value
-        return False
-
-    def render(self) -> str:
-        return self._rendered
-
-    @cached_property
-    def _rendered(self) -> str:
-        # a policy floor is one cached object per (policy, family, p), so a
-        # sweep renders it once per key rather than once per cell
-        if self.kind == "finite":
-            return str(self.value)
-        if self.kind == "unknown":
-            return "unknown"
-        head = DUDEK_X_ALPHA_EXPR if self.coeff == 1 else f"{self.coeff}*{DUDEK_X_ALPHA_EXPR}"
-        if self.offset == 0:
-            return head
-        return f"{head}+{self.offset}" if self.offset > 0 else f"{head}-{-self.offset}"
-
-    def __str__(self):
-        return self.render()
+# the fixed exponent and the floor's text of each named policy
+_NAMED_POLICIES = {
+    "bhp": (Fraction(21, 40), "unknown"),
+    "dudek": (Fraction(2, 3), DUDEK_X_ALPHA_EXPR),
+}
 
 
 @dataclass(frozen=True)
@@ -293,21 +270,19 @@ class GapPolicy:
 
     name: str  # "bhp" | "dudek" | "empirical"
     alpha: Fraction
-    x_alpha: ExtendedInt
+    x_alpha: int | None = None  # empirical: the sieve-established floor
     verified_limit: int | None = None  # empirical: sieve-checked up to here
 
     def __post_init__(self):
-        if self.name == "bhp":
-            if self.alpha != Fraction(21, 40) or self.x_alpha.kind != "unknown":
-                raise ValueError("bhp policy requires alpha=21/40 and unknown x_alpha")
-        elif self.name == "dudek":
-            if self.alpha != Fraction(2, 3) or self.x_alpha.kind != "symbolic":
-                raise ValueError("dudek policy requires alpha=2/3 and symbolic x_alpha")
+        if self.name in _NAMED_POLICIES:
+            alpha = _NAMED_POLICIES[self.name][0]
+            if self.alpha != alpha or self.x_alpha is not None:
+                raise ValueError(f"{self.name} policy requires alpha={alpha} and x_alpha None")
         elif self.name == "empirical":
             if not 0 < self.alpha < 1:
                 raise ValueError("empirical alpha must lie in (0, 1)")
-            if self.x_alpha.kind != "finite" or self.verified_limit is None:
-                raise ValueError("empirical policy requires a finite floor and a sieve limit")
+            if not isinstance(self.x_alpha, int) or self.verified_limit is None:
+                raise ValueError("empirical policy requires an integer floor and a sieve limit")
         else:
             raise ValueError(f"unknown policy name {self.name!r}")
 
@@ -334,7 +309,7 @@ class GapPolicy:
 
     @classmethod
     def empirical(cls, alpha, floor: int, verified_limit: int) -> "GapPolicy":
-        return cls("empirical", Fraction(alpha), ExtendedInt.finite(floor), verified_limit)
+        return cls("empirical", Fraction(alpha), floor, verified_limit)
 
     @classmethod
     def empirical_from_sieve(cls, alpha, limit: int) -> "GapPolicy":
@@ -345,18 +320,15 @@ class GapPolicy:
         return cls.empirical(alpha, floor, limit)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "alpha": str(self.alpha),
-            "x_alpha": self.x_alpha.render(),
-        }
+        x_alpha = _NAMED_POLICIES[self.name][1] if self.x_alpha is None else str(self.x_alpha)
+        out = {"name": self.name, "alpha": str(self.alpha), "x_alpha": x_alpha}
         if self.verified_limit is not None:
             out["verified_limit"] = self.verified_limit
         return out
 
 
-_BHP = GapPolicy("bhp", Fraction(21, 40), ExtendedInt.unknown())
-_DUDEK = GapPolicy("dudek", Fraction(2, 3), ExtendedInt.symbolic())
+_BHP = GapPolicy("bhp", _NAMED_POLICIES["bhp"][0])
+_DUDEK = GapPolicy("dudek", _NAMED_POLICIES["dudek"][0])
 
 
 class PairFamily(enum.Enum):
@@ -452,14 +424,17 @@ def select_pair(p: int, n: int, family: PairFamily) -> PrimePair:
 
 
 @lru_cache(maxsize=POLICY_FLOOR_CACHE)
-def policy_floor(policy: GapPolicy, family: PairFamily, p: int) -> ExtendedInt:
+def policy_floor(policy: GapPolicy, family: PairFamily, p: int) -> int | str:
     """The n-threshold above which the closed-form bound is unconditional.
 
     Generic families require n >= (p-3)/2 * x_alpha + (p+1)/2; eleven families
-    require n >= (p-3) * x_alpha + (p-1).  Unknown or symbolic x_alpha
-    propagates to an unknown or symbolic threshold.
+    require n >= (p-3) * x_alpha + (p-1).  An empirical floor gives an int;
+    the floors of bhp and dudek give their text, which no n meets.
     """
     family.validate_p(p)
-    if family.is_eleven:
-        return policy.x_alpha.scale_add(p - 3, p - 1)
-    return policy.x_alpha.scale_add(Fraction(p - 3, 2), Fraction(p + 1, 2))
+    a, b = (p - 3, p - 1) if family.is_eleven else ((p - 3) // 2, (p + 1) // 2)
+    if policy.x_alpha is not None:
+        return a * policy.x_alpha + b
+    if policy.name == "bhp":
+        return "unknown"
+    return f"{DUDEK_X_ALPHA_EXPR}+{b}" if a == 1 else f"{a}*{DUDEK_X_ALPHA_EXPR}+{b}"

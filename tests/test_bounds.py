@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -11,6 +13,7 @@ from symrank.bounds import (
     closed_form_quadratic,
     compare_all,
     constructive_bound,
+    empirical_policy,
     envelope,
     epsilon,
     prior_bound,
@@ -19,7 +22,7 @@ from symrank.bounds import (
     remark_quadratic_holds,
     round_up_15,
 )
-from symrank.primes import GapPolicy
+from symrank.primes import GapPolicy, PairFamily, policy_floor
 
 
 def exact_eps(p, n, family):
@@ -352,3 +355,38 @@ class TestReportSchema:
         assert set(w) >= {"l_k", "l_k1", "N", "genus", "n1_lower", "checks"}
         assert all(set(c) == {"name", "passed", "detail"} for c in w["checks"])
         assert doc["policy"]["x_alpha"] == "exp(exp(33.3))"
+
+
+# sha256 of the policy surface: each policy's JSON, and for every p and field
+# the policy floor's text and both closed forms' validity flags and caveats at
+# n = floor - 1 and n = floor of each empirical floor, and at an n whose
+# witness threshold lies past both sieve-verified ranges
+POLICY_SURFACE_SHA256 = "22c30de6fa669de5790a2c592c422b9b04400a6c653b86e80129919d878da6b2"
+
+
+def test_policy_surface_digest():
+    policies = [
+        GapPolicy.dudek(),
+        GapPolicy.bhp(),
+        empirical_policy(Fraction(2, 3), 10**5),
+        empirical_policy(Fraction(2, 3), 10**7),
+        empirical_policy(Fraction(21, 40), 10**7),
+    ]
+    h = hashlib.sha256()
+    for policy in policies:
+        h.update(json.dumps(policy.to_json_dict()).encode())
+    for p in (5, 7, 11, 13, 17, 101, 1009):
+        for closed, generic, eleven in (
+            (closed_form_quadratic, PairFamily.QUADRATIC_GENERIC, PairFamily.QUADRATIC_ELEVEN),
+            (closed_form_prime, PairFamily.PRIME_GENERIC, PairFamily.PRIME_ELEVEN),
+        ):
+            family = eleven if p == 11 else generic
+            floors = [str(policy_floor(policy, family, p)) for policy in policies]
+            ns = {2 * (p - 3) * 10**7 + 2 * p}
+            ns.update(int(f) + k for f in floors if f.isdigit() for k in (-1, 0))
+            for policy, floor in zip(policies, floors):
+                for n in sorted(ns):
+                    r = closed(p, n, policy)
+                    doc = [p, n, family.value, floor, r.valid_unconditional, list(r.caveats)]
+                    h.update(json.dumps(doc).encode())
+    assert h.hexdigest() == POLICY_SURFACE_SHA256

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -15,6 +16,23 @@ from symrank.multiplier import VerificationError
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*argv):
+    """Run the CLI in a fresh process capped at 1 GiB of address space and
+    60 s, so an input that would exhaust memory fails there and not on the
+    host; it must still answer with an exit code and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "symrank.cli", *argv],
+        capture_output=True, text=True, check=False, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout
 
 
 class TestBoundCommand:
@@ -145,6 +163,41 @@ class TestGapsCommand:
     def test_bad_alpha(self, capsys):
         code, out = run(capsys, "gaps", "--limit", "1000", "--alpha", "x/y")
         assert code == 1
+
+
+# exponents whose numerator or denominator once made the gap scan build a
+# power of about 10**12 bits or overflow a float, with the violations each
+# must report
+HUGE_TERM_ALPHAS = [
+    ("100", "1/1000000000000", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                                67, 71, 73, 79, 83, 89, 97]),
+    ("100", "999999999999/1000000000000", []),
+    ("10", "1e-400", [3, 5, 7]),
+]
+
+
+class TestBoundedResources:
+    @pytest.mark.parametrize("limit, alpha, violations", HUGE_TERM_ALPHAS)
+    def test_huge_exponent_terms_answer(self, limit, alpha, violations):
+        code, out = run_capped("gaps", "--limit", limit, "--alpha", alpha)
+        doc = json.loads(out)
+        assert code == 0 and doc["violations"] == violations
+        assert doc["max_gap_seen"] == (8 if limit == "100" else 4)
+
+    def test_huge_exponent_terms_under_a_policy(self):
+        code, out = run_capped(
+            "bound", "--p", "5", "--n", "10", "--policy", "empirical", "--alpha", "1/1000000000000"
+        )
+        assert code == 0
+        assert json.loads(out)["reports"][0]["policy"]["alpha"] == "1/1000000000000"
+
+    @pytest.mark.parametrize("argv", [
+        ("gaps", "--limit", "3"),
+        ("bound", "--p", "5", "--n", "2", "--method", "constructive"),
+        ("mult", "--q", "2", "--n", "4", "--allow-deg2"),
+    ])
+    def test_edge_inputs_answer(self, argv):
+        run_capped(*argv)
 
 
 class TestGenusCommand:

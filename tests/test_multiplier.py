@@ -568,15 +568,6 @@ class TestVerify:
         assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
         assert reported(exc)[:2] == (1, 1)
 
-    @pytest.mark.parametrize(
-        "order", [2, 3, 255, 256, 257, 2**64, 257**2, (2**31 - 1) ** 2], ids=str
-    )
-    def test_seeded_codes_are_the_randrange_stream(self, order):
-        codes = multiplier._seeded_codes(random.Random(order + 17), order)
-        stream = [next(codes) for _ in range(400)]
-        expected = [v for pair in seeded_pairs(order, order + 17, 200) for v in pair]
-        assert stream == expected
-
     def test_above_table_cap_runs_scalar_routes(self):
         algo = build_algorithm(257, 2)
         assert algo.q > fields.CODE_TABLE_CAP

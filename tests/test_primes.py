@@ -1,7 +1,9 @@
+import math
 import random
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, pairwise
 
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from symrank import primes
 from symrank.ntheory import is_prime
 from symrank.primes import (
-    ExtendedInt,
     GapPolicy,
     PairFamily,
     PairSelectionError,
@@ -60,9 +61,11 @@ _ALPHAS = [Fraction(2, 3), Fraction(21, 40), Fraction(1, 2), Fraction(1, 3), Fra
 
 
 def _reference_walk(ps, alpha):
-    """The pair-by-pair scan: (l, gap, gap**d > l**c) for consecutive primes of ps."""
+    """The pair-by-pair scan: (l, gap, gap**d > l**c) for consecutive primes of
+    ps, in integers (each gap's power is built once)."""
     c, d = alpha.numerator, alpha.denominator
-    return [(l, l1 - l, (l1 - l) ** d > l**c) for l, l1 in pairwise(ps)]
+    gap_power = cache(lambda gap: gap**d)
+    return [(l, l1 - l, gap_power(l1 - l) > l**c) for l, l1 in pairwise(ps)]
 
 
 def _reference_scans(ps, alpha):
@@ -166,6 +169,60 @@ class TestVerifyGaps:
         assert (scan.violations, scan.max_gap_seen) == ((7,), 114)
         assert 1217**2 < 114**3 <= 1218**2
         assert visited == list(sieve(1217))
+
+    def test_huge_exponent_terms_match_the_integer_scan(self):
+        # large numerators and denominators leave the integer path: bit
+        # lengths or certified logarithms decide, with the same answers
+        rng = random.Random(2500)
+        alphas = [Fraction(1, 1000), Fraction(999, 1000), Fraction(1, 65536)]
+        while len(alphas) < 6:  # mid-range exponents, which some primes violate
+            d = rng.randrange(4, 4097)
+            alphas.append(Fraction(rng.randrange(d // 4, d // 2), d))
+        ps = sieve(10**5 + 200)
+        for alpha in alphas:
+            reference = _reference_scans(ps, alpha)
+            for limit in [rng.randrange(3, 10**5) for _ in range(3)] + [10**5]:
+                scan = verify_gaps(limit, alpha)
+                assert (scan.violations, scan.max_gap_seen) == reference(limit), (alpha, limit)
+
+    def test_astronomical_exponent_terms(self):
+        # each of these once built a power of about 10**12 bits or a float
+        # of 10**400; every prime but 2 violates a tiny exponent
+        scan = verify_gaps(100, Fraction(1, 10**12))
+        assert scan.violations == sieve(100)[1:] and scan.max_gap_seen == 8
+        assert verify_gaps(100, Fraction(10**12 - 1, 10**12)).violations == ()
+        assert verify_gaps(10, Fraction(1, 10**400)).violations == (3, 5, 7)
+        # the only gap below 3 is 1, and 1**d <= 1**c whatever the terms
+        assert verify_gaps(3, Fraction(10**20 - 1, 10**20)).violations == ()
+
+    def test_exceeds_by_logarithms(self, monkeypatch):
+        # with no exact budget every case the bit lengths leave open goes
+        # through the logarithms, near-ties included (ties are excluded: an
+        # exact tie needs the budget)
+        monkeypatch.setattr(primes, "EXACT_POWER_BITS", 0)
+        rng = random.Random(2501)
+        cases = [(3, 10**50, 3, 10**50 - 1), (3, 10**50 - 1, 3, 10**50)]
+        for _ in range(400):
+            d = rng.randrange(1, 300)
+            c = rng.randrange(1, 300)
+            while math.gcd(c, d) != 1:
+                c = rng.randrange(1, 300)
+            t = rng.randrange(2, 6)
+            x, y = t**c + rng.choice((-1, 0, 1)), t**d + rng.choice((-1, 0, 1))
+            if x**d != y**c:
+                cases.append((x, d, y, c))
+        for _ in range(400):
+            d = rng.randrange(1, 5000)
+            c = rng.randrange(1, 5000)
+            while math.gcd(c, d) != 1:
+                c = rng.randrange(1, 5000)
+            cases.append((rng.randrange(1, 2**30), d, rng.randrange(1, 2**30), c))
+        for x, d, y, c in cases:
+            if (x, d) == (3, 10**50) or (y, c) == (3, 10**50):
+                expected = d > c
+            else:
+                expected = x**d > y**c
+            assert primes._exceeds(x, d, y, c) == expected, (x, d, y, c)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
@@ -281,46 +338,45 @@ class TestSelectPair:
 class TestPolicies:
     def test_dudek_floor_is_symbolic(self):
         floor = policy_floor(GapPolicy.dudek(), PairFamily.QUADRATIC_GENERIC, 5)
-        assert floor.kind == "symbolic"
-        assert floor.render() == "exp(exp(33.3))+3"
-        assert not floor.satisfied_by(10**18)
+        assert floor == "exp(exp(33.3))+3"
+        assert GapPolicy.dudek().x_alpha is None
 
     def test_dudek_floor_eleven(self):
         floor = policy_floor(GapPolicy.dudek(), PairFamily.QUADRATIC_ELEVEN, 11)
-        assert floor.render() == "8*exp(exp(33.3))+10"
+        assert floor == "8*exp(exp(33.3))+10"
 
     def test_bhp_floor_is_unknown(self):
         floor = policy_floor(GapPolicy.bhp(), PairFamily.PRIME_GENERIC, 7)
-        assert floor.kind == "unknown"
-        assert floor.render() == "unknown"
-        assert not floor.satisfied_by(10**18)
+        assert floor == "unknown"
+        assert GapPolicy.bhp().x_alpha is None
 
     def test_empirical_floor(self):
         policy = GapPolicy.empirical(Fraction(2, 3), 11, 10**6)
         floor = policy_floor(policy, PairFamily.QUADRATIC_GENERIC, 5)
-        assert floor.kind == "finite" and floor.value == 14
-        assert floor.satisfied_by(14) and not floor.satisfied_by(13)
+        assert type(floor) is int and floor == 14
 
     def test_empirical_from_sieve(self):
         policy = GapPolicy.empirical_from_sieve(Fraction(2, 3), 10**5)
-        assert policy.x_alpha.value == 11
+        assert policy.x_alpha == 11
         assert policy.verified_limit == 10**5
 
     def test_named_policies_are_shared(self):
         assert GapPolicy.dudek() is GapPolicy.dudek()
         assert GapPolicy.bhp() is GapPolicy.bhp()
-        assert GapPolicy.dudek() == GapPolicy("dudek", Fraction(2, 3), ExtendedInt.symbolic())
-        assert GapPolicy.bhp() == GapPolicy("bhp", Fraction(21, 40), ExtendedInt.unknown())
+        assert GapPolicy.dudek() == GapPolicy("dudek", Fraction(2, 3), None)
+        assert GapPolicy.bhp() == GapPolicy("bhp", Fraction(21, 40), None)
 
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
-            GapPolicy("bhp", Fraction(2, 3), ExtendedInt.unknown())
+            GapPolicy("bhp", Fraction(2, 3), None)
         with pytest.raises(ValueError):
-            GapPolicy("dudek", Fraction(2, 3), ExtendedInt.finite(5))
+            GapPolicy("dudek", Fraction(2, 3), 5)
         with pytest.raises(ValueError):
-            GapPolicy("empirical", Fraction(2, 3), ExtendedInt.finite(11))  # no limit
+            GapPolicy("empirical", Fraction(2, 3), 11)  # no limit
         with pytest.raises(ValueError):
-            GapPolicy("chebyshev", Fraction(1, 2), ExtendedInt.unknown())
+            GapPolicy("empirical", Fraction(2, 3), None, 10**6)  # no floor
+        with pytest.raises(ValueError):
+            GapPolicy("chebyshev", Fraction(1, 2), None)
 
     def test_policy_json(self):
         assert GapPolicy.dudek().to_json_dict() == {
@@ -329,10 +385,10 @@ class TestPolicies:
             "x_alpha": "exp(exp(33.3))",
         }
         assert GapPolicy.bhp().to_json_dict()["alpha"] == "21/40"
-
-    def test_extended_int_arithmetic(self):
-        x = ExtendedInt.symbolic()
-        scaled = x.scale_add(Fraction(3, 2), 4)
-        assert scaled.render() == "3/2*exp(exp(33.3))+4"
-        assert ExtendedInt.unknown().scale_add(2, 1).kind == "unknown"
-        assert ExtendedInt.finite(10).scale_add(2, 1).value == 21
+        assert GapPolicy.bhp().to_json_dict()["x_alpha"] == "unknown"
+        assert GapPolicy.empirical(Fraction(2, 3), 11, 10**6).to_json_dict() == {
+            "name": "empirical",
+            "alpha": "2/3",
+            "x_alpha": "11",
+            "verified_limit": 10**6,
+        }
