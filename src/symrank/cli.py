@@ -23,8 +23,10 @@ import io
 import json
 import math
 import operator
+import re
 import shutil
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -45,11 +47,19 @@ CSV_HEADER = [
 ]
 
 
+def _parse_int(text: str) -> int:
+    """int(text), also past int()'s limit on the digits it converts from text
+    (4300 by default).  int() itself checks the text with each run of digits
+    cut to one digit, so exactly its texts pass; Decimal reads the value."""
+    int(re.sub(r"\d+", "0", text))
+    return int(Decimal(text.strip().replace("_", "")))
+
+
 def _parse_alpha(text: str) -> Fraction:
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            return Fraction(_parse_int(num), _parse_int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse alpha {text!r}: expected C/D") from exc

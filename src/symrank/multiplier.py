@@ -322,9 +322,10 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
         res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
         s_rows += [s_row(row) for row in sub_recon.to_int_lists()]
         # compose the three sub-forms with the residue map: rows over x coords
+        res0, res1 = map(list, zip(*res))
         for s0, s1 in sub_forms.to_int_lists():
-            forms_rows.append([base.add(base.mul(s0, r0), base.mul(s1, r1)) for r0, r1 in res[:n]])
-        eval_rows.extend(map(list, zip(*res)))
+            forms_rows.append(base.axpy(s1, base.scale(s0, res0[:n]), res1[:n]))
+        eval_rows += [res0, res1]
 
     if len(eval_rows) > prod_len:  # a plan with surplus degrees
         picked = select_independent_rows(Matrix.from_rows(base, eval_rows), prod_len)
@@ -345,8 +346,7 @@ def multiply(algo: BilinearAlgorithm, x: int, y: int) -> int:
             raise ValueError(f"operand {v!r} is not an element code of {ext}")
     fx = algo.forms.matvec(ext.digits(x))
     fy = algo.forms.matvec(ext.digits(y))
-    w = [base.mul(a, b) for a, b in zip(fx, fy)]
-    return ext.from_digits(algo.recon.matvec(w))
+    return ext.from_digits(algo.recon.matvec(base.entrywise(fx, fy)))
 
 
 @dataclass(frozen=True)
@@ -427,25 +427,18 @@ def _first_basis_failure(algo: BilinearAlgorithm) -> tuple[int, int] | None:
 
     Every recon row is scaled by the form values at u**i once, and each
     coordinate at u**j is then one dot product in the field with the form
-    values there.
+    values there: both are row kernels of the base field (entrywise, dot),
+    with no method call per entry except in an extension above the table
+    cap.
     """
     base, n = algo.base, algo.n
-    add, mul = base.add, base.mul
     red = power_rows(base, algo.ext.modulus, 2 * n - 1)  # u**k mod modulus
     at_basis = list(zip(*algo.forms.to_int_lists()))  # the form values at u**i
     recon = algo.recon.to_int_lists()
-
-    def dot(a, b):
-        acc = 0
-        for x, y in zip(a, b):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        return acc
-
     for i in range(n):
-        scaled = [[mul(c, f) for c, f in zip(row, at_basis[i])] for row in recon]
+        scaled = [base.entrywise(row, at_basis[i]) for row in recon]
         for j in range(i, n):
-            if [dot(row, at_basis[j]) for row in scaled] != red[i + j]:
+            if [base.dot(row, at_basis[j]) for row in scaled] != red[i + j]:
                 return i, j
     return None
 

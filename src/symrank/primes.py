@@ -37,7 +37,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, Context
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, pairwise
@@ -124,6 +124,16 @@ def sieve(limit: int) -> tuple[int, ...]:
     return tuple(_flagged(_sieve_flags(limit)))
 
 
+def fraction_text(x: Fraction) -> str:
+    """str(x), also when a term has more digits than int() converts to text
+    (its limit, 4300 by default): Decimal renders an int of any length."""
+    try:
+        return str(x)
+    except ValueError:  # past the limit
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 @dataclass(frozen=True)
 class GapScan:
     """Result of scanning successor gaps against l**alpha below a limit."""
@@ -137,7 +147,7 @@ class GapScan:
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
             "limit": self.limit,
-            "alpha": str(self.alpha),
+            "alpha": fraction_text(self.alpha),
             "violations": list(self.violations),
             "max_gap_seen": self.max_gap_seen,
         }
@@ -321,7 +331,7 @@ class GapPolicy:
 
     def to_json_dict(self) -> dict:
         x_alpha = _NAMED_POLICIES[self.name][1] if self.x_alpha is None else str(self.x_alpha)
-        out = {"name": self.name, "alpha": str(self.alpha), "x_alpha": x_alpha}
+        out = {"name": self.name, "alpha": fraction_text(self.alpha), "x_alpha": x_alpha}
         if self.verified_limit is not None:
             out["verified_limit"] = self.verified_limit
         return out

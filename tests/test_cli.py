@@ -6,10 +6,11 @@ import json
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from symrank import cli
+from symrank import cli, primes
 from symrank.multiplier import VerificationError
 
 
@@ -190,6 +191,27 @@ class TestBoundedResources:
         )
         assert code == 0
         assert json.loads(out)["reports"][0]["policy"]["alpha"] == "1/1000000000000"
+
+    # 10**-5000: terms past the 4300 digits int() reads from or writes to text
+    TINY_ALPHA = "1/1" + "0" * 5000
+
+    def test_alpha_terms_past_the_int_text_limit_in_gaps(self, capsys):
+        for alpha in (self.TINY_ALPHA, "1e-5000", " +1_0/1" + "0" * 5001 + " "):
+            code, out = run(capsys, "gaps", "--limit", "10", "--alpha", alpha)
+            assert code == 0, out
+            doc = json.loads(out)
+            assert doc["alpha"] == self.TINY_ALPHA and doc["violations"] == [3, 5, 7]
+        for fraction in (Fraction(2, 3), Fraction(-7, 9), Fraction(5), Fraction(0)):
+            assert primes.fraction_text(fraction) == str(fraction)
+        big = "1" + "0" * 5000
+        assert primes.fraction_text(Fraction(-(10**5000), 3)) == f"-{big}/3"
+        assert primes.fraction_text(Fraction(10**5000)) == big
+
+    def test_alpha_terms_past_the_int_text_limit_in_bound(self, capsys):
+        code, out = run(capsys, "bound", "--p", "5", "--n", "100", "--policy", "empirical",
+                        "--alpha", "1e-5000", "--sieve-limit", "100")
+        assert code == 0, out
+        assert json.loads(out)["reports"][0]["policy"]["alpha"] == self.TINY_ALPHA
 
     @pytest.mark.parametrize("argv", [
         ("gaps", "--limit", "3"),

@@ -12,6 +12,7 @@ from symrank.fields import (
     Matrix,
     PrimeField,
     SingularMatrixError,
+    _SmallExtension,
     all_monic_polys,
     count_places_rational_ff,
     find_irreducible,
@@ -455,7 +456,7 @@ class TestCodeField:
             with pytest.raises(ZeroDivisionError):
                 f.inv(0)
 
-    @pytest.mark.parametrize("q", [9, 16])
+    @pytest.mark.parametrize("q", [9, 16, 5, 251, 4, 64, 289, 512])
     def test_solve_and_invert_match_raw_values(self, q):
         # a solution solves the system in the oracle; a singular pivot
         # column c has c independent columns before it and depends on them
@@ -480,7 +481,7 @@ class TestCodeField:
                 assert matmul(F, rows_of(m), rows_of(invert(m))) == identity
         assert singular >= 15
 
-    @pytest.mark.parametrize("q", [9, 16])
+    @pytest.mark.parametrize("q", [9, 16, 5, 251, 4, 64, 289, 512])
     def test_select_independent_rows_matches_raw_values(self, q):
         # the greedy choice: row i is picked iff it raises the oracle rank
         f = make_field(q)
@@ -494,6 +495,33 @@ class TestCodeField:
             for need in range(1, cols + 1):
                 want = raising[:need] if len(raising) >= need else ("singular", need - 1)
                 assert outcome(select_independent_rows, m, need) == want
+
+    @pytest.mark.parametrize("q,kind", [(5, PrimeField), (251, PrimeField), (9, _SmallExtension),
+                                        (64, _SmallExtension), (289, ExtensionField), (512, ExtensionField)],
+                             ids=["5", "251", "9", "64", "289", "512"])
+    def test_row_kernels_match_raw_values(self, q, kind):
+        # scale, axpy (xs + c * ys), dot and entrywise of every field class,
+        # on seeded rows with zero entries, and in a small extension also as
+        # the first read of its tables
+        f = make_field(q)
+        assert type(f) is kind
+        F = oracle_of(f)
+        rng = random.Random(q * 13 + 5)
+
+        def fresh():
+            return ExtensionField(f.base, f.degree, f.modulus) if kind is _SmallExtension else f
+
+        for length in (0, 1, 40):
+            for _ in range(3):
+                xs, ys = ([f.random(rng) if rng.random() < 0.7 else 0 for _ in range(length)] for _ in "xy")
+                for c in (0, 1, q - 1, f.random(rng)):
+                    assert fresh().scale(c, xs) == [F.mul(c, x) for x in xs]
+                    assert fresh().axpy(c, xs, ys) == [F.add(x, F.mul(c, y)) for x, y in zip(xs, ys)]
+                dot = 0
+                for x, y in zip(xs, ys):
+                    dot = F.add(dot, F.mul(x, y))
+                assert fresh().dot(xs, ys) == dot
+                assert fresh().entrywise(xs, ys) == [F.mul(x, y) for x, y in zip(xs, ys)]
 
     def test_raw_values_above_cap(self):
         f = make_field(257)

@@ -345,6 +345,11 @@ GOLDEN_TENSORS = [
     ((32, 5), [6, 0, 1, 0, 0, 1], "72da35ebb1d5854f4a3d342aa50069107b051d5a87b78cac223ea1277be81094"),
     ((8, 8), [3, 2, 0, 1, 0, 0, 0, 0, 1], "cf341ef627637113ef4f84a60d97e26da645673c36f079c7affc896dd5be8693"),
     ((16, 6), [13, 2, 1, 0, 0, 0, 1], "9e9df1bc9e0ddd1bdb22dd3cbc7f33e0616fe2a07cd65c7cc00034e855c600c4"),
+    # the row kernels of a prime base (a 39 x 39 system), an odd-characteristic
+    # table base and a digit base above the table cap
+    ((251, 20), [3, 1] + [0] * 18 + [1], "58d93a5686d43afcb0e49db5424975aecd9be6e15835712a37c05dc5cc9b444f"),
+    ((125, 8), [2, 0, 0, 0, 0, 0, 0, 0, 1], "b81a4acb24872291f14e63154d1c7b3b034a30cdbdc72441317daf9d20712718"),
+    ((289, 3), [19, 0, 0, 1], "05cb86f487819f625f56cad977eaa4e9a67df2e82658fbe40e066a11f972e339"),
 ]
 
 
