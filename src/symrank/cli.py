@@ -26,7 +26,7 @@ import operator
 import re
 import shutil
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -56,12 +56,17 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_alpha(text: str) -> Fraction:
+    """Fraction(text), also past int()'s limit on the digits it converts from
+    text.  As in _parse_int, Fraction checks the text with each run of digits
+    cut to one digit, so exactly its texts pass; the value is read from the
+    integers of C/D, or through Decimal."""
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
+        Fraction(re.sub(r"\d+", "1", text))
+        num, slash, den = text.partition("/")
+        if slash:
             return Fraction(_parse_int(num), _parse_int(den))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(Decimal(text.strip().replace("_", "")))
+    except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
         raise ValueError(f"cannot parse alpha {text!r}: expected C/D") from exc
 
 

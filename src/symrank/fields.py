@@ -14,18 +14,20 @@ polynomial over a field is a tuple of codes, low degree first, with no
 trailing zeros; () is the zero polynomial.
 
 An extension computes on its codes in one of two ways, chosen once from its
-order.  Above CODE_TABLE_CAP elements it multiplies digit lists modulo its
-modulus, by the routine the modulus search runs there.  At or below the cap
-every operation is a lookup in list tables built on first use and kept for
-the process.  Those tables drive the search instead.
+order, in ExtensionField.__new__.  Above CODE_TABLE_CAP elements it
+multiplies digit lists modulo its modulus, by the same modular product
+that the modulus search runs, on its base field's axpy.  At or below the
+cap every operation is a lookup in list tables built on first use and
+kept for the process.
 
 Every field class has the same four row kernels on lists of codes: scale,
-axpy (xs + c*ys), dot and entrywise.  A prime field reduces once per
-result entry, an extension with tables reads its table rows inside
-comprehensions, and above the cap the field's own add and mul run.  The
-dense linear algebra below runs on them, so no method call is made per
-matrix entry except in an extension above the cap; invert eliminates in
-place on n-wide rows and solve_linear is invert(m) @ rhs.
+axpy (xs[start + k] += c * ys[k], in place), dot and entrywise.  A prime
+field reduces once per result entry, an extension with tables reads its
+table rows, and above the cap the field's own add and mul run.  The dense
+linear algebra below and the modulus search run only on them, so no
+method call is made per entry except in an extension above the cap;
+invert eliminates in place on n-wide rows and solve_linear is
+invert(m) @ rhs.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -34,9 +36,9 @@ included, reproducible byte for byte.  The search walks the candidates in
 that order and tests them by Ben-Or's gcd test.  Rules proven in the
 docstrings of irreducible_polys, _candidates and _affine_exponents skip
 reducible candidates untested without changing the order, among them whole
-rows of affine p-polynomials and, in fields with tables, the constant terms
-that give a candidate a root.  Listing those takes a pass over the field,
-affordable only in tables, so above the cap nothing is sieved.
+rows of affine p-polynomials and, in fields of at most CODE_TABLE_CAP
+elements, the constant terms that give a candidate a root.  Listing those
+takes a pass over the field, so above the cap nothing is sieved.
 
 All arithmetic is exact; there is no floating point in this module.  Moduli
 are limited to p < 2**61 so residues stay single-word with double-width
@@ -53,7 +55,9 @@ from typing import Iterator, Sequence
 from .ntheory import PRIMALITY_LIMIT, is_prime, mobius, prime_power_split
 
 MAX_PRIME = 1 << 61
-CODE_TABLE_CAP = 256  # fields with at most this many elements get code tables
+# extensions with at most this many elements compute in code tables, and the
+# modulus search sieves roots over fields of at most this many
+CODE_TABLE_CAP = 256
 
 
 class SingularMatrixError(ValueError):
@@ -112,9 +116,10 @@ class PrimeField:
         p = self.p
         return [c * x % p for x in xs]
 
-    def axpy(self, c: int, xs: Sequence[int], ys: Sequence[int]) -> list:
+    def axpy(self, c: int, xs: list, ys: Sequence[int], start: int = 0) -> None:
         p = self.p
-        return [(x + c * y) % p for x, y in zip(xs, ys)]
+        for k, y in enumerate(ys, start):
+            xs[k] = (xs[k] + c * y) % p
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         return sum(map(operator.mul, xs, ys)) % self.p
@@ -218,7 +223,7 @@ class ExtensionField:
 
     def mul(self, a: int, b: int) -> int:
         q, n = self.base.order, self.degree
-        return self.from_digits(_mulmod_ops(self.base, self._negf, _digits(a, q, n), _digits(b, q, n)))
+        return self.from_digits(_mulmod(self.base.axpy, self._negf, _digits(a, q, n), _digits(b, q, n)))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -243,10 +248,12 @@ class ExtensionField:
         mul = self.mul
         return [mul(c, x) if x else 0 for x in xs]
 
-    def axpy(self, c: int, xs: Sequence[int], ys: Sequence[int]) -> list:
-        """xs + c * ys, entrywise."""
+    def axpy(self, c: int, xs: list, ys: Sequence[int], start: int = 0) -> None:
+        """xs[start + k] += c * ys[k] for every k, in place."""
         add, mul = self.add, self.mul
-        return [add(x, mul(c, y)) if y else x for x, y in zip(xs, ys)]
+        for k, y in enumerate(ys, start):
+            if y:
+                xs[k] = add(xs[k], mul(c, y))
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         add, mul = self.add, self.mul
@@ -304,17 +311,18 @@ class _SmallExtension(ExtensionField):
 
     # row kernels: list-table lookups, no call per entry.  A table read
     # before the tables exist goes through _Unbuilt, which builds them and
-    # answers as the table would.  (Comprehensions beat chaining the rows
-    # through map and operator.getitem: axpy on 40 codes 1.9 against 3.1 us,
-    # 2-core x86-64 host, Python 3.11.7.)
+    # answers as the table would.  (On a 2-core x86-64 host, Python 3.11.7,
+    # comprehensions beat chaining the rows through map and operator.getitem,
+    # and axpy's loop in place beats a comprehension assigned to its window:
+    # 0.31 against 0.78 us on 4 codes, 2.0 against 2.2 us on 40.)
     def scale(self, c: int, xs: Sequence[int]) -> list:
         row = self._mul[c]
         return [row[x] for x in xs]
 
-    def axpy(self, c: int, xs: Sequence[int], ys: Sequence[int]) -> list:
-        row = self._mul[c]
-        add = self._add
-        return [add[x][row[y]] for x, y in zip(xs, ys)]
+    def axpy(self, c: int, xs: list, ys: Sequence[int], start: int = 0) -> None:
+        row, add = self._mul[c], self._add
+        for k, y in enumerate(ys, start):
+            xs[k] = add[xs[k]][row[y]]
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         add, mul, acc = self._add, self._mul, 0
@@ -466,7 +474,7 @@ def power_rows(field, modulus: tuple, count: int) -> list[list]:
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
-            cur = field.axpy(top, cur, negf)
+            field.axpy(top, cur, negf)
     return rows
 
 
@@ -475,7 +483,7 @@ def is_irreducible(field, poly: tuple) -> bool:
 
     x**(q**d) - x is the product of all monic irreducibles of degree dividing
     d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.  The
-    test runs on the monic multiple, in code tables where the field has them.
+    test runs on the monic multiple.
     """
     n = poly_deg(poly)
     if n < 1:
@@ -484,14 +492,9 @@ def is_irreducible(field, poly: tuple) -> bool:
         return True
     if not poly[-1]:
         raise ValueError("polynomial must have nonzero leading coefficient")
-    if field.order <= CODE_TABLE_CAP:
-        tables = _list_tables(field)
-        scale = tables[1][tables[3][poly[-1]]]
-        return _irreducible_codes(tables, [scale[c] for c in poly])
-    if poly[-1] != 1:  # above the tables an extension inverts by exponentiation
-        scale = field.inv(poly[-1])
-        poly = [field.mul(scale, c) for c in poly]
-    return _irreducible_ops(field, poly)
+    if poly[-1] != 1:  # above the cap an extension inverts by exponentiation
+        poly = field.scale(field.inv(poly[-1]), poly)
+    return _irreducible(field, poly)
 
 
 def find_irreducible(field, n: int) -> tuple:
@@ -510,126 +513,61 @@ def _is_pth_power(poly, p: int) -> bool:
     return not any(c for e, c in enumerate(poly) if e % p)
 
 
-# is_irreducible's steps on code lists (f monic of degree n, a residue mod f
-# n codes, negf the negated low coefficients of f), bound twice: *_codes to
-# list tables, *_ops to the field's own operations (above CODE_TABLE_CAP, and
-# ExtensionField.mul).  *_ops alone made the walk at or below the cap 1.25-1.4x
-# and mult-construct 8-10 % slower (2-core x86-64 host, Python 3.11.7).
+# is_irreducible's steps on code lists, on the field's row kernels (f monic
+# of degree n, a residue mod f n codes, negf the negated low coefficients of
+# f, so that u**n = negf)
 
 
-def _irreducible_codes(tables: tuple, f: Sequence[int]) -> bool:
+def _irreducible(field, f: Sequence[int]) -> bool:
     """is_irreducible's test for a monic code sequence f of degree >= 2."""
-    add, mul, neg, _ = tables
-    n = len(f) - 1
-    negf = [neg[c] for c in f[:n]]
-    w = [0, 1] + [0] * (n - 2)  # x
-    for _ in range(n // 2):
-        w = _powmod_codes(add, mul, negf, w, len(add))
-        if _common_factor_codes(tables, f, [w[0], add[w[1]][neg[1]], *w[2:]]):
-            return False
-    return True
-
-
-def _irreducible_ops(field, f: Sequence[int]) -> bool:
     n = len(f) - 1
     negf = [field.neg(c) for c in f[:n]]
     w = [0, 1] + [0] * (n - 2)  # x
     for _ in range(n // 2):
-        w = _powmod_ops(field, negf, w, field.order)
-        if _common_factor_ops(field, f, [w[0], field.sub(w[1], 1), *w[2:]]):
+        w = _powmod(field.axpy, negf, w, field.order)
+        if _common_factor(field, f, [w[0], field.sub(w[1], 1), *w[2:]]):
             return False
     return True
 
 
-def _mulmod_codes(add: list, mul: list, negf: list, a: list, b: list) -> list:
+def _mulmod(axpy, negf: list, a: list, b: list) -> list:
+    """a * b mod f: one axpy per nonzero row of the product and of the
+    reduction."""
     n = len(negf)
     prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
-            row = mul[ai]
-            for k, bj in enumerate(b, i):
-                prod[k] = add[prod[k]][row[bj]]
+            axpy(ai, prod, b, i)
     for k in range(2 * n - 2, n - 1, -1):  # u**k = u**(k-n) * (-low part of f)
         c = prod[k]
         if c:
-            row = mul[c]
-            for j, fj in enumerate(negf, k - n):
-                prod[j] = add[prod[j]][row[fj]]
+            axpy(c, prod, negf, k - n)
     del prod[n:]
     return prod
 
 
-def _mulmod_ops(field, negf: list, a: list, b: list) -> list:
-    n = len(negf)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bj in enumerate(b, i):
-                if bj:  # a zero term costs a call: residues like x**k are sparse
-                    prod[k] = field.add(prod[k], field.mul(ai, bj))
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k]
-        if c:
-            for j, fj in enumerate(negf, k - n):
-                prod[j] = field.add(prod[j], field.mul(c, fj))
-    del prod[n:]
-    return prod
-
-
-def _powmod_codes(add: list, mul: list, negf: list, a: list, e: int) -> list:
+def _powmod(axpy, negf: list, a: list, e: int) -> list:
     out = a
     for bit in bin(e)[3:]:  # left to right, below the leading one
-        out = _mulmod_codes(add, mul, negf, out, out)
+        out = _mulmod(axpy, negf, out, out)
         if bit == "1":
-            out = _mulmod_codes(add, mul, negf, out, a)
+            out = _mulmod(axpy, negf, out, a)
     return out
 
 
-def _powmod_ops(field, negf: list, a: list, e: int) -> list:
-    out = a
-    for bit in bin(e)[3:]:
-        out = _mulmod_ops(field, negf, out, out)
-        if bit == "1":
-            out = _mulmod_ops(field, negf, out, a)
-    return out
-
-
-def _common_factor_codes(tables: tuple, f: list, g: list) -> bool:
+def _common_factor(field, f: Sequence[int], g: list) -> bool:
     """Whether gcd(f, g) has degree >= 1, by Euclid on code lists (g may
-    carry trailing zeros; g = 0 shares all of f)."""
-    add, mul, neg, inv = tables
-    a, b = list(f), list(g)
-    while b and not b[-1]:
-        b.pop()
+    carry trailing zeros; g = 0 shares all of f).  Each divisor is scaled
+    once by -1/lead, so every row of a division is one axpy by the top
+    coefficient it cancels."""
+    a, b = list(f), _trim(g)
     while b:
         db = len(b) - 1
-        lead_inv = inv[b[-1]]
+        b = field.scale(field.neg(field.inv(b[-1])), b)
         for i in range(len(a) - 1 - db, -1, -1):  # a mod b, in place
             c = a[i + db]
             if c:
-                row = mul[neg[mul[c][lead_inv]]]
-                for k, bj in enumerate(b, i):
-                    a[k] = add[a[k]][row[bj]]
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) > 1
-
-
-def _common_factor_ops(field, f: Sequence[int], g: list) -> bool:
-    a, b = list(f), list(g)
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        db = len(b) - 1
-        lead_inv = field.inv(b[-1])
-        for i in range(len(a) - 1 - db, -1, -1):
-            c = a[i + db]
-            if c:
-                m = field.neg(field.mul(c, lead_inv))
-                for k, bj in enumerate(b, i):
-                    a[k] = field.add(a[k], field.mul(m, bj))
+                field.axpy(c, a, b, i)
         del a[db:]
         while a and not a[-1]:
             a.pop()
@@ -723,7 +661,7 @@ class Matrix:
             acc = [0] * other.cols
             for a, orow in zip(self.row(i), other_rows):
                 if a:
-                    acc = axpy(a, acc, orow)
+                    axpy(a, acc, orow)
             out += acc
         return Matrix(self.field, self.rows, other.cols, out)
 
@@ -770,7 +708,7 @@ def invert(m: Matrix) -> Matrix:
             factor = row[col]
             if factor and r != col:
                 row[col] = 0
-                rows[r] = f.axpy(f.neg(factor), row, prow)
+                f.axpy(f.neg(factor), row, prow)
     for col, pivot in reversed(swaps):
         for row in rows:
             row[col], row[pivot] = row[pivot], row[col]
@@ -799,7 +737,7 @@ def select_independent_rows(m: Matrix, need: int) -> list[int]:
         for pc, brow in basis:
             factor = row[pc]
             if factor:
-                row = f.axpy(f.neg(factor), row, brow)
+                f.axpy(f.neg(factor), row, brow)
         pc = next((j for j, x in enumerate(row) if x), None)
         if pc is None:
             continue
@@ -826,19 +764,18 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
     gives the walk one row c_1 ... c_{d-1} at a time and leaves out the
     candidates its rules prove reducible; over GF(2**k) the quadratics are
     decided by the trace rule of _binary_quadratic_candidates instead.  The
-    remaining candidates are tested by is_irreducible's test, in code tables
-    where the field has them.
+    remaining candidates are tested by is_irreducible's test, _irreducible.
 
-    Over a field with tables the walk also sieves roots.  For a fixed row,
-    the candidate with constant term c_0 has a root a exactly when
-    c_0 = -(a**d + c_{d-1} a**(d-1) + ... + c_1 a), a != 0 since c_0 != 0.
-    At a row's first rejected candidate those c_0 are listed, by one Horner
-    pass over the field in its tables (_rooted_constants), and the rest of
-    the row skips them untested; a row whose candidates up to the wanted
-    one are irreducible lists nothing.  Above the tables nothing is sieved:
-    the list costs a pass over all of GF(q) per row, which would make the
-    degree-2 search over GF(65537) hundreds of times slower and the one
-    over GF(2**61 - 1) endless.
+    Over a field of at most CODE_TABLE_CAP elements the walk also sieves
+    roots.  For a fixed row, the candidate with constant term c_0 has a root
+    a exactly when c_0 = -(a**d + c_{d-1} a**(d-1) + ... + c_1 a), a != 0
+    since c_0 != 0.  At a row's first rejected candidate those c_0 are
+    listed, by one Horner pass over the field on its row kernels
+    (_rooted_constants), and the rest of the row skips them untested; a row
+    whose candidates up to the wanted one are irreducible lists nothing.
+    Above the cap nothing is sieved: the list costs a pass over all of
+    GF(q) per row, which would make the degree-2 search over GF(65537)
+    hundreds of times slower and the one over GF(2**61 - 1) endless.
     """
     q = field.order
     if degree < 1:
@@ -846,8 +783,8 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
     if degree == 1:
         yield from ((c0, 1) for c0 in range(q))
         return
-    tables = _list_tables(field) if q <= CODE_TABLE_CAP else None
-    test = partial(_irreducible_codes, tables) if tables else partial(is_irreducible, field)
+    sieve = q <= CODE_TABLE_CAP
+    test = partial(_irreducible, field)
     if degree == 2 and field.char == 2:
         yield from filter(test, _binary_quadratic_candidates(field))
         return
@@ -859,20 +796,21 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
             candidate = (c0, *rest)
             if test(candidate):
                 yield candidate
-            elif tables and rooted is None:
-                rooted = _rooted_constants(tables, rest)
+            elif sieve and rooted is None:
+                rooted = _rooted_constants(field, rest)
 
 
-def _rooted_constants(tables: tuple, rest: tuple) -> set:
+def _rooted_constants(field, rest: tuple) -> set:
     """The c_0 != 0 for which c_0 + c_1 u + ... + u**d has a root, given
     rest = (c_1, ..., c_{d-1}, 1): -(a**d + ... + c_1 a) over a != 0, by
     Horner's rule run on every a at once."""
-    add, mul, neg, _ = tables
-    xs = range(1, len(add))
+    xs = range(1, field.order)
+    ones = [1] * len(xs)
     acc = list(xs)  # 1 * a
     for c in reversed(rest[:-1]):  # c_{d-1}, ..., c_1
-        acc = [mul[add[v][c]][a] for v, a in zip(acc, xs)]
-    return {neg[v] for v in acc}
+        field.axpy(c, acc, ones)
+        acc = field.entrywise(acc, xs)
+    return set(field.scale(field.neg(1), acc))
 
 
 def _candidates(field, degree: int) -> Iterator[tuple[tuple, range]]:

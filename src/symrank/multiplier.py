@@ -324,7 +324,9 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
         # compose the three sub-forms with the residue map: rows over x coords
         res0, res1 = map(list, zip(*res))
         for s0, s1 in sub_forms.to_int_lists():
-            forms_rows.append(base.axpy(s1, base.scale(s0, res0[:n]), res1[:n]))
+            row = base.scale(s0, res0[:n])
+            base.axpy(s1, row, res1[:n])
+            forms_rows.append(row)
         eval_rows += [res0, res1]
 
     if len(eval_rows) > prod_len:  # a plan with surplus degrees

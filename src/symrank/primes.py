@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from itertools import chain, compress, pairwise
 
 from .ntheory import PrimalityLimitError, is_prime
@@ -244,9 +244,11 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
 
     No Python loop runs over all the primes.  The largest scanned gap G comes
     from a record search on the sieve flags (`_largest_gap`) and the tail gap.
-    Then gap**d > l**c is tested only for the primes l below the cutoff b,
-    the least integer with b**c >= G**d: from b on, gap**d <= G**d <= b**c <=
-    l**c, so no larger prime can be a violation.
+    Then only the primes l below the cutoff b are walked, the least integer
+    with b**c >= G**d: from b on, gap**d <= G**d <= b**c <= l**c, so no
+    larger prime can be a violation.  By the same argument a prime l with
+    successor gap g is a violation exactly when l is below g's own cutoff,
+    which is found once per distinct gap, so no power is compared per prime.
     """
     check_gap_scan(limit, alpha)
     alpha = Fraction(alpha)
@@ -262,7 +264,8 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     # stop <= 2 the pair 2 -> 3, whose gap 1 is no violation)
     succ = flags.find(1, stop // 2)
     walk = _flagged(flags, succ + 1) if succ >= 0 else chain(_flagged(flags), tail)
-    violations = tuple(l for l, l1 in pairwise(walk) if _exceeds(l1 - l, d, l, c))
+    cutoff = cache(partial(_cutoff, c=c, d=d, limit=stop))  # every walked l is below stop
+    violations = tuple(l for l, l1 in pairwise(walk) if l < cutoff(l1 - l))
     runtime_ms = (time.monotonic() - start) * 1000.0
     return GapScan(limit, alpha, violations, max_gap, runtime_ms)
 

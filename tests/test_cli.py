@@ -3,6 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+import re
 import resource
 import subprocess
 import sys
@@ -212,6 +214,43 @@ class TestBoundedResources:
                         "--alpha", "1e-5000", "--sieve-limit", "100")
         assert code == 0, out
         assert json.loads(out)["reports"][0]["policy"]["alpha"] == self.TINY_ALPHA
+
+    # the same alpha as a decimal, past the limit on its digits after the point
+    TINY_DECIMAL = "0." + "0" * 4999 + "1"
+
+    def test_decimal_alpha_past_the_int_text_limit_in_gaps(self, capsys):
+        code, out = run(capsys, "gaps", "--limit", "10", "--alpha", self.TINY_DECIMAL)
+        assert code == 0, out
+        assert json.loads(out)["alpha"] == self.TINY_ALPHA
+
+    def test_decimal_alpha_past_the_int_text_limit_in_bound(self, capsys):
+        code, out = run(capsys, "bound", "--p", "5", "--n", "100", "--policy", "empirical",
+                        "--alpha", self.TINY_DECIMAL, "--sieve-limit", "100")
+        assert code == 0, out
+        assert json.loads(out)["reports"][0]["policy"]["alpha"] == self.TINY_ALPHA
+
+    def test_alpha_texts_agree_with_fraction(self):
+        # seeded texts below the limit: alpha parses exactly the texts
+        # Fraction() takes, to the same value; a long exponent is left out,
+        # since 10**exponent is what both would compute
+        rng = random.Random(4300)
+        pieces = ("", " ", "+", "-", "0", "7", "12", "1_0", "_", ".", "e", "E-", "/", " / ", "x")
+        parsed = 0
+        for _ in range(20000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 7)))
+            if re.search(r"[eE][-+]?[\d_]{4}", text):
+                continue
+            try:
+                want = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                want = None
+            try:
+                got = cli._parse_alpha(text)
+            except ValueError:
+                got = None
+            assert got == want, text
+            parsed += want is not None
+        assert parsed > 1000
 
     @pytest.mark.parametrize("argv", [
         ("gaps", "--limit", "3"),
@@ -503,6 +542,11 @@ class TestTableCommand:
         assert all("infeasible: pair_selection" in r for r in constructive)
 
 
+# sha256 of `symrank selftest` stdout; any change to it is a change to the
+# reported results
+SELFTEST_STDOUT_SHA256 = "8d3b2266162c4ced1488293850850064911648aa34b38a12f1f7561a44dd6e36"
+
+
 class TestSelftestCommand:
     def test_timing_goes_to_stderr_only(self, capsys):
         from symrank.selftest import SUITES
@@ -512,6 +556,7 @@ class TestSelftestCommand:
         captured = capsys.readouterr()
         assert plain[0] == code == 0
         assert captured.out == plain[1]
+        assert hashlib.sha256(plain[1].encode()).hexdigest() == SELFTEST_STDOUT_SHA256
         lines = captured.err.splitlines()
         assert [line.split()[1] for line in lines] == [name for name, _ in SUITES]
         assert len(lines) == 16 and all(line.endswith(" ms") for line in lines)

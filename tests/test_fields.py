@@ -64,12 +64,13 @@ class TestFindIrreducible:
         # tests none of the 511 and only its answer
         import symrank.fields as fields_mod
 
+        f = make_field(512)  # its own modulus search runs the same test
         tested = []
-        real = fields_mod.is_irreducible
+        real = fields_mod._irreducible
         monkeypatch.setattr(
-            fields_mod, "is_irreducible", lambda f, poly: tested.append(poly) or real(f, poly)
+            fields_mod, "_irreducible", lambda f, poly: tested.append(poly) or real(f, poly)
         )
-        assert find_irreducible(make_field(512), 2) == (1, 1, 1)
+        assert find_irreducible(f, 2) == (1, 1, 1)
         assert tested == [(1, 1, 1)]
         assert find_irreducible(make_field(1024), 2) == (128, 1, 1)
 
@@ -81,9 +82,9 @@ class TestFindIrreducible:
 
         p = make_field(q).char
         tested = []
-        real = fields_mod._irreducible_codes
+        real = fields_mod._irreducible
         monkeypatch.setattr(
-            fields_mod, "_irreducible_codes", lambda t, f: tested.append(f) or real(t, f)
+            fields_mod, "_irreducible", lambda fld, f: tested.append(f) or real(fld, f)
         )
         got = find_irreducible(make_field(q), n)
         assert tested and tuple(tested[-1]) == got
@@ -281,9 +282,9 @@ class TestRootSieve:
         f = make_field(q)
         p = f.char
         tested = []
-        real = fields_mod._irreducible_codes
+        real = fields_mod._irreducible
         monkeypatch.setattr(
-            fields_mod, "_irreducible_codes", lambda t, c: tested.append(tuple(c)) or real(t, c)
+            fields_mod, "_irreducible", lambda fld, c: tested.append(tuple(c)) or real(fld, c)
         )
         last = list(itertools.islice(irreducible_polys(f, d), 5))[-1]
         monkeypatch.undo()
@@ -331,21 +332,21 @@ class TestBinaryQuadratics:
         import symrank.fields as fields_mod
 
         f = make_field(q)
-        tables = fields_mod._list_tables(f)
         candidates = [(c0, c1, 1) for c1 in range(1, q) for c0 in range(1, q)]
-        expected = [c for c in candidates if fields_mod._irreducible_codes(tables, c)]
+        expected = [c for c in candidates if fields_mod._irreducible(f, c)]
         assert list(fields_mod._binary_quadratic_candidates(f)) == expected
 
     def test_moduli_above_table_cap_unchanged_and_only_answers_tested(self, monkeypatch):
         # the moduli computed by the walk that tested every candidate
         import symrank.fields as fields_mod
 
+        by_q = {q: make_field(q) for q in (2**9, 2**10, 2**11, 2**12)}  # searched before the spy
         tested = []
-        real = fields_mod.is_irreducible
+        real = fields_mod._irreducible
         monkeypatch.setattr(
-            fields_mod, "is_irreducible", lambda f, poly: tested.append(poly) or real(f, poly)
+            fields_mod, "_irreducible", lambda f, poly: tested.append(poly) or real(f, poly)
         )
-        moduli = {q: find_irreducible(make_field(q), 2) for q in (2**9, 2**10, 2**11, 2**12)}
+        moduli = {q: find_irreducible(f, 2) for q, f in by_q.items()}
         assert moduli == {512: (1, 1, 1), 1024: (128, 1, 1), 2048: (1, 1, 1), 4096: (512, 1, 1)}
         assert tested == list(moduli.values())
 
@@ -409,10 +410,6 @@ class TestCodeField:
 
     @pytest.mark.parametrize("q", [4, 5, 8, 9, 16])
     def test_is_irreducible_on_codes_against_factor_products(self, q):
-        # both bindings of the test: the code tables, and the field's own
-        # operations that fields above the cap use
-        import symrank.fields as fields_mod
-
         f = make_field(q)
         assert q <= CODE_TABLE_CAP
         for d in (2, 3, 4):
@@ -420,7 +417,18 @@ class TestCodeField:
             for c in itertools.product(range(q), repeat=d):
                 expected = (*c, 1) not in reducible
                 assert is_irreducible(f, (*c, 1)) == expected, (q, c)
-                assert fields_mod._irreducible_ops(f, (*c, 1)) == expected, (q, c)
+
+    def test_is_irreducible_above_cap_against_factor_products(self):
+        # a seeded sample of monic quadratics over GF(257), reducible exactly
+        # when they are (u - r)(u - s) = u**2 - (r + s) u + r s
+        p = 257
+        f = make_field(p)
+        assert f.order > CODE_TABLE_CAP
+        reducible = {(r * s % p, -(r + s) % p) for r in range(p) for s in range(r, p)}
+        rng = random.Random(2000)
+        for _ in range(2000):
+            c = (rng.randrange(p), rng.randrange(p))
+            assert is_irreducible(f, (*c, 1)) == (c not in reducible), c
 
     @pytest.mark.parametrize("q,sample", [(9, None), (257, 300), (289, 300)], ids=["9", "257", "289"])
     def test_non_monic_polynomial(self, q, sample):
@@ -511,12 +519,23 @@ class TestCodeField:
         def fresh():
             return ExtensionField(f.base, f.degree, f.modulus) if kind is _SmallExtension else f
 
+        def codes(length):
+            return [f.random(rng) if rng.random() < 0.7 else 0 for _ in range(length)]
+
         for length in (0, 1, 40):
             for _ in range(3):
-                xs, ys = ([f.random(rng) if rng.random() < 0.7 else 0 for _ in range(length)] for _ in "xy")
+                xs, ys = codes(length), codes(length)
                 for c in (0, 1, q - 1, f.random(rng)):
                     assert fresh().scale(c, xs) == [F.mul(c, x) for x in xs]
-                    assert fresh().axpy(c, xs, ys) == [F.add(x, F.mul(c, y)) for x, y in zip(xs, ys)]
+                    # in place on the window of ys at start, the rest untouched
+                    target = codes(length + 6)
+                    for start in (0, 3, 6):
+                        got = list(target)
+                        assert fresh().axpy(c, got, ys, start) is None
+                        want = list(target)
+                        for k, y in enumerate(ys, start):
+                            want[k] = F.add(want[k], F.mul(c, y))
+                        assert got == want, (c, start)
                 dot = 0
                 for x, y in zip(xs, ys):
                     dot = F.add(dot, F.mul(x, y))

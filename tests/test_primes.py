@@ -178,6 +178,7 @@ class TestVerifyGaps:
         while len(alphas) < 6:  # mid-range exponents, which some primes violate
             d = rng.randrange(4, 4097)
             alphas.append(Fraction(rng.randrange(d // 4, d // 2), d))
+        alphas.append(Fraction(434, 1713))  # 2,466 violations below 10**5
         ps = sieve(10**5 + 200)
         for alpha in alphas:
             reference = _reference_scans(ps, alpha)
