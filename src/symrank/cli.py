@@ -41,6 +41,11 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 
+# alpha is echoed exactly in every reply that uses it, so its terms are
+# capped: 10**100000 is answered in well under a second, and the cost grows
+# faster than the digits
+ALPHA_DIGIT_CAP = 100_000
+
 CSV_HEADER = [
     "p", "n", "field", "method", "value_real", "value_int", "valid",
     "policy", "l_k", "l_k1", "genus", "caveats",
@@ -59,15 +64,26 @@ def _parse_alpha(text: str) -> Fraction:
     """Fraction(text), also past int()'s limit on the digits it converts from
     text.  As in _parse_int, Fraction checks the text with each run of digits
     cut to one digit, so exactly its texts pass; the value is read from the
-    integers of C/D, or through Decimal."""
+    integers of C/D, or through Decimal.
+
+    Terms of more than ALPHA_DIGIT_CAP digits are refused before any is
+    built: C and D count their significant digits, and a decimal with
+    digits m and exponent e counts len(m) + |e|, which bounds the digits of
+    both terms of its fraction."""
     try:
         Fraction(re.sub(r"\d+", "1", text))
         num, slash, den = text.partition("/")
         if slash:
-            return Fraction(_parse_int(num), _parse_int(den))
-        return Fraction(Decimal(text.strip().replace("_", "")))
+            digits = max(len(re.sub(r"\D", "", term).lstrip("0")) for term in (num, den))
+        else:
+            decimal = Decimal(text.strip().replace("_", ""))
+            _, mantissa, exponent = decimal.as_tuple()
+            digits = len(mantissa) + abs(exponent)
+        if digits <= ALPHA_DIGIT_CAP:
+            return Fraction(_parse_int(num), _parse_int(den)) if slash else Fraction(decimal)
     except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
         raise ValueError(f"cannot parse alpha {text!r}: expected C/D") from exc
+    raise ValueError(f"alpha term of {digits} digits exceeds digit cap {ALPHA_DIGIT_CAP}")
 
 
 def _policy_builder(args) -> Callable[[], primes.GapPolicy]:

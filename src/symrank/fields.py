@@ -25,9 +25,10 @@ axpy (xs[start + k] += c * ys[k], in place), dot and entrywise.  A prime
 field reduces once per result entry, an extension with tables reads its
 table rows, and above the cap the field's own add and mul run.  The dense
 linear algebra below and the modulus search run only on them, so no
-method call is made per entry except in an extension above the cap;
-invert eliminates in place on n-wide rows and solve_linear is
-invert(m) @ rhs.
+method call is made per entry except in an extension above the cap.  A
+Matrix holds its rows, lists of codes that the kernels take as they are;
+invert eliminates in place on a copy of the n-wide rows and solve_linear
+is invert(m) @ rhs.
 
 The canonical modulus of an extension of degree n is the monic irreducible
 polynomial of degree n whose integer code (the code vector read as base-q
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ntheory import PRIMALITY_LIMIT, is_prime, mobius, prime_power_split
 
@@ -598,99 +599,64 @@ def count_places_rational_ff(q: int, d: int) -> int:
 
 
 class Matrix:
-    """Dense row-major matrix of field codes."""
+    """Dense matrix of field codes, held as its rows: `rows` is a list of
+    code lists, copied on construction, and `cols` is their common width.
+    The height is len(rows).  Its operations run the field's row kernels on
+    these lists, and invert and select_independent_rows eliminate on
+    copies, so no operation changes an operand."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols")
 
-    def __init__(self, field, rows: int, cols: int, entries: Sequence):
-        if rows * cols != len(entries):
-            raise ValueError("entry count does not match shape")
+    def __init__(self, field, rows: Iterable[Sequence[int]]):
         self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = list(entries)
-
-    @classmethod
-    def from_rows(cls, field, rows: Sequence[Sequence]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(field, r, c, flat)
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        m = cls(field, n, n, [0] * (n * n))
-        for i in range(n):
-            m[i, i] = 1
-        return m
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.entries[i * self.cols + j] = v
-
-    def row(self, i: int) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, list(self.entries))
+        self.rows = [list(row) for row in rows]
+        self.cols = len(self.rows[0]) if self.rows else 0
+        if any(len(row) != self.cols for row in self.rows):
+            raise ValueError("ragged rows")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and other.entries == self.entries
-        )
+        return isinstance(other, Matrix) and other.field == self.field and other.rows == self.rows
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
+        if self.cols != len(other.rows):
             raise ValueError("shape mismatch")
         axpy = self.field.axpy
-        other_rows = other.to_int_lists()
         out = []
-        for i in range(self.rows):
+        for row in self.rows:
             acc = [0] * other.cols
-            for a, orow in zip(self.row(i), other_rows):
+            for a, orow in zip(row, other.rows):
                 if a:
                     axpy(a, acc, orow)
-            out += acc
-        return Matrix(self.field, self.rows, other.cols, out)
+            out.append(acc)
+        return Matrix(self.field, out)
 
     def matvec(self, vec: Sequence) -> list:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        dot, entries, cols = self.field.dot, self.entries, self.cols
-        return [dot(entries[k : k + cols], vec) for k in range(0, len(entries), cols)]
+        dot = self.field.dot
+        return [dot(row, vec) for row in self.rows]
 
     def to_int_lists(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
+        """The rows as fresh lists."""
+        return [row[:] for row in self.rows]
 
 
 def invert(m: Matrix) -> Matrix:
     """The inverse of a square matrix, by Gauss-Jordan elimination in place
-    with first-nonzero pivoting: the first row at or below the diagonal with
-    a nonzero entry is the pivot.  Raises SingularMatrixError naming the
-    first column without a pivot, the first column that depends on the
-    columns before it.
+    on a copy of its rows, with first-nonzero pivoting: the first row at or
+    below the diagonal with a nonzero entry is the pivot.  Raises
+    SingularMatrixError naming the first column without a pivot, the first
+    column that depends on the columns before it.
 
     Once column k is eliminated, the working rows hold in that column what
     the identity beside them would hold: the result is the inverse of the
     matrix with its rows swapped as the pivots chose, whose columns are
     swapped back at the end.
     """
-    if m.rows != m.cols:
+    n = len(m.rows)
+    if n != m.cols:
         raise ValueError("invert expects a square matrix")
     f = m.field
-    n = m.rows
     rows = m.to_int_lists()
     swaps = []
     for col in range(n):
@@ -712,13 +678,13 @@ def invert(m: Matrix) -> Matrix:
     for col, pivot in reversed(swaps):
         for row in rows:
             row[col], row[pivot] = row[pivot], row[col]
-    return Matrix(f, n, n, [x for row in rows for x in row])
+    return Matrix(f, rows)
 
 
 def solve_linear(m: Matrix, rhs: Matrix) -> Matrix:
     """Solve m @ x = rhs for a square m, as invert(m) @ rhs; a singular m
     raises invert's SingularMatrixError."""
-    if rhs.rows != m.rows:
+    if len(rhs.rows) != len(m.rows):
         raise ValueError("rhs row count mismatch")
     return invert(m) @ rhs
 
@@ -732,8 +698,7 @@ def select_independent_rows(m: Matrix, need: int) -> list[int]:
     f = m.field
     basis: list[tuple[int, list]] = []  # (pivot col, reduced row)
     picked: list[int] = []
-    for i in range(m.rows):
-        row = m.row(i)
+    for i, row in enumerate(m.to_int_lists()):
         for pc, brow in basis:
             factor = row[pc]
             if factor:

@@ -231,10 +231,10 @@ class BilinearAlgorithm:
 
     def __post_init__(self):
         c, n = self.plan.cost, self.ext.degree
-        shape = (self.rank, self.forms.rows, self.forms.cols, self.recon.rows, self.recon.cols)
+        shape = (self.rank, len(self.forms.rows), self.forms.cols, len(self.recon.rows), self.recon.cols)
         if shape != (c, c, n, n, c):
             raise ValueError(f"a plan of cost {c} at n = {n} needs rank {c}, {c} x {n} forms, {n} x {c} recon")
-        _check_codes(self.base, itertools.chain(self.forms.entries, self.recon.entries))
+        _check_codes(self.base, itertools.chain(*self.forms.rows, *self.recon.rows))
 
     @property
     def base(self) -> PrimeField | ExtensionField:
@@ -280,8 +280,9 @@ def build_algorithm(
         raise ValueError("plan does not match the requested field")
     ext = ExtensionField(base, n, modulus)
     forms, recon = _interpolate(base, plan, ext.modulus)
-    assert forms.rows >= 2 * n - 1  # classical lower bound, structural here
-    return BilinearAlgorithm(ext, plan, forms.rows, forms, recon)
+    rank = len(forms.rows)
+    assert rank >= 2 * n - 1  # classical lower bound, structural here
+    return BilinearAlgorithm(ext, plan, rank, forms, recon)
 
 
 def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
@@ -320,23 +321,23 @@ def _interpolate(base, plan: EvalPlan, modulus: tuple) -> tuple[Matrix, Matrix]:
     for pi in plan.deg2_places:
         sub_forms, sub_recon = _interpolate(base, sub_plan, pi)
         res = power_rows(base, pi, prod_len)  # u**j mod pi, 2 coords each
-        s_rows += [s_row(row) for row in sub_recon.to_int_lists()]
+        s_rows += [s_row(row) for row in sub_recon.rows]
         # compose the three sub-forms with the residue map: rows over x coords
         res0, res1 = map(list, zip(*res))
-        for s0, s1 in sub_forms.to_int_lists():
+        for s0, s1 in sub_forms.rows:
             row = base.scale(s0, res0[:n])
             base.axpy(s1, row, res1[:n])
             forms_rows.append(row)
         eval_rows += [res0, res1]
 
     if len(eval_rows) > prod_len:  # a plan with surplus degrees
-        picked = select_independent_rows(Matrix.from_rows(base, eval_rows), prod_len)
+        picked = select_independent_rows(Matrix(base, eval_rows), prod_len)
         eval_rows = [eval_rows[i] for i in picked]
         s_rows = [s_rows[i] for i in picked]
     # reduction of product coefficients mod the defining polynomial
-    reduce_q = Matrix.from_rows(base, list(zip(*power_rows(base, modulus, prod_len))))
-    inverse = invert(Matrix.from_rows(base, eval_rows))
-    return Matrix.from_rows(base, forms_rows), reduce_q @ inverse @ Matrix.from_rows(base, s_rows)
+    reduce_q = Matrix(base, zip(*power_rows(base, modulus, prod_len)))
+    inverse = invert(Matrix(base, eval_rows))
+    return Matrix(base, forms_rows), reduce_q @ inverse @ Matrix(base, s_rows)
 
 
 def multiply(algo: BilinearAlgorithm, x: int, y: int) -> int:
@@ -435,10 +436,9 @@ def _first_basis_failure(algo: BilinearAlgorithm) -> tuple[int, int] | None:
     """
     base, n = algo.base, algo.n
     red = power_rows(base, algo.ext.modulus, 2 * n - 1)  # u**k mod modulus
-    at_basis = list(zip(*algo.forms.to_int_lists()))  # the form values at u**i
-    recon = algo.recon.to_int_lists()
+    at_basis = list(zip(*algo.forms.rows))  # the form values at u**i
     for i in range(n):
-        scaled = [base.entrywise(row, at_basis[i]) for row in recon]
+        scaled = [base.entrywise(row, at_basis[i]) for row in algo.recon.rows]
         for j in range(i, n):
             if [base.dot(row, at_basis[j]) for row in scaled] != red[i + j]:
                 return i, j
@@ -504,8 +504,8 @@ def parse_tensor(text: str) -> BilinearAlgorithm:
     if cost != plan.cost or contributions != plan.contributions:
         raise ValueError("tensor ledger is inconsistent: cost or contributions disagree with its plan")
     ext = ExtensionField(base, n, modulus)
-    forms = Matrix.from_rows(base, [codes(row) for row in doc["forms"]])
-    recon = Matrix.from_rows(base, [codes(row) for row in doc["recon"]])
+    forms = Matrix(base, map(codes, doc["forms"]))
+    recon = Matrix(base, map(codes, doc["recon"]))
     return BilinearAlgorithm(ext, plan, _json_typed(doc["rank"], int, "rank"), forms, recon)
 
 

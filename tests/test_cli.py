@@ -229,6 +229,24 @@ class TestBoundedResources:
         assert code == 0, out
         assert json.loads(out)["reports"][0]["policy"]["alpha"] == self.TINY_ALPHA
 
+    @pytest.mark.parametrize("alpha", ["1e-100000000000", "1e-1000000"])
+    def test_alpha_terms_above_the_digit_cap_refused(self, alpha):
+        # 10**(10**11) was built before any check and ran out of memory, and
+        # a million-digit term took 18 s to echo; both are refused at once
+        code, out = run_capped("gaps", "--limit", "10", "--alpha", alpha)
+        assert code == 1
+        digits = int(alpha[3:]) + 1
+        assert json.loads(out)["reason"] == f"alpha term of {digits} digits exceeds digit cap 100000"
+
+    def test_alpha_digit_cap_counts_each_term(self):
+        cap = cli.ALPHA_DIGIT_CAP
+        assert cli._parse_alpha(f"1e-{cap - 1}") == Fraction(1, 10 ** (cap - 1))
+        assert cli._parse_alpha("1/1" + "0" * (cap - 1)) == Fraction(1, 10 ** (cap - 1))
+        assert cli._parse_alpha("0" * cap + "1/3") == Fraction(1, 3)  # leading zeros are free
+        for text in (f"1e-{cap}", "1/1" + "0" * cap, "1" * (cap + 1) + "/3", "0." + "1" * cap):
+            with pytest.raises(ValueError, match=f"exceeds digit cap {cap}$"):
+                cli._parse_alpha(text)
+
     def test_alpha_texts_agree_with_fraction(self):
         # seeded texts below the limit: alpha parses exactly the texts
         # Fraction() takes, to the same value; a long exponent is left out,
@@ -791,4 +809,35 @@ def test_bound_side_golden_stdout(group):
         with contextlib.redirect_stdout(buf):
             code = cli.main(list(argv))
         h.update(f"{code}\n{buf.getvalue()}".encode())
+    assert h.hexdigest() == expected
+
+
+# sha256 over "exit code, newline, stdout, newline, emitted tensor" of
+# `mult --allow-deg2 --verify auto --seed 7 --emit-tensor PATH` at each cell,
+# in order, with PATH replaced by TENSOR in stdout.  The cells are the 19 of
+# the mult benchmark workloads, then a table-free extension (289, 3), a large
+# n over a prime base (251, 20), a binary base at the table cap (256, 8) and
+# an infeasible cell (2, 4), which exits 2 and writes no tensor.
+MULT_SIDE_GOLDEN = (
+    (
+        (16, 4), (64, 3), (25, 4), (9, 6), (4, 8), (27, 3), (49, 3), (7, 6), (5, 8),
+        (11, 3), (31, 2), (5, 4), (9, 3), (8, 3), (25, 2), (4, 4), (3, 5), (7, 3), (16, 2),
+        (289, 3), (251, 20), (256, 8), (2, 4),
+    ),
+    "56bed69dd579b3a99f9e8a355e263011b00e48679b92672281cb9caedc7b43d1",
+)
+
+
+def test_mult_side_golden_stdout_and_tensors(tmp_path):
+    cells, expected = MULT_SIDE_GOLDEN
+    h = hashlib.sha256()
+    for q, n in cells:
+        path = tmp_path / f"tensor-{q}-{n}.json"
+        argv = ["mult", "--q", str(q), "--n", str(n), "--allow-deg2", "--verify", "auto",
+                "--seed", "7", "--emit-tensor", str(path)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        tensor = path.read_text() if path.exists() else ""
+        h.update(f"{code}\n{buf.getvalue().replace(str(path), 'TENSOR')}\n{tensor}".encode())
     assert h.hexdigest() == expected

@@ -375,8 +375,8 @@ def reducible_codes(f, d):
     return out
 
 
-def rows_of(m):
-    return [m.row(i) for i in range(m.rows)]
+def identity(f, n):
+    return Matrix(f, ([int(i == j) for j in range(n)] for i in range(n)))
 
 
 def outcome(fn, *args):
@@ -387,21 +387,20 @@ def outcome(fn, *args):
         return ("singular", exc.pivot_col)
 
 
-def random_matrix(f, rng, rows, cols, dependent):
+def random_matrix(f, rng, height, cols, dependent):
     """A seeded random matrix; with `dependent`, one row is a combination of
     earlier rows (or zero), taken in the oracle, so it has rank below
-    min(rows, cols) when square."""
+    min(height, cols) when square."""
     F = oracle_of(f)
-    m = Matrix(f, rows, cols, [f.random(rng) for _ in range(rows * cols)])
+    rows = [[f.random(rng) for _ in range(cols)] for _ in range(height)]
     if dependent:
-        i = rng.randrange(rows)
+        i = rng.randrange(height)
         acc = [0] * cols
         for k in range(i):
             c = f.random(rng)
-            acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, m.row(k))]
-        for j in range(cols):
-            m[i, j] = acc[j]
-    return m
+            acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, rows[k])]
+        rows[i] = acc
+    return Matrix(f, rows)
 
 
 class TestCodeField:
@@ -475,18 +474,17 @@ class TestCodeField:
         for trial in range(60):
             n = rng.randrange(1, 7)
             m = random_matrix(f, rng, n, n, dependent=trial % 3 == 0)
-            rhs = Matrix(f, n, 2, [f.random(rng) for _ in range(2 * n)])
+            rhs = Matrix(f, [[f.random(rng) for _ in range(2)] for _ in range(n)])
             got = outcome(solve_linear, m, rhs)
             if isinstance(got, tuple):
                 singular += 1
                 c = got[1]
-                assert rank(F, [r[:c] for r in rows_of(m)]) == c
-                assert rank(F, [r[: c + 1] for r in rows_of(m)]) == c
+                assert rank(F, [r[:c] for r in m.rows]) == c
+                assert rank(F, [r[: c + 1] for r in m.rows]) == c
                 assert outcome(invert, m) == got
             else:
-                assert matmul(F, rows_of(m), rows_of(got)) == rows_of(rhs)
-                identity = rows_of(Matrix.identity(f, n))
-                assert matmul(F, rows_of(m), rows_of(invert(m))) == identity
+                assert matmul(F, m.rows, got.rows) == rhs.rows
+                assert matmul(F, m.rows, invert(m).rows) == identity(f, n).rows
         assert singular >= 15
 
     @pytest.mark.parametrize("q", [9, 16, 5, 251, 4, 64, 289, 512])
@@ -498,8 +496,8 @@ class TestCodeField:
         for trial in range(40):
             cols = rng.randrange(1, 6)
             m = random_matrix(f, rng, cols + rng.randrange(0, 4), cols, dependent=trial % 2 == 0)
-            rows = rows_of(m)
-            raising = [i for i in range(m.rows) if rank(F, rows[: i + 1]) > rank(F, rows[:i])]
+            rows = m.rows
+            raising = [i for i in range(len(rows)) if rank(F, rows[: i + 1]) > rank(F, rows[:i])]
             for need in range(1, cols + 1):
                 want = raising[:need] if len(raising) >= need else ("singular", need - 1)
                 assert outcome(select_independent_rows, m, need) == want
@@ -546,7 +544,7 @@ class TestCodeField:
         f = make_field(257)
         rng = random.Random(257)
         m = random_matrix(f, rng, 4, 4, dependent=False)
-        assert (m @ invert(m)) == Matrix.identity(f, 4)
+        assert (m @ invert(m)) == identity(f, 4)
         with pytest.raises(SingularMatrixError):
             invert(random_matrix(f, rng, 4, 4, dependent=True))
 
@@ -691,22 +689,22 @@ class TestFieldArithmetic:
 class TestLinearAlgebra:
     def test_identity_solve(self):
         f5 = make_field(5)
-        rhs = Matrix(f5, 3, 1, [1, 2, 3])
-        assert solve_linear(Matrix.identity(f5, 3), rhs).entries == [1, 2, 3]
+        rhs = Matrix(f5, [[1], [2], [3]])
+        assert solve_linear(identity(f5, 3), rhs).rows == [[1], [2], [3]]
 
     def test_back_substitution_over_f2(self):
         f2 = make_field(2)
-        m = Matrix.from_rows(f2, [[1, 1], [0, 1]])
-        sol = solve_linear(m, Matrix(f2, 2, 1, [1, 1]))
-        assert sol.entries == [0, 1]
+        m = Matrix(f2, [[1, 1], [0, 1]])
+        sol = solve_linear(m, Matrix(f2, [[1], [1]]))
+        assert sol.rows == [[0], [1]]
 
     def test_vandermonde_inverse_over_f5(self):
         f5 = make_field(5)
         nodes = [0, 1, 2]
-        m = Matrix.from_rows(f5, [[pow(a, j, 5) for j in range(3)] for a in nodes])
+        m = Matrix(f5, [[pow(a, j, 5) for j in range(3)] for a in nodes])
         inv = invert(m)
-        assert (m @ inv).entries == Matrix.identity(f5, 3).entries
-        assert (inv @ m).entries == Matrix.identity(f5, 3).entries
+        assert (m @ inv).rows == identity(f5, 3).rows
+        assert (inv @ m).rows == identity(f5, 3).rows
 
     @pytest.mark.parametrize("q", [2, 5, 9])
     def test_solve_round_trip_random(self, q):
@@ -715,28 +713,63 @@ class TestLinearAlgebra:
         done = 0
         while done < 20:
             n = rng.randrange(1, 6)
-            m = Matrix(f, n, n, [f.random(rng) for _ in range(n * n)])
+            m = Matrix(f, [[f.random(rng) for _ in range(n)] for _ in range(n)])
             v = [f.random(rng) for _ in range(n)]
             try:
-                sol = solve_linear(m, Matrix(f, n, 1, m.matvec(v)))
+                sol = solve_linear(m, Matrix(f, ([x] for x in m.matvec(v))))
             except SingularMatrixError:
                 continue
-            assert sol.entries == v
+            assert sol.rows == [[x] for x in v]
             done += 1
 
     def test_singular_reports_pivot_column(self):
         f2 = make_field(2)
-        m = Matrix.from_rows(f2, [[1, 1], [1, 1]])
+        m = Matrix(f2, [[1, 1], [1, 1]])
         with pytest.raises(SingularMatrixError) as exc:
             invert(m)
         assert exc.value.pivot_col == 1
 
     def test_select_independent_rows(self):
         f5 = make_field(5)
-        m = Matrix.from_rows(f5, [[1, 2], [2, 4], [0, 1], [3, 3]])
+        m = Matrix(f5, [[1, 2], [2, 4], [0, 1], [3, 3]])
         assert select_independent_rows(m, 2) == [0, 2]
         with pytest.raises(SingularMatrixError):
-            select_independent_rows(Matrix.from_rows(f5, [[1, 2], [2, 4]]), 2)
+            select_independent_rows(Matrix(f5, [[1, 2], [2, 4]]), 2)
+
+
+    @pytest.mark.parametrize("q", [5, 9, 289])
+    def test_operations_leave_their_operands_unchanged(self, q):
+        # rows are mutable lists and axpy writes in place: an operation that
+        # eliminated on an operand's own rows would corrupt it, as it would
+        # an algorithm's forms or recon
+        f = make_field(q)
+        rng = random.Random(q + 41)
+        regular = Matrix(f, [[f.pow(a, j) for j in range(4)] for a in range(4)])
+        singular = random_matrix(f, rng, 4, 4, dependent=True)
+        rhs = random_matrix(f, rng, 4, 2, dependent=False)
+        tall = random_matrix(f, rng, 6, 3, dependent=True)
+        vec = [f.random(rng) for _ in range(4)]
+        operands = (regular, singular, rhs, tall)
+        before = [m.to_int_lists() for m in operands]
+        for m in (regular, singular):
+            outcome(invert, m)
+            outcome(solve_linear, m, rhs)
+            m @ rhs
+            m.matvec(vec)
+        for need in (1, 2, 3):
+            outcome(select_independent_rows, tall, need)
+        assert [m.to_int_lists() for m in operands] == before
+
+        rows = [[1, 2], [3, 4]]
+        m = Matrix(f, rows)
+        rows[0][0] = 0
+        rows.append([0, 0])
+        assert m.rows == [[1, 2], [3, 4]]
+        fresh = m.to_int_lists()
+        fresh[1][1] = 0
+        assert m.rows == [[1, 2], [3, 4]]
+        with pytest.raises(ValueError, match="ragged rows"):
+            Matrix(f, [[1, 2], [3]])
 
 
 class TestPlaceCounts:

@@ -25,10 +25,13 @@ from symrank.multiplier import (
 
 def corrupted(algo, j=0, k=0, matrix="recon"):
     """A copy of algo with recon[j, k] (or forms[j, k]) moved by one."""
-    forms, recon = algo.forms.copy(), algo.recon.copy()
+    base = algo.base
+    forms, recon = algo.forms.to_int_lists(), algo.recon.to_int_lists()
     m = recon if matrix == "recon" else forms
-    m[j, k] = algo.base.add(m[j, k], 1)
-    return BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon)
+    m[j][k] = base.add(m[j][k], 1)
+    return BilinearAlgorithm(
+        algo.ext, algo.plan, algo.rank, fields.Matrix(base, forms), fields.Matrix(base, recon)
+    )
 
 
 def code_order_pairs(order):
@@ -369,8 +372,8 @@ class TestGoldenTensors:
         algo = build_algorithm(q, n)
         F = oracle_of(algo.base)
         E = ExtOracle(F, algo.ext.modulus)
-        forms = [algo.forms.row(i) for i in range(algo.rank)]
-        recon = [algo.recon.row(j) for j in range(n)]
+        forms = algo.forms.rows
+        recon = algo.recon.rows
 
         def dot(row, vec):
             acc = 0
@@ -438,7 +441,7 @@ class TestMultiply:
                 multiply(algo, x, y)
 
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3), (5, 3), (9, 2), (16, 2), (31, 2)])
-    def test_scalar_loop_agrees_with_vectorized_engine(self, q, n):
+    def test_scalar_loop_agrees_with_exhaustive_verify(self, q, n):
         # the scalar route over every pair reaches the same verdict as the
         # exhaustive check, and for a corrupted algorithm that check
         # reports the scalar loop's first failure in code order
@@ -630,7 +633,7 @@ class TestRowTableKernel:
         # 28 rational slots over GF(27) and a recon of all ones: every
         # coordinate sums 28 tensor terms
         algo = build_algorithm(27, 2, EvalPlan(27, 2, tuple(range(27)), True, (), 28))
-        dense = fields.Matrix.from_rows(algo.base, [[1] * algo.rank] * 2)
+        dense = fields.Matrix(algo.base, [[1] * algo.rank] * 2)
         bad = BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, dense)
         with pytest.raises(VerificationError) as exc:
             verify(bad, "exhaustive")
@@ -801,7 +804,7 @@ class TestTensorSerialization:
         # the (4,3) tensor with one column too many in forms and one row too
         # many in recon once passed exhaustive verification
         algo = build_algorithm(4, 3)
-        forms = fields.Matrix.from_rows(algo.base, [row + [0] for row in algo.forms.to_int_lists()])
-        recon = fields.Matrix.from_rows(algo.base, algo.recon.to_int_lists() + [[0] * algo.rank])
+        forms = fields.Matrix(algo.base, [row + [0] for row in algo.forms.rows])
+        recon = fields.Matrix(algo.base, algo.recon.rows + [[0] * algo.rank])
         with pytest.raises(ValueError, match="needs rank 5, 5 x 3 forms, 3 x 5 recon"):
             BilinearAlgorithm(algo.ext, algo.plan, algo.rank, forms, recon)
