@@ -25,7 +25,6 @@ exact rationals, never float limits.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +41,9 @@ from .primes import (
     policy_floor,
     select_pair,
 )
+from .record import Record
+
+_set = object.__setattr__  # stores a field of a Record, which refuses plain assignment
 
 QUADRATIC = "p2"
 PRIME = "p"
@@ -104,14 +106,16 @@ def envelope(case: int, n: int, g: int) -> int:
 COMPARATORS = {QUADRATIC: ("v", "vi"), PRIME: ("iii", "iv")}
 
 
-@dataclass(frozen=True)
-class PriorBound:
-    variant: str  # "i".."vi"
-    q: int  # field the bound speaks about (q or p per variant)
-    p: int
-    n: int
-    coefficient: Fraction
-    value_real: float
+class PriorBound(Record):
+    __slots__ = _fields = ("variant", "q", "p", "n", "coefficient", "value_real")
+
+    def __init__(self, variant: str, q: int, p: int, n: int, coefficient: Fraction, value_real: float):
+        _set(self, "variant", variant)  # "i".."vi"
+        _set(self, "q", q)  # field the bound speaks about (q or p per variant)
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "coefficient", coefficient)
+        _set(self, "value_real", value_real)
 
 
 @lru_cache(maxsize=256)
@@ -163,13 +167,15 @@ def prior_bound(variant: str, q_or_p: int, n: int) -> PriorBound:
 # the eps inflation factor and the closed forms
 
 
-@dataclass(frozen=True)
-class EpsilonSpec:
-    p: int
-    n: int
-    alpha: Fraction
-    family: str  # "generic" | "eleven"
-    value: float
+class EpsilonSpec(Record):
+    __slots__ = _fields = ("p", "n", "alpha", "family", "value")
+
+    def __init__(self, p: int, n: int, alpha: Fraction, family: str, value: float):
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "alpha", alpha)
+        _set(self, "family", family)  # "generic" | "eleven"
+        _set(self, "value", value)
 
 
 def epsilon(p: int, n: int, alpha, family: str) -> EpsilonSpec:
@@ -182,31 +188,40 @@ def epsilon(p: int, n: int, alpha, family: str) -> EpsilonSpec:
         raise ValueError("epsilon requires p >= 5 and n >= 1")
     if family not in ("generic", "eleven"):
         raise ValueError(f"unknown family kind {family!r}")
-    alpha = Fraction(alpha)
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
     num = 2 * n if family == "generic" else n
     base = num / (p - 3)
     if base == 1.0:
         value = 1.0  # exact: 1**x == 1
     else:
-        value = math.nextafter(base ** float(alpha - 1), math.inf)
+        # alpha - 1 is (c - d)/d in lowest terms for alpha = c/d, and the
+        # quotient of ints is correctly rounded, so this is float(alpha - 1)
+        # without Fraction arithmetic
+        c, d = alpha.numerator, alpha.denominator
+        value = math.nextafter(base ** ((c - d) / d), math.inf)
     return EpsilonSpec(p, n, alpha, family, value)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Witnesses:
-    pair: PrimePair
-    curve: CurveFamilyData
-    checks: tuple[CheckResult, ...]
+class Witnesses(Record):
+    __slots__ = _fields = ("pair", "curve", "checks")
+
+    def __init__(self, pair: PrimePair, curve: CurveFamilyData, checks: tuple[CheckResult, ...]):
+        _set(self, "pair", pair)
+        _set(self, "curve", curve)
+        _set(self, "checks", checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,18 +237,26 @@ class Witnesses:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    p: int
-    n: int
-    field: str  # "p2" | "p"
-    method: str
-    value_real: float
-    value_int: int
-    valid_unconditional: bool
-    policy: GapPolicy
-    witnesses: Witnesses | None = None
-    caveats: tuple[str, ...] = ()
+class BoundReport(Record):
+    __slots__ = _fields = (
+        "p", "n", "field", "method", "value_real", "value_int", "valid_unconditional", "policy", "witnesses",
+        "caveats",
+    )
+
+    def __init__(
+        self, p: int, n: int, field: str, method: str, value_real: float, value_int: int, valid_unconditional: bool,
+        policy: GapPolicy, witnesses: Witnesses | None = None, caveats: tuple[str, ...] = ()
+    ):
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "field", field)  # "p2" | "p"
+        _set(self, "method", method)
+        _set(self, "value_real", value_real)
+        _set(self, "value_int", value_int)
+        _set(self, "valid_unconditional", valid_unconditional)
+        _set(self, "policy", policy)
+        _set(self, "witnesses", witnesses)
+        _set(self, "caveats", caveats)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,6 +10,10 @@ tensors come from one emitter, `jsonout.dumps`, byte-identical to
 parser, and of the subcommand parsers only the one its argv names (see
 `_build_parser`).
 
+Every call is a fresh process, so this module and the package import only
+what a request uses: `selftest` is imported by its own command, and the
+value types are `record.Record` classes, not dataclasses.
+
 Exit codes: 0 success, 1 usage error, 2 infeasible input or failed
 precondition (structured report on stdout), 3 verification failure.
 """
@@ -26,15 +30,14 @@ import operator
 import re
 import shutil
 import sys
+from collections.abc import Callable, Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import bounds, curves, jsonout, multiplier, primes
 from .bounds import InfeasiblePipelineError
 from .multiplier import DEFAULT_SEED, InfeasiblePlanError, VerificationError
 from .primes import DEFAULT_SIEVE_LIMIT
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -273,6 +276,10 @@ def _cmd_compare(args) -> tuple[str, int]:
 
 
 def _cmd_selftest(args) -> tuple[str, int]:
+    # imported here: no other command uses the suites, and every process
+    # would otherwise pay for importing them at start-up
+    from .selftest import run_selftest
+
     buf = io.StringIO()
     code = run_selftest(buf.write, sys.stderr.write if args.timing else None)
     return buf.getvalue(), code

@@ -21,30 +21,34 @@ rejected argument is never cached, so it is rejected on every call.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .ntheory import factorize, is_prime
 from .primes import check_characteristic
+from .record import Record
+
+_set = object.__setattr__  # stores a field of a Record, which refuses plain assignment
 
 # above the distinct (p, l) of a selftest run plus a bound-grid benchmark
 # round (1.3k + 0.6k)
 FAMILY_DATA_CACHE = 4096
 
 
-@dataclass(frozen=True)
-class Gamma0Data:
+class Gamma0Data(Record):
     """Index, elliptic point counts, cusp count and genus of X0(N)."""
 
-    N: int
-    mu: int
-    nu2: int
-    nu3: int
-    nu_inf: int
-    genus: int
+    __slots__ = _fields = ("N", "mu", "nu2", "nu3", "nu_inf", "genus")
+
+    def __init__(self, N: int, mu: int, nu2: int, nu3: int, nu_inf: int, genus: int):
+        _set(self, "N", N)
+        _set(self, "mu", mu)
+        _set(self, "nu2", nu2)
+        _set(self, "nu3", nu3)
+        _set(self, "nu_inf", nu_inf)
+        _set(self, "genus", genus)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _sym_minus_one(p: int) -> int:
@@ -109,8 +113,7 @@ def _gamma0_data(N: int, fac: dict[int, int]) -> Gamma0Data:
     return Gamma0Data(N, mu, nu2, nu3, nu_inf, twelve_g // 12)
 
 
-@dataclass(frozen=True)
-class CurveFamilyData:
+class CurveFamilyData(Record):
     """One member of a curve family, reduced mod p, with its point bounds.
 
     n1_lower_p2 bounds the number of degree-1 places over GF(p^2);
@@ -118,20 +121,21 @@ class CurveFamilyData:
     descent identity.
     """
 
-    family: str  # "11l" | "23l"
-    l: int
-    N: int
-    genus: int
-    p: int
-    n1_lower_p2: int
-    n1_2n2_lower_p: int
+    __slots__ = _fields = ("family", "l", "N", "genus", "p", "n1_lower_p2", "n1_2n2_lower_p")
 
-    def __post_init__(self):
-        if self.n1_2n2_lower_p != self.n1_lower_p2:
+    def __init__(self, family: str, l: int, N: int, genus: int, p: int, n1_lower_p2: int, n1_2n2_lower_p: int):
+        _set(self, "family", family)  # "11l" | "23l"
+        _set(self, "l", l)
+        _set(self, "N", N)
+        _set(self, "genus", genus)
+        _set(self, "p", p)
+        _set(self, "n1_lower_p2", n1_lower_p2)
+        _set(self, "n1_2n2_lower_p", n1_2n2_lower_p)
+        if n1_2n2_lower_p != n1_lower_p2:
             raise AssertionError("descent identity violated")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @lru_cache(maxsize=FAMILY_DATA_CACHE)

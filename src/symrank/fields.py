@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, Sequence
 
 from .ntheory import PRIMALITY_LIMIT, is_prime, mobius, prime_power_split
 

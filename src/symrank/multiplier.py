@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
 
 from . import jsonout
 from .fields import (
@@ -49,6 +48,9 @@ from .fields import (
     power_rows,
     select_independent_rows,
 )
+from .record import Record
+
+_set = object.__setattr__  # stores a field of a Record, which refuses plain assignment
 
 EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
 DEFAULT_SEED = 20170223
@@ -118,19 +120,21 @@ class VerificationError(AssertionError):
         }
 
 
-@dataclass(frozen=True)
-class EvalPlan:
+class EvalPlan(Record):
     """Which places of the rational function field the construction
     consumes; a plan is checked once, on construction."""
 
-    q: int
-    n: int
-    rational_nodes: tuple  # base-field codes, in order
-    use_infinity: bool
-    deg2_places: tuple  # monic irreducible quadratics, canonical order
-    total_degree: int
+    __slots__ = _fields = ("q", "n", "rational_nodes", "use_infinity", "deg2_places", "total_degree")
 
-    def __post_init__(self):
+    def __init__(
+        self, q: int, n: int, rational_nodes: tuple, use_infinity: bool, deg2_places: tuple, total_degree: int
+    ):
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "rational_nodes", rational_nodes)  # base-field codes, in order
+        _set(self, "use_infinity", use_infinity)
+        _set(self, "deg2_places", deg2_places)  # monic irreducible quadratics, canonical order
+        _set(self, "total_degree", total_degree)
         # bools and floats compare equal to the ints they stand for, so only
         # the type tells them apart; emit_tensor would write them as given.
         # Lists would leave the plan unhashable and unequal to its parsed copy
@@ -215,21 +219,21 @@ def plan_evaluation(q: int, n: int, allow_deg2: bool = True) -> EvalPlan:
     return EvalPlan(q, n, nodes, use_infinity, places, required)
 
 
-@dataclass(frozen=True)
-class BilinearAlgorithm:
+class BilinearAlgorithm(Record):
     """A symmetric decomposition of the multiplication tensor of GF(q^n)/GF(q).
 
     For all x, y:  recon @ ((forms @ x) .* (forms @ y))  ==  x * y,
     with the same forms applied to both operands.
     """
 
-    ext: ExtensionField
-    plan: EvalPlan
-    rank: int
-    forms: Matrix  # rank x n over the base field
-    recon: Matrix  # n x rank over the base field
+    __slots__ = _fields = ("ext", "plan", "rank", "forms", "recon")
 
-    def __post_init__(self):
+    def __init__(self, ext: ExtensionField, plan: EvalPlan, rank: int, forms: Matrix, recon: Matrix):
+        _set(self, "ext", ext)
+        _set(self, "plan", plan)
+        _set(self, "rank", rank)
+        _set(self, "forms", forms)  # rank x n over the base field
+        _set(self, "recon", recon)  # n x rank over the base field
         c, n = self.plan.cost, self.ext.degree
         shape = (self.rank, len(self.forms.rows), self.forms.cols, len(self.recon.rows), self.recon.cols)
         if shape != (c, c, n, n, c):
@@ -352,17 +356,19 @@ def multiply(algo: BilinearAlgorithm, x: int, y: int) -> int:
     return ext.from_digits(algo.recon.matvec(base.entrywise(fx, fy)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    mode: str  # "exhaustive" | "random"
-    pairs_checked: int
-    failures: int
-    rank: int
-    envelope: int
-    seed: int | None = None
+class VerificationReport(Record):
+    __slots__ = _fields = ("mode", "pairs_checked", "failures", "rank", "envelope", "seed")
+
+    def __init__(self, mode: str, pairs_checked: int, failures: int, rank: int, envelope: int, seed: int | None = None):
+        _set(self, "mode", mode)  # "exhaustive" | "random"
+        _set(self, "pairs_checked", pairs_checked)
+        _set(self, "failures", failures)
+        _set(self, "rank", rank)
+        _set(self, "envelope", envelope)
+        _set(self, "seed", seed)
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         if self.seed is None:
             del out["seed"]
         return out

@@ -36,13 +36,15 @@ import enum
 import time
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, compress, pairwise
 
 from .ntheory import PrimalityLimitError, is_prime
+from .record import Record
+
+_set = object.__setattr__  # stores a field of a Record, which refuses plain assignment
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
 # the flags take (limit + 1) // 2 bytes and crossing off the multiples of 3
@@ -134,15 +136,19 @@ def fraction_text(x: Fraction) -> str:
         return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-@dataclass(frozen=True)
-class GapScan:
+class GapScan(Record):
     """Result of scanning successor gaps against l**alpha below a limit."""
 
-    limit: int
-    alpha: Fraction
-    violations: tuple[int, ...]
-    max_gap_seen: int
-    runtime_ms: float
+    __slots__ = _fields = ("limit", "alpha", "violations", "max_gap_seen", "runtime_ms")
+
+    def __init__(
+        self, limit: int, alpha: Fraction, violations: tuple[int, ...], max_gap_seen: int, runtime_ms: float
+    ):
+        _set(self, "limit", limit)
+        _set(self, "alpha", alpha)
+        _set(self, "violations", violations)
+        _set(self, "max_gap_seen", max_gap_seen)
+        _set(self, "runtime_ms", runtime_ms)
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -277,16 +283,17 @@ _NAMED_POLICIES = {
 }
 
 
-@dataclass(frozen=True)
-class GapPolicy:
+class GapPolicy(Record):
     """The (alpha, x_alpha) pair justifying the gap condition in the pipeline."""
 
-    name: str  # "bhp" | "dudek" | "empirical"
-    alpha: Fraction
-    x_alpha: int | None = None  # empirical: the sieve-established floor
-    verified_limit: int | None = None  # empirical: sieve-checked up to here
+    _fields = ("name", "alpha", "x_alpha", "verified_limit")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
+    def __init__(self, name: str, alpha: Fraction, x_alpha: int | None = None, verified_limit: int | None = None):
+        _set(self, "name", name)  # "bhp" | "dudek" | "empirical"
+        _set(self, "alpha", alpha)
+        _set(self, "x_alpha", x_alpha)  # empirical: the sieve-established floor
+        _set(self, "verified_limit", verified_limit)  # empirical: sieve-checked up to here
         if self.name in _NAMED_POLICIES:
             alpha = _NAMED_POLICIES[self.name][0]
             if self.alpha != alpha or self.x_alpha is not None:
@@ -298,15 +305,12 @@ class GapPolicy:
                 raise ValueError("empirical policy requires an integer floor and a sieve limit")
         else:
             raise ValueError(f"unknown policy name {self.name!r}")
-
-    def __hash__(self):
         # cache keys hash the policy once per cell of a sweep; its Fractions
         # are hashed once per policy instead
-        return self._hash
+        _set(self, "_hash", hash(self._astuple()))
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.name, self.alpha, self.x_alpha, self.verified_limit))
+    def __hash__(self):
+        return self._hash
 
     # bhp() and dudek() return one shared instance each, so that the cache
     # keys holding them (`policy_floor`) match by identity instead of by
@@ -381,19 +385,21 @@ class PairFamily(enum.Enum):
         return frozenset({p, 23 if self.is_eleven else 11})
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(Record):
     """Consecutive primes realizing l_k <= T < l_{k+1}, with any skips noted.
 
     When `skipped` is nonempty the two primes are not literally consecutive:
     degenerate level factors between them were passed over.
     """
 
-    l_k: int
-    l_k1: int
-    threshold: Fraction
-    gap: int
-    skipped: tuple[int, ...] = field(default=())
+    __slots__ = _fields = ("l_k", "l_k1", "threshold", "gap", "skipped")
+
+    def __init__(self, l_k: int, l_k1: int, threshold: Fraction, gap: int, skipped: tuple[int, ...] = ()):
+        _set(self, "l_k", l_k)
+        _set(self, "l_k1", l_k1)
+        _set(self, "threshold", threshold)
+        _set(self, "gap", gap)
+        _set(self, "skipped", skipped)
 
 
 def select_pair(p: int, n: int, family: PairFamily) -> PrimePair:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -116,6 +117,23 @@ class TestEpsilon:
                     continue
                 v = epsilon(p, n, Fraction(2, 3), "generic").value
                 assert 0 < v <= 1.0 or n < (p - 3) // 2
+
+    def test_exponent_matches_fraction_arithmetic(self):
+        # epsilon takes alpha - 1 from alpha's numerator and denominator; the
+        # reference is the Fraction expression it replaced
+        rng = random.Random(29)
+        alphas = ["2/3", 0.5, Fraction(21, 40)]
+        for _ in range(3000):
+            d = rng.randint(2, 10 ** rng.randint(1, 40))
+            alphas.append(Fraction(rng.randint(1, d - 1), d))
+        for alpha in alphas:
+            p = rng.choice((5, 7, 11, 13, 1009))
+            n = rng.randint(1, 10 ** rng.randint(1, 15))
+            for family in ("generic", "eleven"):
+                base = (2 * n if family == "generic" else n) / (p - 3)
+                want = 1.0 if base == 1.0 else math.nextafter(base ** float(Fraction(alpha) - 1), math.inf)
+                eps = epsilon(p, n, alpha, family)
+                assert (eps.alpha, eps.value) == (Fraction(alpha), want)
 
     def test_domain(self):
         with pytest.raises(ValueError):

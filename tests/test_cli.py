@@ -737,12 +737,17 @@ class TestUsageAndDeterminism:
         assert in_process == fresh
         assert [code for code, *_ in fresh] == [1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1, 1]
 
-    def test_import_loads_no_numpy(self):
-        # verification needs no array library, so none is imported at start-up
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, symrank.cli; print('numpy' in sys.modules)"],
-            capture_output=True, check=True,
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "typing", "symrank.selftest"])
+    def test_import_does_not_load(self, module):
+        # every CLI call pays for what importing symrank.cli loads: verification
+        # needs no array library, the value types are not dataclasses (which
+        # import inspect), annotations need no typing, and only the selftest
+        # command imports its suites.  -S keeps site from preloading modules
+        script = (
+            "import sys; before = set(sys.modules); import symrank.cli; "
+            f"print({module!r} in sys.modules.keys() - before)"
         )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, check=True)
         assert proc.stdout == b"False\n"
 
 
