@@ -6,13 +6,14 @@ content never diverges; `table` additionally speaks CSV.  All randomness is
 seeded (default seed printed with the output), and identical argv produces
 byte-identical output.  JSON replies (error replies included) and emitted
 tensors come from one emitter, `jsonout.dumps`, byte-identical to
-`json.dumps(doc, indent=2)`.  Each `main` call builds its own argument
-parser, and of the subcommand parsers only the one its argv names (see
-`_build_parser`).
+`json.dumps(doc, indent=2)`.  A well-formed argv is read straight from the
+`_COMMANDS` table (`_parse_well_formed`); argparse reads every other one, so
+help and usage errors are argparse's own (`_build_parser`).
 
 Every call is a fresh process, so this module and the package import only
-what a request uses: `selftest` is imported by its own command, and the
-value types are `record.Record` classes, not dataclasses.
+what a request uses: `selftest` is imported by its own command, `argparse`
+and `shutil` only for an argv argparse reads, and the value types are
+`record.Record` classes, not dataclasses.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input or failed
 precondition (structured report on stdout), 3 verification failure.
@@ -20,7 +21,6 @@ precondition (structured report on stdout), 3 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -28,8 +28,8 @@ import json
 import math
 import operator
 import re
-import shutil
 import sys
+import types
 from collections.abc import Callable, Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -246,7 +246,7 @@ def _parse_verify_mode(text: str) -> tuple[str, int]:
         if text == "random":
             return "random", multiplier.DEFAULT_TRIALS
         head, _, count = text.partition(":")
-        if head == "random" and count.isdigit() and int(count) > 0:
+        if head == "random" and count.isdecimal() and int(count) > 0:
             return "random", int(count)
     raise ValueError(f"bad verify mode {text!r}: expected exhaustive, random:N or auto")
 
@@ -285,14 +285,18 @@ def _cmd_selftest(args) -> tuple[str, int]:
     return buf.getvalue(), code
 
 
+def _argument_type_error(message: str) -> Exception:
+    # imported here: only a value argparse rejects needs it
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _parse_p_set(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad p set {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty p set")
-    return values
+        raise _argument_type_error(f"bad p set {text!r}") from exc
 
 
 def _parse_n_range(text: str) -> tuple[int, int, int]:
@@ -305,9 +309,9 @@ def _parse_n_range(text: str) -> tuple[int, int, int]:
         else:
             raise ValueError
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad n range {text!r}: expected A:B or A:B:STEP") from exc
+        raise _argument_type_error(f"bad n range {text!r}: expected A:B or A:B:STEP") from exc
     if lo > hi or step < 1:
-        raise argparse.ArgumentTypeError(f"bad n range {text!r}")
+        raise _argument_type_error(f"bad n range {text!r}")
     return lo, hi, step
 
 
@@ -316,7 +320,8 @@ _SIEVE_LIMIT = ("--sieve-limit", {"type": int, "default": DEFAULT_SIEVE_LIMIT})
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
 
 # Every subcommand, in the order of the usage line: its help line, its
-# handler and its arguments as (flag, add_argument keywords).
+# handler and its arguments as (flag, add_argument keywords), which both
+# `_parse_well_formed` and `_build_parser` read.
 _COMMANDS = {
     "bound": ("closed-form or constructive rank bound", _cmd_bound, (
         ("--p", {"type": int, "required": True}),
@@ -369,24 +374,62 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """A fresh argument parser for `argv`; `main` builds one per call.
+def _parse_well_formed(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse gives for `argv`, read from `_COMMANDS` with no
+    parser built; None for any argv outside the shape of a well-formed call.
 
-    Once `argv[0]` names a subcommand, argparse hands every later token to
-    that subcommand's parser, so only that one is built: 0.21 ms against
-    0.85 ms for all seven (min of repeated builds, 2-core x86-64 VM,
-    Python 3.11).  Any other `argv` builds all seven: none at all, `--help`
-    or one of its abbreviations, an unknown command or a leading option.
-    The names left unbuilt keep their place among the subparsers' `choices`,
-    because the top-level usage line of an `unrecognized arguments` error
-    lists every command.
-
-    A parser shared by the calls of a process would save the build, but a
-    warm `bound` call would then take about 0.3 ms, and refilling the CPU
-    caches that other work evicts between calls can cost as much again, so
-    timings of repeated in-process calls would follow machine load more than
-    the work (2-core x86-64 VM, Python 3.11).
+    That shape is a subcommand followed by exact long flags of it, each flag
+    that takes a value followed by one token that does not start with "-"
+    and passes the flag's type and choices, with every required flag given.
+    Repeated flags keep the last value, as in argparse.  Everything else
+    (help, abbreviations, --opt=value, --, values that start with "-", and
+    every usage error) is declined and left to argparse, which prints the
+    help or the error.  A type that raises declines too: argparse calls it
+    again and reports the error.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    options = dict(arguments)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value declines too
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    values = {"command": argv[0]}
+    for flag, spec in arguments:
+        if flag not in given and spec.get("required"):
+            return None
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        values[spec.get("dest", flag.lstrip("-").replace("-", "_"))] = given.get(flag, default)
+    values["fn"] = handler
+    return types.SimpleNamespace(**values)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """A new argument parser with all seven subcommands.  `main` builds one
+    only for an argv that `_parse_well_formed` declines, so argparse runs
+    for help, for the spellings it accepts beyond exact flags and for every
+    usage error, and prints what it prints for them.
+    """
+    # imported here: a well-formed call builds no parser
+    import argparse
+    import shutil
+
     # argparse makes a HelpFormatter for every argument it adds, and each
     # asks for the terminal size unless given a width; ask once per parser
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -397,11 +440,7 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         "for finite field extensions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (help_line, handler, arguments) in _COMMANDS.items():
-        if named not in (None, name):
-            subs.choices[name] = None  # listed in usage lines, never parsed
-            continue
         sub = subs.add_parser(name, help=help_line, formatter_class=formatter)
         for flag, options in arguments:
             sub.add_argument(flag, **options)
@@ -412,11 +451,12 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    args = _parse_well_formed(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         output, code = args.fn(args)
     except (InfeasiblePipelineError, InfeasiblePlanError) as exc:

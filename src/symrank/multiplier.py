@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 
 from . import jsonout
 from .fields import (
@@ -423,7 +422,9 @@ def verify(
         return report
     if mode == "random":
         # the operand stream (x, then y, per trial) on which a reported first
-        # failure depends
+        # failure depends; imported here, as no passing request draws it
+        import random
+
         rng, order = random.Random(seed), algo.ext.order
         _scalar_check(algo, ((rng.randrange(order), rng.randrange(order)) for _ in range(trials)))
     i, j = bad

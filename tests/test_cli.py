@@ -6,9 +6,11 @@ import json
 import random
 import re
 import resource
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -395,6 +397,22 @@ class TestMultCommand:
         code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--verify", "never")
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["²", "①", "3²"])
+    def test_verify_count_of_non_decimal_digits_is_a_bad_mode(self, capsys, count):
+        # str.isdigit accepts these and int() does not: the reply names the
+        # mode, not int()'s error
+        code, out = run(capsys, "mult", "--q", "5", "--n", "2", "--verify", f"random:{count}")
+        assert code == 1
+        assert json.loads(out)["reason"] == (
+            f"bad verify mode 'random:{count}': expected exhaustive, random:N or auto"
+        )
+
+    def test_verify_count_of_other_decimal_digits_answers(self, capsys):
+        # int() reads fullwidth digits, so random:３２ is random:32
+        reply = run(capsys, "mult", "--q", "5", "--n", "2", "--verify", "random:３２")
+        assert reply == run(capsys, "mult", "--q", "5", "--n", "2", "--verify", "random:32")
+        assert json.loads(reply[1])["verification"]["pairs_checked"] == 32
+
     def test_prime_order_above_range_is_refused_at_once(self, capsys):
         # the first prime above 2^61: refused by the prime field's range
         # check, without trial division up to its square root
@@ -580,11 +598,11 @@ class TestSelftestCommand:
         assert len(lines) == 16 and all(line.endswith(" ms") for line in lines)
 
 
-# argv that reach every path of argparse a per-command build could change:
-# each subcommand's help, missing and repeated options, abbreviations,
-# --opt=value, parse-time type errors, unknown flags and trailing tokens
-# (unrecognized arguments, reported with the top-level usage line), --
-# and the argv that build every subcommand
+# argv that reach every path of argparse the well-formed parser must either
+# decline or match: each subcommand's help, missing and repeated options,
+# abbreviations, --opt=value, parse-time type errors, unknown flags and
+# trailing tokens (unrecognized arguments, reported with the top-level usage
+# line), -- and a leading option
 PARSE_CORPUS = [
     (), ("--help",), ("-h",), ("--he",), ("frobnicate",), ("frobnicate", "--q", "3"),
     ("--format", "json", "bound"), ("--", "mult", "--q", "5", "--n", "2"),
@@ -603,6 +621,63 @@ PARSE_CORPUS = [
     ("selftest", "extra"), ("mult", "--", "--q", "5"), ("mult", "--q", "5", "--n", "2", "--"),
     ("mult", "--q", "5", "--n", "2", "--", "x"),
 ]
+
+# value texts for each option type: ones the type and choices take, then
+# ones they refuse or that argparse reads apart from exact flags (a leading
+# "-"), non-ASCII digits and empty strings among them
+_GOOD_VALUES = {
+    int: ["5", "11", "30", "2", " 7", "1_000", "５", "0"],
+    cli._parse_p_set: ["5", "5,7", "11,13,101", "５,7"],
+    cli._parse_n_range: ["2:9", "30:40:10", "5:5"],
+    None: ["2/3", "random:3", "auto", "x.json"],
+}
+_ODD_VALUES = {
+    int: ["²", "x", "", "-5", "5.0", "-"],
+    cli._parse_p_set: ["5,", "", "x", "-5", "5;7"],
+    cli._parse_n_range: ["9:2", "2:9:0", "2", "", "a:b", "-2:9"],
+    None: ["", "-1", "--q", "-"],
+}
+_STRAY_TOKENS = ["-h", "--help", "--", "-5", "", "５", "²", "stray", "bound", "--frob", "--q", "-x"]
+
+
+def _generated_argv(rng: random.Random) -> list[str]:
+    """A seeded argv from `_COMMANDS`: mostly a call of the right shape,
+    with exact flags replaced by abbreviations or =-forms, repeated or left
+    out, odd values, bad choices and stray tokens mixed in."""
+    if rng.random() < 0.04:
+        name = rng.choice(["", "-h", "--help", "--", "frobnicate", "mul", "-5"])
+        arguments = rng.choice(list(cli._COMMANDS.values()))[2]
+    else:
+        name = rng.choice(list(cli._COMMANDS))
+        arguments = cli._COMMANDS[name][2]
+    groups = []
+    for flag, spec in arguments:
+        if rng.random() < (0.95 if spec.get("required") else 0.4):
+            for _ in range(2 if rng.random() < 0.05 else 1):
+                groups.append((flag, spec))
+    rng.shuffle(groups)
+    argv = [name]
+    for flag, spec in groups:
+        form = rng.random()
+        if form < 0.04:
+            flag = flag[: rng.randint(3, len(flag) - 1)] if len(flag) > 3 else flag
+        elif form < 0.05:
+            flag = flag.upper()
+        if spec.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if "choices" in spec:
+            value = rng.choice(spec["choices"]) if rng.random() < 0.9 else rng.choice(["bogus", "", "-p"])
+        else:
+            pool = _GOOD_VALUES if rng.random() < 0.85 else _ODD_VALUES
+            value = rng.choice(pool[spec.get("type")])
+        if 0.05 <= form < 0.08:
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    for _ in range(rng.choice([0] * 8 + [1, 2])):
+        argv.insert(rng.randint(1, len(argv)), rng.choice(_STRAY_TOKENS))
+    return argv
 
 
 class TestUsageAndDeterminism:
@@ -623,25 +698,20 @@ class TestUsageAndDeterminism:
 
     def test_parser_build_asks_terminal_size_once(self, monkeypatch):
         calls = []
-        size = cli.shutil.get_terminal_size
-        monkeypatch.setattr(cli.shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
         parser = cli._build_parser()
         assert len(calls) == 1
         parser.format_help()
-        assert len(calls) == 1
-        # the per-command build too, its subcommand's help included
-        parser = cli._build_parser(["mult", "--q", "3"])
-        assert len(calls) == 2
-        parser.format_help()
         parser._subparsers._group_actions[0].choices["mult"].format_help()
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (("mult", "--q", "3", "--n", "2"), ["mult"]),
-            (("bound", "--p", "5", "--n", "9", "--method", "closed"), ["bound"]),
-            (("mult", "--q", "3", "--n", "2", "bound"), ["mult"]),
+            (("mult", "--q", "3", "--n", "2"), []),
+            (("bound", "--p", "5", "--n", "9", "--method", "closed"), []),
+            (("mult", "--q", "3", "--n", "2", "bound"), list(cli._COMMANDS)),
             (("--help",), list(cli._COMMANDS)),
             ((), list(cli._COMMANDS)),
             (("frobnicate",), list(cli._COMMANDS)),
@@ -649,6 +719,8 @@ class TestUsageAndDeterminism:
         ],
     )
     def test_main_builds_only_the_named_subcommand(self, capsys, monkeypatch, argv, built):
+        # a well-formed argv builds no argparse parser at all; every other
+        # argv builds all seven subcommands
         names = []
         add_parser = argparse._SubParsersAction.add_parser
         monkeypatch.setattr(
@@ -660,32 +732,60 @@ class TestUsageAndDeterminism:
         assert names == built
 
     def test_every_call_builds_a_new_parser(self):
-        for argv in ((), ("mult",)):
-            assert cli._build_parser(argv) is not cli._build_parser(argv)
+        assert cli._build_parser() is not cli._build_parser()
 
     @pytest.mark.parametrize("columns", ["100", "40"])
-    def test_per_command_build_parses_as_the_full_build(self, monkeypatch, columns):
-        # the full build, which `--help` and unknown commands still get, is
-        # the reference
+    def test_well_formed_parse_matches_the_full_build(self, monkeypatch, columns):
+        # the full argparse build, which every declined argv gets, is the
+        # reference: an argv the well-formed parser reads must give the same
+        # namespace there, with nothing printed
         monkeypatch.setenv("COLUMNS", columns)
-
-        def parse(parser, argv):
+        parser = cli._build_parser()
+        rng = random.Random(30)
+        corpus = [list(argv) for argv in PARSE_CORPUS] + [_generated_argv(rng) for _ in range(20_000)]
+        read = 0
+        for argv in corpus:
+            parsed = cli._parse_well_formed(argv)
+            if parsed is None:
+                continue
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    result = vars(parser.parse_args(argv))
+                    expected = vars(parser.parse_args(argv))
                 except SystemExit as exc:
-                    result = exc.code
-            return result, out.getvalue(), err.getvalue()
+                    expected = exc.code
+            assert (vars(parsed), out.getvalue(), err.getvalue()) == (expected, "", ""), argv
+            # argparse's other spellings (abbreviations, --opt=value, -h, --,
+            # values that start with "-") are its own to read
+            flags = dict(cli._COMMANDS[argv[0]][2])
+            assert all(token in flags for token in argv[1:] if token.startswith("-")), argv
+            read += 1
+        # both paths are well exercised
+        assert 0.3 * len(corpus) < read < 0.7 * len(corpus)
 
-        unrecognized = 0
-        for argv in PARSE_CORPUS:
-            expected = parse(cli._build_parser(), list(argv))
-            assert parse(cli._build_parser(argv), list(argv)) == expected, argv
-            unrecognized += "unrecognized arguments" in expected[2]
-        # each of these errors prints the top-level usage line, which lists
-        # every command, from a parser that built only one of them
-        assert unrecognized == 7
+    def test_benchmark_requests_are_well_formed(self, monkeypatch, tmp_path):
+        # every request of the benchmark's workloads takes the path without
+        # argparse, so the benchmark measures it
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS
+
+        assert len(WORKLOADS) == 4
+        for workload in WORKLOADS.values():
+            for request in workload.requests(1, tmp_path):
+                assert cli._parse_well_formed(list(request.argv)) is not None, request.argv
+
+    def test_well_formed_parser_reads_every_option_keyword(self):
+        # the keywords `_parse_well_formed` reads, and the two that change
+        # only help output; a new keyword (nargs, append, ...) must be
+        # taught to it first
+        handled = {"type", "choices", "default", "required", "dest", "action", "help", "metavar"}
+        for _, _, arguments in cli._COMMANDS.values():
+            for flag, spec in arguments:
+                assert flag.startswith("--") and set(spec) <= handled, flag
+                assert spec.get("action", "store_true") == "store_true", flag
+                # argparse passes a string default through the type; this
+                # parser does not
+                assert not (isinstance(spec.get("default"), str) and "type" in spec), flag
 
     @pytest.mark.parametrize(
         "argv",
@@ -737,12 +837,17 @@ class TestUsageAndDeterminism:
         assert in_process == fresh
         assert [code for code, *_ in fresh] == [1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1, 1]
 
-    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "typing", "symrank.selftest"])
+    @pytest.mark.parametrize(
+        "module",
+        ["numpy", "dataclasses", "inspect", "typing", "symrank.selftest", "argparse", "shutil", "random"],
+    )
     def test_import_does_not_load(self, module):
         # every CLI call pays for what importing symrank.cli loads: verification
         # needs no array library, the value types are not dataclasses (which
-        # import inspect), annotations need no typing, and only the selftest
-        # command imports its suites.  -S keeps site from preloading modules
+        # import inspect), annotations need no typing, only the selftest
+        # command imports its suites, only an argv argparse reads imports it
+        # (and shutil, for its width), and only a failing random verification
+        # draws a random stream.  -S keeps site from preloading modules
         script = (
             "import sys; before = set(sys.modules); import symrank.cli; "
             f"print({module!r} in sys.modules.keys() - before)"
