@@ -246,8 +246,12 @@ def _parse_verify_mode(text: str) -> tuple[str, int]:
         if text == "random":
             return "random", multiplier.DEFAULT_TRIALS
         head, _, count = text.partition(":")
-        if head == "random" and count.isdecimal() and int(count) > 0:
-            return "random", int(count)
+        try:
+            trials = int(count) if head == "random" and count.isdecimal() else 0
+        except ValueError:  # past int()'s limit on the digits it converts
+            trials = 0
+        if trials > 0:
+            return "random", trials
     raise ValueError(f"bad verify mode {text!r}: expected exhaustive, random:N or auto")
 
 

@@ -37,9 +37,13 @@ included, reproducible byte for byte.  The search walks the candidates in
 that order and tests them by Ben-Or's gcd test.  Rules proven in the
 docstrings of irreducible_polys, _candidates and _affine_exponents skip
 reducible candidates untested without changing the order, among them whole
-rows of affine p-polynomials and, in fields of at most CODE_TABLE_CAP
+rows of affine p-polynomials (and of GF(4)-affine quartics u**4 + c_1 u +
+c_0 over GF(2**k), k even) and, in fields of at most CODE_TABLE_CAP
 elements, the constant terms that give a candidate a root.  Listing those
-takes a pass over the field, so above the cap nothing is sieved.
+takes a pass over the field, so above the cap nothing is sieved.  Over a
+field of odd order the test itself first rejects a candidate whose
+discriminant has the wrong quadratic character (Stickelberger's parity,
+proven in _irreducible), which decides degree 2 alone.
 
 All arithmetic is exact; there is no floating point in this module.  Moduli
 are limited to p < 2**61 so residues stay single-word with double-width
@@ -484,7 +488,10 @@ def is_irreducible(field, poly: tuple) -> bool:
 
     x**(q**d) - x is the product of all monic irreducibles of degree dividing
     d, so a nontrivial gcd at any d <= n/2 is exactly a proper factor.  The
-    test runs on the monic multiple.
+    test runs on the monic multiple.  For odd q it is preceded by the parity
+    of the number of irreducible factors, read from the quadratic character
+    of the discriminant (see _irreducible); at degree 2 that is the whole
+    test.
     """
     n = poly_deg(poly)
     if n < 1:
@@ -520,13 +527,33 @@ def _is_pth_power(poly, p: int) -> bool:
 
 
 def _irreducible(field, f: Sequence[int]) -> bool:
-    """is_irreducible's test for a monic code sequence f of degree >= 2."""
+    """is_irreducible's test for a monic code sequence f of degree n >= 2.
+
+    Over a field of odd order q it first rejects f when the quadratic
+    character D**((q-1)/2) of its discriminant D is not (-1)**(n-1); that
+    covers D = 0, whose character is 0.  This is Stickelberger's parity
+    theorem (1897; Swan, Pacific J. Math. 12, 1962): a squarefree f with r
+    irreducible factors has D**((q-1)/2) = (-1)**(n-r).  Its n roots are
+    distinct and D = delta**2, delta the product of a_i - a_j over i < j.
+    Frobenius x -> x**q permutes the roots in r cycles, one per factor,
+    so with sign (-1)**(n-r), and maps delta to that sign times delta.
+    Hence D**((q-1)/2) = delta**(q-1) = delta**q / delta = (-1)**(n-r),
+    where delta != -delta because q is odd.  An irreducible f has r = 1.
+    At degree 2, r is 1 or 2 for a squarefree f, so the character decides
+    and no gcd is taken.  The candidates it lets through go to Ben-Or.
+    """
     n = len(f) - 1
+    q = field.order
+    if q % 2:
+        if field.pow(_discriminant(field, f), q // 2) != (1 if n % 2 else field.neg(1)):
+            return False
+        if n == 2:
+            return True
     negf = [field.neg(c) for c in f[:n]]
     w = [0, 1] + [0] * (n - 2)  # x
     for _ in range(n // 2):
-        w = _powmod(field.axpy, negf, w, field.order)
-        if _common_factor(field, f, [w[0], field.sub(w[1], 1), *w[2:]]):
+        w = _powmod(field.axpy, negf, w, q)
+        if not _resultant(field, f, [w[0], field.sub(w[1], 1), *w[2:]]):
             return False
     return True
 
@@ -556,24 +583,46 @@ def _powmod(axpy, negf: list, a: list, e: int) -> list:
     return out
 
 
-def _common_factor(field, f: Sequence[int], g: list) -> bool:
-    """Whether gcd(f, g) has degree >= 1, by Euclid on code lists (g may
-    carry trailing zeros; g = 0 shares all of f).  Each divisor is scaled
-    once by -1/lead, so every row of a division is one axpy by the top
-    coefficient it cancels."""
-    a, b = list(f), _trim(g)
-    while b:
-        db = len(b) - 1
-        b = field.scale(field.neg(field.inv(b[-1])), b)
-        for i in range(len(a) - 1 - db, -1, -1):  # a mod b, in place
+def _resultant(field, a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) for a monic code sequence a of degree >= 1 and a code list
+    b of lower degree, which may carry trailing zeros: 0 exactly when a and
+    b share a factor of degree >= 1 (b = 0 shares all of a).  By Euclid on
+    code lists, with Res(a, b) = (-1)**(deg a deg b) *
+    lead(b)**(deg a - deg r) * Res(b, r) for r = a mod b, down to
+    Res(a, c) = c**(deg a) for a constant c.  Each divisor is scaled once by
+    -1/lead, so every row of a division is one axpy by the top coefficient
+    it cancels."""
+    a, b = list(a), list(_trim(b))
+    res, odd = 1, 0
+    while len(b) > 1:
+        da, db, lead = len(a) - 1, len(b) - 1, b[-1]
+        divisor = field.scale(field.neg(field.inv(lead)), b)
+        for i in range(da - db, -1, -1):  # a mod b, in place
             c = a[i + db]
             if c:
-                field.axpy(c, a, b, i)
+                field.axpy(c, a, divisor, i)
         del a[db:]
         while a and not a[-1]:
             a.pop()
+        for _ in range(da - len(a) + 1):  # lead(b)**(deg a - deg r)
+            res = field.mul(res, lead)
+        odd ^= da * db % 2
         a, b = b, a
-    return len(a) > 1
+    if not b:
+        return 0
+    res = field.mul(res, field.pow(b[0], len(a) - 1))
+    return field.neg(res) if odd else res
+
+
+def _discriminant(field, f: Sequence[int]) -> int:
+    """The discriminant (-1)**(n(n-1)/2) Res(f, f') of a monic code sequence
+    f of degree n >= 2, 0 exactly when f has a repeated factor.  Codes below
+    p are the prime field, so the coefficient k f_k of f' is (k mod p) times
+    f_k."""
+    n = len(f) - 1
+    p = field.char
+    res = _resultant(field, f, field.entrywise([k % p for k in range(1, n + 1)], f[1:]))
+    return field.neg(res) if n * (n - 1) // 2 % 2 else res
 
 
 def count_places_rational_ff(q: int, d: int) -> int:
@@ -729,7 +778,9 @@ def irreducible_polys(field, degree: int) -> Iterator[tuple]:
     gives the walk one row c_1 ... c_{d-1} at a time and leaves out the
     candidates its rules prove reducible; over GF(2**k) the quadratics are
     decided by the trace rule of _binary_quadratic_candidates instead.  The
-    remaining candidates are tested by is_irreducible's test, _irreducible.
+    remaining candidates are tested by is_irreducible's test, _irreducible,
+    which for odd q decides the quadratics by the discriminant's quadratic
+    character, the counterpart of the trace rule.
 
     Over a field of at most CODE_TABLE_CAP elements the walk also sieves
     roots.  For a fixed row, the candidate with constant term c_0 has a root
@@ -792,11 +843,12 @@ def _candidates(field, degree: int) -> Iterator[tuple[tuple, range]]:
       over GF(p**2) at even degree this drops the first p - 1 candidates of
       a row with every c_i < p;
     * affine p-polynomials at the degrees _affine_exponents proves them
-      reducible, whole rows: over GF(2**k) at degree 8 the first q**2.
+      reducible, whole rows: over GF(2**k) at degree 8 the first q**2, and
+      at degree 4 with k even the first q, u**4 + c_1 u + c_0.
     """
     q, p = field.order, field.char
     split = q > p and math.gcd(degree, prime_power_split(q)[1]) > 1
-    affine = _affine_exponents(degree, p)
+    affine = _affine_exponents(degree, p, q)
     for high in range(q ** (degree - 1)):  # c_1, ..., c_{d-1} as one code
         rest = (*_digits(high, q, degree - 1), 1)
         if _is_pth_power((0, *rest), p):  # c_0 cannot change it
@@ -806,10 +858,12 @@ def _candidates(field, degree: int) -> Iterator[tuple[tuple, range]]:
         yield rest, range(p if split and max(rest) < p else 1, q)
 
 
-def _affine_exponents(degree: int, p: int) -> frozenset:
+def _affine_exponents(degree: int, p: int, q: int | None = None) -> frozenset:
     """The exponents 1, p, ..., p**k = d at which an affine p-polynomial of
-    degree d may have terms, when every such polynomial is reducible: d = p**k
-    with k >= 2, except d = 4 in characteristic 2.  Empty otherwise.
+    degree d over GF(q) (GF(p) by default) may have terms, when every such
+    polynomial is reducible: d = p**k with k >= 2, except d = 4 in
+    characteristic 2.  There the exponents are 1 and 4 when GF(4) lies in
+    GF(q), that is q = 2**k with k even.  Empty otherwise.
 
     Such a candidate is A = L + c_0, L = sum c_{p**i} u**(p**i) additive.
     With c_1 = 0 it is a p-th power; otherwise L is separable, so its roots
@@ -825,12 +879,24 @@ def _affine_exponents(degree: int, p: int) -> frozenset:
     p**(k-1) >= k + 1, which holds unless p = 2 and k = 2; then g**m = 1
     with m < p**k, so g is no such cycle and A is reducible.  At d = 4 over
     GF(2) and GF(4), 1 of 8 and 12 of 64 such candidates are irreducible.
+
+    At d = 4 in characteristic 2 with GF(4) in GF(q), the same holds for
+    A = u**4 + c_1 u + c_0, c_1 != 0.  L = u**4 + c_1 u is GF(4)-linear
+    (a**4 = a on GF(4)) and separable, so its roots form a 1-dimensional
+    GF(4)-space U.  Frobenius fixes GF(4), so on U it is GF(4)-linear:
+    multiplication by some mu in GF(4)*, and on the roots b + U of A it is
+    g: v -> mu v + w.  If mu != 1, g fixes v = w / (1 - mu), a root in
+    GF(q).  If mu = 1, g is a translation, of order at most 2.  Either way
+    g has no 4-cycle, so A is reducible.  Over GF(2) and GF(8), where
+    Frobenius is only semilinear on U, u**4 + u + 1 is irreducible.
     """
     k, m = 0, 1
     while m < degree:
         k, m = k + 1, m * p
-    if m != degree or k < 2 or (p, k) == (2, 2):
+    if m != degree or k < 2:
         return frozenset()
+    if (p, k) == (2, 2):  # the GF(4)-affine rows, when q = 2**j with j even
+        return frozenset((1, 4)) if (q or p).bit_length() % 2 else frozenset()
     return frozenset(p**i for i in range(k + 1))
 
 

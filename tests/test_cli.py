@@ -407,6 +407,16 @@ class TestMultCommand:
             f"bad verify mode 'random:{count}': expected exhaustive, random:N or auto"
         )
 
+    def test_verify_count_past_the_int_digit_limit_is_a_bad_mode(self, capsys):
+        # int() refuses more than 4300 digits; the reply names the mode, not
+        # int()'s error
+        mode = "random:" + "1" * 5000
+        code, out = run(capsys, "mult", "--q", "5", "--n", "2", "--verify", mode)
+        assert code == 1
+        assert json.loads(out)["reason"] == (
+            f"bad verify mode {mode!r}: expected exhaustive, random:N or auto"
+        )
+
     def test_verify_count_of_other_decimal_digits_answers(self, capsys):
         # int() reads fullwidth digits, so random:３２ is random:32
         reply = run(capsys, "mult", "--q", "5", "--n", "2", "--verify", "random:３２")

@@ -175,6 +175,13 @@ class TestIrreducibleWalk:
         ]
         assert hashlib.sha256(repr(moduli).encode()).hexdigest() == ABOVE_CAP_MODULI_DIGEST
 
+    def test_moduli_the_parity_rule_speeds_up_pinned(self):
+        # as computed by the walk that sent every candidate to Ben-Or; at
+        # (65537, 3) every x**3 + c has a root, and the parity rule rejects
+        # all 65,536 of them
+        assert find_irreducible(make_field(343), 4) == (1, 1, 0, 0, 1)
+        assert find_irreducible(make_field(65537), 3) == (4, 1, 0, 1)
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_walk_is_trial_division_in_code_order(self, q, d):
@@ -266,6 +273,33 @@ class TestAffineRows:
         assert len(found) == irreducible
         assert set(found) <= set(irreducible_polys(f, 4))
         assert not fields_mod._affine_exponents(4, 2)
+        # over GF(4) none of them is u**4 + c_1 u + c_0, and those rows are
+        # skipped; over GF(2) the one is u**4 + u + 1, and nothing is
+        gf4 = q == 4
+        assert all(c[2] for c in found) == gf4
+        assert fields_mod._affine_exponents(4, 2, q) == ({1, 4} if gf4 else set())
+
+    @pytest.mark.parametrize("q,irreducible", [(2, 1), (4, 0), (8, 28), (16, 0), (64, 0), (256, 0)])
+    def test_gf4_affine_quartics_are_reducible(self, q, irreducible):
+        # u**4 + c_1 u + c_0 is reducible exactly when GF(4) lies in GF(q)
+        # (proof in fields._affine_exponents).  Every candidate is tested
+        # except those with a root, c_0 = a**4 + c_1 a, taken in the field's
+        # tables, which the oracle tests check (the oracle's own products
+        # take 10 s over GF(256)); the counts over GF(2) and GF(8) are also
+        # those of the factor products
+        import symrank.fields as fields_mod
+
+        f = make_field(q)
+        found = 0
+        for c1 in range(1, q):
+            rooted = {f.add(f.pow(a, 4), f.mul(c1, a)) for a in range(q)}
+            found += sum(is_irreducible(f, (c0, c1, 0, 0, 1)) for c0 in range(q) if c0 not in rooted)
+        assert found == irreducible
+        assert bool(fields_mod._affine_exponents(4, 2, q)) == (irreducible == 0)
+        if q <= 8:
+            reducible = reducible_codes(f, 4)
+            rows = ((c0, c1, 0, 0, 1) for c1 in range(1, q) for c0 in range(q))
+            assert sum(c not in reducible for c in rows) == irreducible
 
 
 class TestRootSieve:
@@ -290,11 +324,14 @@ class TestRootSieve:
         monkeypatch.undo()
         affine = fields_mod._affine_exponents(d, p)
         split = q > p and math.gcd(d, prime_power_split(q)[1]) > 1
+        # u**4 + c_1 u + c_0 over a field that contains GF(4)
+        gf4_quartics = d == 4 and q in (4, 16, 64, 256)
         rejected_rows = set()
         seen = set(tested)
         for c in all_monic_polys(f, d):
             row = c[1:]
             in_affine_row = bool(affine) and all(e in affine for e, x in enumerate(c) if x and e)
+            in_affine_row |= gf4_quartics and not c[2] and not c[3]
             if c in seen:
                 assert not in_affine_row, c
                 if row in rejected_rows:
@@ -349,6 +386,71 @@ class TestBinaryQuadratics:
         moduli = {q: find_irreducible(f, 2) for q, f in by_q.items()}
         assert moduli == {512: (1, 1, 1), 1024: (128, 1, 1), 2048: (1, 1, 1), 4096: (512, 1, 1)}
         assert tested == list(moduli.values())
+
+
+def factor_counts(f, top):
+    """For 0 <= d <= top, the monic polynomials g of degree d with r(g), the
+    number of their monic irreducible factors counted with multiplicity,
+    and the set of those with a repeated factor.  The irreducibles of
+    degree <= top/2 are found by trial division (brute_irreducible); every
+    reducible g is a product i * h of one of them and a monic h, with
+    r(g) = r(h) + 1, and g has a repeated factor when it is some i * i * h.
+    Products are taken in add and mul tables built from the oracle."""
+    F = oracle_of(f)
+    q = f.order
+    add = [[F.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[F.mul(a, b) for b in range(q)] for a in range(q)]
+
+    def times(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            row = mul[x]
+            for j, y in enumerate(b, i):
+                prod[j] = add[prod[j]][row[y]]
+        return tuple(prod)
+
+    counts, repeated, irreducibles = [{(1,): 0}], [set()], [[]]
+    for d in range(1, top + 1):
+        if 2 * d <= top:
+            irreducibles.append([c for c in all_monic_polys(f, d) if brute_irreducible(f, c)])
+        r = dict.fromkeys(all_monic_polys(f, d), 1)
+        rep = set()
+        for e in range(1, d // 2 + 1):
+            for i in irreducibles[e]:
+                for h, rh in counts[d - e].items():
+                    r[times(i, h)] = rh + 1
+                square = times(i, i)
+                rep.update(times(square, h) for h in counts[d - 2 * e])
+        counts.append(r)
+        repeated.append(rep)
+    return counts, repeated
+
+
+class TestDiscriminantParity:
+    """Over GF(q), q odd, a monic f of degree n with discriminant D has
+    D**((q-1)/2) = (-1)**(n-r) when it is squarefree with r irreducible
+    factors, and D = 0 otherwise (proof in fields._irreducible), so the
+    rule that rejects a character other than (-1)**(n-1) keeps every
+    irreducible."""
+
+    @pytest.mark.parametrize("q,top", [(3, 6), (5, 6), (7, 6), (9, 5), (25, 3), (27, 3)])
+    def test_character_is_the_parity_of_the_factor_count(self, q, top):
+        # every degree 2 <= n <= 6 with q**n <= 2 * 10**5
+        import symrank.fields as fields_mod
+
+        f = make_field(q)
+        counts, repeated = factor_counts(f, top)
+        sign = {0: 1, 1: f.neg(1)}
+        for n in range(2, top + 1):
+            for c, r in counts[n].items():
+                chi = f.pow(fields_mod._discriminant(f, c), q // 2)
+                assert chi == (0 if c in repeated[n] else sign[(n - r) % 2]), (c, r)
+        # at degree 2 the character is the whole test; above it the first
+        # irreducibles pass the rule and Ben-Or
+        assert all(fields_mod._irreducible(f, c) == (r == 1) for c, r in counts[2].items())
+        for n in range(3, top + 1):
+            first = itertools.islice((c for c, r in counts[n].items() if r == 1), 20)
+            assert all(fields_mod._irreducible(f, c) for c in first)
 
 
 def reducible_codes(f, d):
