@@ -284,9 +284,9 @@ class TestAffineRows:
         # u**4 + c_1 u + c_0 is reducible exactly when GF(4) lies in GF(q)
         # (proof in fields._affine_exponents).  Every candidate is tested
         # except those with a root, c_0 = a**4 + c_1 a, taken in the field's
-        # tables, which the oracle tests check (the oracle's own products
-        # take 10 s over GF(256)); the counts over GF(2) and GF(8) are also
-        # those of the factor products
+        # tables, which the oracle tests check (the oracle's schoolbook
+        # products would dominate the test over GF(256)); the counts over
+        # GF(2) and GF(8) are also those of the factor products
         import symrank.fields as fields_mod
 
         f = make_field(q)
