@@ -2,9 +2,9 @@
 
 Subcommands: bound, table, gaps, genus, mult, compare, selftest.  JSON is the
 default output format; text output is rendered from the same JSON document so
-content never diverges; `table` additionally speaks CSV.  All randomness is
-seeded (default seed printed with the output), and identical argv produces
-byte-identical output.  JSON replies (error replies included) and emitted
+content never diverges; `table` additionally speaks CSV.  Nothing is drawn
+at random (`mult --seed` only labels a random-mode report, which prints
+it), and identical argv produces byte-identical output.  JSON replies (error replies included) and emitted
 tensors come from one emitter, `jsonout.dumps`, byte-identical to
 `json.dumps(doc, indent=2)`.  A well-formed argv is read straight from the
 `_COMMANDS` table (`_parse_well_formed`); argparse reads every other one, so

@@ -13,19 +13,21 @@ Codes order the elements and serialize them; 0 is zero and 1 is one.  A
 polynomial over a field is a tuple of codes, low degree first, with no
 trailing zeros; () is the zero polynomial.
 
-An extension computes on its codes in one of two ways, chosen once from its
-order, in ExtensionField.__new__.  Above CODE_TABLE_CAP elements it
-multiplies digit lists modulo its modulus, by the same modular product
-that the modulus search runs, on its base field's axpy.  At or below the
-cap every operation is a lookup in list tables built on first use and
-kept for the process.
+An extension computes on its codes in one of two ways, chosen once by
+make_field from its order.  At or below CODE_TABLE_CAP elements make_field
+builds a _SmallExtension, whose every operation is a lookup in list tables
+built on construction and kept for the process.  Every other extension,
+above the cap or built directly as an ExtensionField (an algorithm's own
+GF(q^n) among them), multiplies digit lists modulo its modulus, by the
+same modular product that the modulus search runs, on its base field's
+axpy.
 
 Every field class has the same four row kernels on lists of codes: scale,
 axpy (xs[start + k] += c * ys[k], in place), dot and entrywise.  A prime
 field reduces once per result entry, an extension with tables reads its
-table rows, and above the cap the field's own add and mul run.  The dense
+table rows, and on digits the field's own add and mul run.  The dense
 linear algebra below and the modulus search run only on them, so no
-method call is made per entry except in an extension above the cap.  A
+method call is made per entry except in an extension on digits.  A
 Matrix holds its rows, lists of codes that the kernels take as they are;
 invert eliminates in place on a copy of the n-wide rows and solve_linear
 is invert(m) @ rhs.
@@ -167,18 +169,12 @@ class ExtensionField:
     A supplied modulus (base codes, low degree first) must be monic
     irreducible of degree n over the base, and is verified on construction;
     by default the canonical modulus is found.  Arithmetic works on the
-    digits of the codes over the base; an extension with at most
-    CODE_TABLE_CAP elements is constructed as a _SmallExtension instead,
+    digits of the codes over the base, at every order; make_field builds
+    the fields of at most CODE_TABLE_CAP elements as _SmallExtension,
     whose operations are table lookups.
     """
 
     __slots__ = ("base", "degree", "modulus", "order", "_negf")
-
-    def __new__(cls, base, degree: int, modulus: Sequence | None = None):
-        # the one table-or-digit choice, from the order alone
-        if cls is ExtensionField and base.order**degree <= CODE_TABLE_CAP:
-            cls = _SmallExtension
-        return super().__new__(cls)
 
     def __init__(self, base, degree: int, modulus: Sequence | None = None):
         if degree < 1:
@@ -288,14 +284,15 @@ class ExtensionField:
 
 
 class _SmallExtension(ExtensionField):
-    """An extension with at most CODE_TABLE_CAP elements: every operation is
-    a lookup in its list tables, which are built on first use."""
+    """An extension with at most CODE_TABLE_CAP elements, as make_field
+    builds it: every operation is a lookup in its list tables, which are
+    built on construction."""
 
     __slots__ = ("_add", "_mul", "_neg", "_inv")
 
     def __init__(self, base, degree: int, modulus: Sequence | None = None):
         super().__init__(base, degree, modulus)
-        self._add, self._mul, self._neg, self._inv = (_Unbuilt(self, k) for k in range(4))
+        self._add, self._mul, self._neg, self._inv = _list_tables(self)
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -314,12 +311,11 @@ class _SmallExtension(ExtensionField):
             raise ZeroDivisionError(f"inverse of zero in {self}")
         return self._inv[a]
 
-    # row kernels: list-table lookups, no call per entry.  A table read
-    # before the tables exist goes through _Unbuilt, which builds them and
-    # answers as the table would.  (On a 2-core x86-64 host, Python 3.11.7,
-    # comprehensions beat chaining the rows through map and operator.getitem,
-    # and axpy's loop in place beats a comprehension assigned to its window:
-    # 0.31 against 0.78 us on 4 codes, 2.0 against 2.2 us on 40.)
+    # row kernels: list-table lookups, no call per entry.  (On a 2-core
+    # x86-64 host, Python 3.11.7, comprehensions beat chaining the rows
+    # through map and operator.getitem, and axpy's loop in place beats a
+    # comprehension assigned to its window: 0.31 against 0.78 us on 4
+    # codes, 2.0 against 2.2 us on 40.)
     def scale(self, c: int, xs: Sequence[int]) -> list:
         row = self._mul[c]
         return [row[x] for x in xs]
@@ -340,36 +336,17 @@ class _SmallExtension(ExtensionField):
         return [mul[x][y] for x, y in zip(xs, ys)]
 
 
-class _Unbuilt:
-    """One of a small extension's tables before any is read: the first read
-    builds all four and puts them in the field's slots.  (A __getattr__ hook
-    on _SmallExtension would stop CPython 3.11 specializing its attribute
-    loads: on a 2-core x86-64 host make_field(64).add went from 81 to 176 ns
-    per call, and inverting a 24x24 matrix over GF(64) from 4.7 to 13.2 ms.)"""
-
-    __slots__ = ("field", "which")
-
-    def __init__(self, field: _SmallExtension, which: int):
-        self.field = field
-        self.which = which
-
-    def __getitem__(self, code: int):
-        f = self.field
-        f._add, f._mul, f._neg, f._inv = tables = _list_tables(f)
-        return tables[self.which][code]
-
-
 @lru_cache(maxsize=None)
 def make_field(q: int) -> PrimeField | ExtensionField:
     """The field with q elements over its canonical (smallest-code) modulus."""
     if q < PRIMALITY_LIMIT and is_prime(q):  # trial division would take sqrt(q) steps
         return PrimeField(q)
     p, s = prime_power_split(q)
-    return ExtensionField(PrimeField(p), s)
+    return (_SmallExtension if q <= CODE_TABLE_CAP else ExtensionField)(PrimeField(p), s)
 
 
 # ---------------------------------------------------------------------------
-# code tables of small fields: one set per field, built on first use
+# code tables of small fields: one set per field
 
 
 @lru_cache(maxsize=None)
@@ -445,7 +422,7 @@ def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     db = len(b) - 1
-    # a monic divisor, such as every modulus, needs no inverse (above the
+    # a monic divisor, such as every modulus, needs no inverse (without
     # code tables an extension inverts by a whole exponentiation)
     lead_inv = 1 if b[-1] == 1 else field.inv(b[-1])
     quot = [0] * max(0, len(a) - db)
@@ -500,7 +477,7 @@ def is_irreducible(field, poly: tuple) -> bool:
         return True
     if not poly[-1]:
         raise ValueError("polynomial must have nonzero leading coefficient")
-    if poly[-1] != 1:  # above the cap an extension inverts by exponentiation
+    if poly[-1] != 1:  # on digits an extension inverts by exponentiation
         poly = field.scale(field.inv(poly[-1]), poly)
     return _irreducible(field, poly)
 

@@ -23,7 +23,8 @@ forms, so the emitted tensor decomposition is symmetric by construction.
 
 verify checks that decomposition on the n(n+1)/2 basis pairs (u**i, u**j),
 i <= j; both products are bilinear and symmetric, so that certifies all
-q**(2n) operand pairs.
+q**(2n) operand pairs.  A wrong algorithm is reported at its first failing
+basis pair in every verification mode; the mode only labels the report.
 
 Everything is canonical (node order, place order, modulus choice, pivoting),
 so emitted tensors are byte-stable across runs.
@@ -51,7 +52,7 @@ from .record import Record
 
 _set = object.__setattr__  # stores a field of a Record, which refuses plain assignment
 
-EXHAUSTIVE_PAIR_CAP = 1 << 24  # exhaustive verification iff q**(2n) <= this
+EXHAUSTIVE_PAIR_CAP = 1 << 24  # "auto" labels a report exhaustive iff q**(2n) <= this
 DEFAULT_SEED = 20170223
 DEFAULT_TRIALS = 1000
 
@@ -386,49 +387,39 @@ def verify(
     algorithm is right on all q**(2n) pairs iff it is right on the basis
     pairs (u**i, u**j), i <= j: the tensor identity sum_k recon[c][k] *
     forms[k][i] * forms[k][j] = (u**(i+j) mod modulus)[c], checked by
-    `_first_basis_failure` in O(n**3 * rank) base-field operations.  Any
-    mismatch raises VerificationError carrying a pair and both products,
-    taken by the scalar routes:
+    `_first_basis_failure` in O(n**3 * rank) base-field operations.
 
-    * "exhaustive" (allowed while q**(2n) <= 2**24; "auto" picks it then)
-      reports the first failing pair in code order, x-major.  The x with
-      D(x, .) = 0, D the reference minus the algorithm, form a subspace, so
-      the first code outside it is the basis code q**i, and likewise for y:
-      that pair is the first failing basis pair (q**i, q**j).
-    * "random" reports the first failing pair of `trials` pairs drawn from
-      random.Random(seed), x then y per trial; the stream is drawn only when
-      the identity fails.  If none of those pairs fails, the first failing
-      basis pair is reported instead: a wrong algorithm never passes.
+    In every mode a mismatch raises VerificationError at the first failing
+    basis pair (q**i, q**j), with both products taken by the scalar routes.
+    That is also the first failing pair in code order, x-major: the x with
+    D(x, .) = 0, D the reference minus the algorithm, form a subspace, so
+    the first code outside it is the basis code q**i, and likewise for y.
+
+    `mode`, `trials` and `seed` only label a passing report: "exhaustive"
+    counts all q**(2n) pairs, "random" counts min(trials, q**(2n)) pairs
+    and carries the seed, and "auto" is "exhaustive" while q**(2n) <=
+    EXHAUSTIVE_PAIR_CAP and "random" above it.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:  # a bool or a float would be reported as given
+            raise ValueError(f"verification {name} must be of type int, got {value!r}")
     q, n = algo.q, algo.n
     pair_count = q ** (2 * n)
     if mode == "auto":
         mode = "exhaustive" if pair_count <= EXHAUSTIVE_PAIR_CAP else "random"
     if mode == "exhaustive":
-        if pair_count > EXHAUSTIVE_PAIR_CAP:
-            raise ValueError(
-                f"exhaustive verification capped at {EXHAUSTIVE_PAIR_CAP} pairs; "
-                f"q**(2n) = {pair_count}"
-            )
         report = VerificationReport("exhaustive", pair_count, 0, algo.rank, algo.envelope())
     elif mode == "random":
         if trials < 1:
             raise ValueError("random verification needs at least one trial")
-        report = VerificationReport("random", trials, 0, algo.rank, algo.envelope(), seed)
+        report = VerificationReport("random", min(trials, pair_count), 0, algo.rank, algo.envelope(), seed)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
     bad = _first_basis_failure(algo)
     if bad is None:
         return report
-    if mode == "random":
-        # the operand stream (x, then y, per trial) on which a reported first
-        # failure depends; imported here, as no passing request draws it
-        import random
-
-        rng, order = random.Random(seed), algo.ext.order
-        _scalar_check(algo, ((rng.randrange(order), rng.randrange(order)) for _ in range(trials)))
-    i, j = bad
-    raise _mismatch(algo, q**i, q**j)
+    x, y = (q**k for k in bad)
+    raise VerificationError(q, n, x, y, algo.ext.mul(x, y), multiply(algo, x, y))
 
 
 def _first_basis_failure(algo: BilinearAlgorithm) -> tuple[int, int] | None:
@@ -450,19 +441,6 @@ def _first_basis_failure(algo: BilinearAlgorithm) -> tuple[int, int] | None:
             if [base.dot(row, at_basis[j]) for row in scaled] != red[i + j]:
                 return i, j
     return None
-
-
-def _mismatch(algo: BilinearAlgorithm, x: int, y: int) -> VerificationError:
-    """The error for a failing pair, both products taken by the scalar routes."""
-    return VerificationError(algo.q, algo.n, x, y, algo.ext.mul(x, y), multiply(algo, x, y))
-
-
-def _scalar_check(algo: BilinearAlgorithm, pairs) -> None:
-    """Check (x code, y code) pairs one at a time, in the given order."""
-    ext = algo.ext
-    for x, y in pairs:
-        if multiply(algo, x, y) != ext.mul(x, y):
-            raise _mismatch(algo, x, y)
 
 
 def emit_tensor(algo: BilinearAlgorithm) -> str:

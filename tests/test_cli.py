@@ -393,6 +393,24 @@ class TestMultCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_forced_exhaustive_above_the_cap_answers(self, capsys):
+        # 16**8 = 2**32 pairs, all certified by the tensor identity; the
+        # reply is auto's but for its verification block
+        argv = ("mult", "--q", "16", "--n", "4", "--allow-deg2")
+        (code, out), (auto_code, auto_out) = run(capsys, *argv, "--verify", "exhaustive"), run(capsys, *argv)
+        doc, auto = json.loads(out), json.loads(auto_out)
+        assert code == auto_code == 0 and auto["verification"]["mode"] == "random"
+        assert doc.pop("verification") == {
+            "mode": "exhaustive", "pairs_checked": 4294967296, "failures": 0, "rank": 7, "envelope": 7
+        }
+        del auto["verification"]
+        assert doc == auto
+
+    def test_random_count_past_the_pair_count_reports_every_pair(self, capsys):
+        code, out = run(capsys, "mult", "--q", "3", "--n", "2", "--verify", "random:100000000000000000000")
+        assert code == 0
+        assert json.loads(out)["verification"]["pairs_checked"] == 81
+
     def test_bad_verify_mode(self, capsys):
         code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--verify", "never")
         assert code == 1
@@ -856,12 +874,31 @@ class TestUsageAndDeterminism:
         # needs no array library, the value types are not dataclasses (which
         # import inspect), annotations need no typing, only the selftest
         # command imports its suites, only an argv argparse reads imports it
-        # (and shutil, for its width), and only a failing random verification
-        # draws a random stream.  -S keeps site from preloading modules
+        # (and shutil, for its width), and no verification draws a random
+        # stream.  -S keeps site from preloading modules
         script = (
             "import sys; before = set(sys.modules); import symrank.cli; "
             f"print({module!r} in sys.modules.keys() - before)"
         )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, check=True)
+        assert proc.stdout == b"False\n"
+
+    def test_failing_random_verification_imports_no_random(self):
+        # random mode reports a wrong algorithm at its first failing basis
+        # pair, as every mode does, and draws no operand stream
+        script = "\n".join([
+            "import sys",
+            "from symrank.fields import Matrix",
+            "from symrank.multiplier import BilinearAlgorithm, VerificationError, build_algorithm, verify",
+            "algo = build_algorithm(5, 3)",
+            "recon = algo.recon.to_int_lists()",
+            "recon[0][0] = (recon[0][0] + 1) % 5",
+            "bad = BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, Matrix(algo.base, recon))",
+            "try:",
+            "    verify(bad, 'random', trials=10)",
+            "except VerificationError:",
+            "    print('random' in sys.modules)",
+        ])
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, check=True)
         assert proc.stdout == b"False\n"
 

@@ -39,14 +39,9 @@ def code_order_pairs(order):
     return ((xc, yc) for xc in range(order) for yc in range(order))
 
 
-def seeded_pairs(order, seed, trials):
-    """The random-mode operand stream: x, then y, per trial, as randrange
-    draws it."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        xc = rng.randrange(order)
-        yc = rng.randrange(order)
-        yield xc, yc
+def basis_pairs(q, n):
+    """The basis pairs (q**i, q**j), i <= j, i-major."""
+    return ((q**i, q**j) for i in range(n) for j in range(i, n))
 
 
 def in_both_modes(cells):
@@ -57,14 +52,6 @@ def in_both_modes(cells):
         for mode in ("exhaustive", "random")
         for cell in cells
     ]
-
-
-def checked_pairs(algo, mode, seed):
-    """The pairs verify(algo, mode, seed=seed) checks, in its order, at the
-    default trial count."""
-    if mode == "exhaustive":
-        return code_order_pairs(algo.ext.order)
-    return seeded_pairs(algo.ext.order, seed, multiplier.DEFAULT_TRIALS)
 
 
 def scalar_first_failure(algo, pairs):
@@ -82,6 +69,19 @@ def scalar_first_failure(algo, pairs):
 def reported(exc_info):
     err = exc_info.value
     return err.x_code, err.y_code, err.expected, err.got
+
+
+def raised_in_every_mode(bad):
+    """(x, y, expected, got) codes of the VerificationError that verify
+    raises for a wrong algorithm, the same in exhaustive, random and auto
+    mode."""
+    raised = []
+    for mode in ("exhaustive", "random", "auto"):
+        with pytest.raises(VerificationError) as exc:
+            verify(bad, mode)
+        raised.append(reported(exc))
+    assert raised.count(raised[0]) == 3, raised
+    return raised[0]
 
 
 def seeded_corruptions(algo, seed, per_matrix=3):
@@ -443,16 +443,14 @@ class TestMultiply:
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (4, 3), (5, 3), (9, 2), (16, 2), (31, 2)])
     def test_scalar_loop_agrees_with_exhaustive_verify(self, q, n):
         # the scalar route over every pair reaches the same verdict as the
-        # exhaustive check, and for a corrupted algorithm that check
+        # exhaustive check, and for a corrupted algorithm every mode
         # reports the scalar loop's first failure in code order
         algo = build_algorithm(q, n)
         every_pair = [(xc, yc) for xc in range(algo.ext.order) for yc in range(algo.ext.order)]
         assert scalar_first_failure(algo, every_pair) is None
         assert verify(algo, "exhaustive").failures == 0
         bad = corrupted(algo, n - 1, algo.rank - 1)
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == scalar_first_failure(bad, every_pair)
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, every_pair)
 
 
 class TestVerify:
@@ -472,10 +470,15 @@ class TestVerify:
         assert report.mode == "random" and report.pairs_checked == 50
         assert report.seed is not None
 
-    def test_forced_exhaustive_beyond_cap_rejected(self):
+    def test_forced_exhaustive_beyond_cap_answers(self):
+        # the identity certifies all 7**10 pairs; the cap only chooses the
+        # label that auto reports
         big = build_algorithm(7, 5)
-        with pytest.raises(ValueError):
-            verify(big, "exhaustive")
+        assert 7**10 > multiplier.EXHAUSTIVE_PAIR_CAP
+        report = verify(big, "exhaustive")
+        assert (report.mode, report.pairs_checked, report.failures, report.seed) == ("exhaustive", 7**10, 0, None)
+        bad = corrupted(big, 1, 2)
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, basis_pairs(7, 5))
 
     def test_random_reproducible(self):
         algo = build_algorithm(5, 3)
@@ -489,26 +492,27 @@ class TestVerify:
             verify(bad, "exhaustive")
         doc = exc.value.to_json_dict()
         assert doc["error"] == "verification_failure" and "reason" in doc
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, code_order_pairs(4))
 
     def test_corrupted_recon_detected_random(self):
         # prime and extension bases, codes past int64 (251**8) and a base
         # above the table cap: the reported pair and both products are the
-        # scalar loop's first failure in stream order
+        # scalar loop's first failure over the basis pairs, in every mode
         for q, n in ((5, 3), (4, 4), (9, 3), (251, 8), (257, 2)):
             bad = corrupted(build_algorithm(q, n), 1, 2)
             with pytest.raises(VerificationError) as exc:
                 verify(bad, "random", trials=500, seed=3)
-            first = scalar_first_failure(bad, seeded_pairs(bad.ext.order, 3, 500))
-            assert reported(exc) == first
+            first = scalar_first_failure(bad, basis_pairs(q, n))
+            assert reported(exc) == raised_in_every_mode(bad) == first
 
     @pytest.mark.parametrize("q,n", [(5, 3), (4, 4), (9, 3), (251, 8), (257, 2)])
     def test_corrupted_forms_detected_random(self, q, n):
         # a moved forms entry is reported at the scalar loop's first failure
-        # in stream order
+        # over the basis pairs, in every mode
         bad = corrupted(build_algorithm(q, n), 1, n - 1, "forms")
         with pytest.raises(VerificationError) as exc:
             verify(bad, "random", trials=500, seed=3)
-        assert reported(exc) == scalar_first_failure(bad, seeded_pairs(bad.ext.order, 3, 500))
+        assert reported(exc) == raised_in_every_mode(bad) == scalar_first_failure(bad, basis_pairs(q, n))
 
     @pytest.mark.parametrize(
         "q,n,i,j",
@@ -519,22 +523,19 @@ class TestVerify:
         # forms[i, j] moved by one (over GF(2), (0, 0) leaves a zero row); a
         # move that only scales a row by -1 would leave the algorithm correct
         bad = corrupted(build_algorithm(q, n), i, j, "forms")
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
 
     @pytest.mark.parametrize("q,n,mode", in_both_modes([(25, 2), (27, 2), (49, 2), (64, 2)]))
     @pytest.mark.parametrize("j", [0, 1])
     def test_corrupted_recon_over_extension_bases(self, q, n, j, mode):
         # odd characteristic bases of 2 and 3 digit fields, and XOR over
-        # GF(64): a moved recon entry of the last slot is reported at the
-        # scalar loop's first failure in code order or stream order
+        # GF(64): the algorithm passes in the given mode, and a moved recon
+        # entry of the last slot is reported in every mode at the scalar
+        # loop's first failure in code order
         algo = build_algorithm(q, n)
         assert verify(algo, mode, seed=3).failures == 0
         bad = corrupted(algo, j, algo.rank - 1)
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, mode, seed=3)
-        assert reported(exc) == scalar_first_failure(bad, checked_pairs(bad, mode, 3))
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
 
     @pytest.mark.parametrize("q", [2, 5, 16, 256])
     def test_exhaustive_degree_one(self, q):
@@ -544,9 +545,7 @@ class TestVerify:
         report = verify(line, "exhaustive")
         assert report.pairs_checked == q * q and report.failures == 0
         bad = corrupted(line)
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(q))
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, code_order_pairs(q))
 
     def test_exhaustive_above_table_cap(self):
         # 4093**2 = 16,752,649 pairs is within the exhaustive cap; the scalar
@@ -557,24 +556,10 @@ class TestVerify:
         assert report.mode == "exhaustive" and report.pairs_checked == 4093**2
         assert verify(line).mode == "exhaustive"
         bad = corrupted(line)
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
         # reached after 4,095 pairs of the code order: every (0, y), then (1, 0)
         first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
         assert first[:2] == (1, 1)
-        assert reported(exc) == first
-
-    def test_random_mode_reports_a_basis_pair_when_the_stream_passes(self):
-        # rank 1 over GF(4) with recon moved to 0 fails every pair of nonzero
-        # codes; seed 1 draws the one trial (1, 0), which passes, and the
-        # first failing basis pair is reported instead of a passing report
-        bad = corrupted(build_algorithm(4, 1))
-        (pair,) = seeded_pairs(bad.ext.order, 1, 1)
-        assert 0 in pair and scalar_first_failure(bad, [pair]) is None
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "random", trials=1, seed=1)
-        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
-        assert reported(exc)[:2] == (1, 1)
+        assert raised_in_every_mode(bad) == first
 
     def test_above_table_cap_runs_scalar_routes(self):
         algo = build_algorithm(257, 2)
@@ -592,37 +577,46 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(build_algorithm(2, 2), "sometimes")
 
+    @pytest.mark.parametrize("kwargs", [{"trials": True}, {"trials": 2.5}, {"seed": True}, {"seed": 2.5}],
+                             ids=["bool-trials", "float-trials", "bool-seed", "float-seed"])
+    def test_trials_and_seed_must_be_ints(self, kwargs):
+        # a report would carry them as given, such as "pairs_checked": true
+        with pytest.raises(ValueError, match=f"verification {next(iter(kwargs))} must be of type int"):
+            verify(build_algorithm(2, 2), "random", **kwargs)
+
+    def test_random_pairs_checked_is_at_most_the_pair_count(self):
+        algo = build_algorithm(3, 2)
+        assert [verify(algo, "random", trials=t).pairs_checked for t in (80, 81, 82, 10**20)] == [80, 81, 81, 81]
+
 
 class TestFirstBasisFailure:
     """The first failing pair of a wrong algorithm is a basis pair, and
-    both modes report the pair a scalar loop over their pairs stops at."""
+    every mode reports the pair a scalar loop stops at: over every pair in
+    code order, or above 2**12 pairs over the basis pairs, i-major."""
 
     @pytest.mark.parametrize("q,n", canonical_cells(2**12), ids=lambda v: str(v))
     def test_exhaustive_reports_the_code_order_first_failure(self, q, n):
         algo = build_algorithm(q, n)
         assert verify(algo, "exhaustive").failures == 0
-        basis_pairs = {(q**i, q**j) for i in range(n) for j in range(i, n)}
+        basis = set(basis_pairs(q, n))
         for bad in seeded_corruptions(algo, q * 100 + n):
             first = scalar_first_failure(bad, code_order_pairs(bad.ext.order))
             if first is None:  # the move left the algorithm correct
                 assert verify(bad, "exhaustive").failures == 0
                 continue
-            with pytest.raises(VerificationError) as exc:
-                verify(bad, "exhaustive")
-            assert reported(exc) == first
-            assert first[:2] in basis_pairs
+            assert raised_in_every_mode(bad) == first
+            assert first[:2] in basis
 
     @pytest.mark.parametrize("q,n", CONSTRUCT_CELLS + [(257, 2), (251, 8)], ids=lambda v: str(v))
     def test_random_reports_the_stream_first_failure(self, q, n):
+        # random mode's stream is the basis pairs, i-major, as in every mode
         algo = build_algorithm(q, n)
         for bad in seeded_corruptions(algo, q * 100 + n):
-            first = scalar_first_failure(bad, seeded_pairs(bad.ext.order, 5, multiplier.DEFAULT_TRIALS))
-            if first is None:  # no stream pair fails: the move left it correct
+            first = scalar_first_failure(bad, basis_pairs(q, n))
+            if first is None:  # no basis pair fails: the move left it correct
                 assert verify(bad, "random", seed=5).failures == 0
                 continue
-            with pytest.raises(VerificationError) as exc:
-                verify(bad, "random", seed=5)
-            assert reported(exc) == first
+            assert raised_in_every_mode(bad) == first
 
 
 class TestRowTableKernel:
@@ -635,12 +629,10 @@ class TestRowTableKernel:
         algo = build_algorithm(27, 2, EvalPlan(27, 2, tuple(range(27)), True, (), 28))
         dense = fields.Matrix(algo.base, [[1] * algo.rank] * 2)
         bad = BilinearAlgorithm(algo.ext, algo.plan, algo.rank, algo.forms, dense)
-        with pytest.raises(VerificationError) as exc:
-            verify(bad, "exhaustive")
-        assert reported(exc) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
+        assert raised_in_every_mode(bad) == scalar_first_failure(bad, code_order_pairs(bad.ext.order))
 
     def test_random_mode_memory(self):
-        # the identity holds, so no operand pair is drawn
+        # random mode checks the same identity: a few lists of n codes
         algo = build_algorithm(4, 8)
         tracemalloc.start()
         try:
@@ -678,18 +670,21 @@ class TestCodeTables:
         with pytest.raises(ValueError, match="code tables are built only for q <= 256"):
             fields._list_tables(make_field(257))
 
-    def test_tables_built_on_first_use(self, monkeypatch):
-        # GF(4^4) has 256 elements, so it computes by table lookups; building
-        # and verifying an algorithm on it never reads its own tables
+    def test_only_made_small_fields_hold_tables(self, monkeypatch):
+        # make_field builds the tables of GF(256) with the field; the 256
+        # elements of GF(4^4), an algorithm's own extension built directly,
+        # compute on digits, and building and verifying it builds no tables
         built = []
         real = fields._list_tables
         monkeypatch.setattr(fields, "_list_tables", lambda f: built.append(f) or real(f))
+        made = make_field.__wrapped__(256)
+        assert built[0] is made and made._mul == real(made)[1]
+        built.clear()
         algo = build_algorithm(4, 4)
         verify(algo)
-        assert algo.ext.order == fields.CODE_TABLE_CAP
-        assert algo.ext not in built
+        assert algo.ext.order == fields.CODE_TABLE_CAP and type(algo.ext) is fields.ExtensionField
         assert algo.ext.mul(2, 3) == oracle_of(algo.ext).mul(2, 3)
-        assert algo.ext in built
+        assert algo.ext not in built and not hasattr(algo.ext, "_mul")
 
 
 class TestTensorSerialization:
