@@ -346,42 +346,32 @@ def make_field(q: int) -> PrimeField | ExtensionField:
 
 
 # ---------------------------------------------------------------------------
-# code tables of small fields: one set per field
+# code tables of small extensions: one set per field that make_field makes
 
 
-@lru_cache(maxsize=None)
-def _list_tables(field: PrimeField | ExtensionField) -> tuple[list, list, list, list]:
+def _list_tables(field: ExtensionField) -> tuple[list, list, list, list]:
     """Add rows, mul rows, negations and inverses (the inverse of 0 reads 0)
-    of a field with at most CODE_TABLE_CAP elements, as Python lists.
-
-    A prime field's tables are residue arithmetic.  An extension adds
-    digitwise in its base's table and multiplies through logarithms to a
-    generator.
+    of an extension with at most CODE_TABLE_CAP elements over its prime
+    base, as Python lists.  It adds digitwise mod p and multiplies through
+    logarithms to a generator.
     """
     q = field.order
     if q > CODE_TABLE_CAP:
         raise ValueError(f"code tables are built only for q <= {CODE_TABLE_CAP}, got {q}")
-    if isinstance(field, PrimeField):
-        add_rows = [[(a + b) % q for b in range(q)] for a in range(q)]
-        mul_rows = [[a * b % q for b in range(q)] for a in range(q)]
-    else:
-        p = field.base.order
-        digit_add = _list_tables(field.base)[0]
-        add_rows = digit_add
-        m = p  # add_rows covers codes below m; extend it by one digit at a time
-        while m < q:
-            add_rows = [
-                [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
-                for a in range(m * p)
-            ]
-            m *= p
-        exp = _generator_powers(field)
-        log = [0] * q
-        for k, c in enumerate(exp):
-            log[c] = k
-        mul_rows = [
-            [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)] for a in range(q)
+    p = field.base.order
+    add_rows = digit_add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    m = p  # add_rows covers codes below m; extend it by one digit at a time
+    while m < q:
+        add_rows = [
+            [add_rows[a % m][b % m] + m * digit_add[a // m][b // m] for b in range(m * p)]
+            for a in range(m * p)
         ]
+        m *= p
+    exp = _generator_powers(field)
+    log = [0] * q
+    for k, c in enumerate(exp):
+        log[c] = k
+    mul_rows = [[exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)] for a in range(q)]
     negs = [row.index(0) for row in add_rows]
     invs = [0] + [row.index(1) for row in mul_rows[1:]]
     return add_rows, mul_rows, negs, invs
@@ -413,10 +403,6 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs)
 
 
-def poly_deg(poly: tuple) -> int:
-    return len(poly) - 1  # deg(0) == -1 by convention
-
-
 def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -435,13 +421,6 @@ def poly_divmod(field, a: tuple, b: tuple) -> tuple[tuple, tuple]:
         for j, c in enumerate(b):
             rem[i + j] = field.sub(rem[i + j], field.mul(f, c))
     return _trim(quot), _trim(rem[:db])
-
-
-def poly_eval(field, poly: tuple, x: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def power_rows(field, modulus: tuple, count: int) -> list[list]:
@@ -470,7 +449,7 @@ def is_irreducible(field, poly: tuple) -> bool:
     of the discriminant (see _irreducible); at degree 2 that is the whole
     test.
     """
-    n = poly_deg(poly)
+    n = len(poly) - 1
     if n < 1:
         return False
     if n == 1:

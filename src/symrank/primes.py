@@ -33,7 +33,6 @@ power.
 from __future__ import annotations
 
 import enum
-import time
 from bisect import bisect_left
 from collections.abc import Iterator
 from decimal import MAX_EMAX, Context, Decimal
@@ -139,27 +138,21 @@ def fraction_text(x: Fraction) -> str:
 class GapScan(Record):
     """Result of scanning successor gaps against l**alpha below a limit."""
 
-    __slots__ = _fields = ("limit", "alpha", "violations", "max_gap_seen", "runtime_ms")
+    __slots__ = _fields = ("limit", "alpha", "violations", "max_gap_seen")
 
-    def __init__(
-        self, limit: int, alpha: Fraction, violations: tuple[int, ...], max_gap_seen: int, runtime_ms: float
-    ):
+    def __init__(self, limit: int, alpha: Fraction, violations: tuple[int, ...], max_gap_seen: int):
         _set(self, "limit", limit)
         _set(self, "alpha", alpha)
         _set(self, "violations", violations)
         _set(self, "max_gap_seen", max_gap_seen)
-        _set(self, "runtime_ms", runtime_ms)
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "limit": self.limit,
             "alpha": fraction_text(self.alpha),
             "violations": list(self.violations),
             "max_gap_seen": self.max_gap_seen,
         }
-        if include_timing:
-            out["runtime_ms"] = self.runtime_ms
-        return out
 
 
 def check_gap_scan(limit: int, alpha: Fraction) -> None:
@@ -258,7 +251,6 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     """
     check_gap_scan(limit, alpha)
     alpha = Fraction(alpha)
-    start = time.monotonic()
     c, d = alpha.numerator, alpha.denominator
     flags = _sieve_flags(limit)
     last = flags.rfind(1)
@@ -272,8 +264,7 @@ def verify_gaps(limit: int, alpha: Fraction) -> GapScan:
     walk = _flagged(flags, succ + 1) if succ >= 0 else chain(_flagged(flags), tail)
     cutoff = cache(partial(_cutoff, c=c, d=d, limit=stop))  # every walked l is below stop
     violations = tuple(l for l, l1 in pairwise(walk) if l < cutoff(l1 - l))
-    runtime_ms = (time.monotonic() - start) * 1000.0
-    return GapScan(limit, alpha, violations, max_gap, runtime_ms)
+    return GapScan(limit, alpha, violations, max_gap)
 
 
 # the fixed exponent and the floor's text of each named policy

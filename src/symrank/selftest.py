@@ -302,8 +302,7 @@ def suite_multiplication() -> str:
     }
     for (q, n), rank in expected_rank.items():
         algo = multiplier.build_algorithm(q, n)
-        report = multiplier.verify(algo, "exhaustive")
-        _check(report.failures == 0, f"verification failed at ({q},{n})")
+        report = multiplier.verify(algo, "exhaustive")  # raises at a failing pair
         _check(report.rank == rank == algo.plan.cost, f"rank at ({q},{n}): {report.rank}")
         _check(report.rank <= report.envelope, f"envelope exceeded at ({q},{n})")
     return f"{len(expected_rank)} algorithms verified exhaustively, ranks as expected"
@@ -315,10 +314,7 @@ def suite_tensor_roundtrip() -> str:
         blob = multiplier.emit_tensor(algo)
         again = multiplier.parse_tensor(blob)
         _check(multiplier.emit_tensor(again) == blob, f"round trip not byte-stable ({q},{n})")
-        _check(
-            multiplier.verify(again, "exhaustive").failures == 0,
-            f"parsed tensor fails verification ({q},{n})",
-        )
+        multiplier.verify(again, "exhaustive")  # raises at a failing pair
     return "3 tensors byte-stable through emit/parse and re-verified"
 
 
@@ -343,16 +339,18 @@ SUITES = (
 
 
 def run_selftest(write, log=None) -> int:
-    """Run every suite; returns 0 on full pass, 3 otherwise.  With `log`,
-    each suite's wall time in milliseconds goes there, one line per suite."""
+    """Run every suite; returns 0 on full pass, 3 otherwise.  Any exception
+    a suite raises is that suite's FAIL line, and the later suites still
+    run.  With `log`, each suite's wall time in milliseconds goes there,
+    one line per suite."""
     passed = 0
     for name, fn in SUITES:
         start = time.perf_counter()
         try:
             result = f"ok ({fn()})"
             passed += 1
-        except SelfTestFailure as exc:
-            result = f"FAIL ({exc})"
+        except Exception as exc:
+            result = f"FAIL ({type(exc).__name__}: {exc})"
         if log is not None:
             log(f"selftest: {name} {(time.perf_counter() - start) * 1000:.1f} ms\n")
         write(f"selftest: {name} ... {result}\n")

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -9,6 +10,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,10 +162,13 @@ class TestGapsCommand:
         assert doc["violations"] == [7]
         assert "runtime_ms" not in doc  # reproducible by default
 
-    def test_timing_flag_adds_runtime(self, capsys):
-        code, out = run(capsys, "gaps", "--limit", "1000", "--timing")
-        assert code == 0
-        assert "runtime_ms" in json.loads(out)
+    def test_timing_goes_to_stderr_only(self, capsys):
+        plain = run(capsys, "gaps", "--limit", "1000")
+        code = cli.main(["gaps", "--limit", "1000", "--timing"])
+        captured = capsys.readouterr()
+        assert plain[0] == code == 0
+        assert captured.out == plain[1]
+        assert re.fullmatch(r"gaps: scan \d+\.\d ms\n", captured.err)
 
     def test_bad_alpha(self, capsys):
         code, out = run(capsys, "gaps", "--limit", "1000", "--alpha", "x/y")
@@ -625,6 +630,20 @@ class TestSelftestCommand:
         assert [line.split()[1] for line in lines] == [name for name, _ in SUITES]
         assert len(lines) == 16 and all(line.endswith(" ms") for line in lines)
 
+    def test_every_suite_reports_when_verification_fails(self, capsys, monkeypatch):
+        # a wrong algorithm raises VerificationError out of verify: the two
+        # suites that verify FAIL with it, and every other suite still runs
+        from symrank import multiplier
+
+        monkeypatch.setattr(multiplier, "_first_basis_failure", lambda algo: (0, 0))
+        code, out = run(capsys, "selftest")
+        lines = out.splitlines()
+        assert code == 3 and len(lines) == 17
+        failed = [line.split()[1] for line in lines if " ... FAIL (VerificationError: " in line]
+        assert failed == ["multiplication", "tensor_roundtrip"]
+        assert sum(" ... ok (" in line for line in lines) == 14
+        assert lines[-1] == "selftest: 14/16 suites passed"
+
 
 # argv that reach every path of argparse the well-formed parser must either
 # decline or match: each subcommand's help, missing and repeated options,
@@ -833,6 +852,24 @@ class TestUsageAndDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_benchmark_requests_rerun_byte_identical(self, capsys, monkeypatch, tmp_path):
+        # every request of the benchmark's workloads, run twice in one
+        # process, gives the same stdout and writes the same tensor
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS
+
+        for workload in WORKLOADS.values():
+            for request in workload.requests(1, tmp_path):
+                argv = list(request.argv)
+                tensor = Path(argv[argv.index("--emit-tensor") + 1]) if "--emit-tensor" in argv else None
+                replies = []
+                for _ in range(2):
+                    code, out = run(capsys, *argv)
+                    replies.append((code, out, tensor.read_bytes() if tensor else None))
+                    if tensor:
+                        tensor.unlink()
+                assert replies[0] == replies[1] and replies[0][0] == 0, argv
+
     def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
         # after a usage error, later calls in the same process still reply
         # exactly as fresh processes do
@@ -882,6 +919,15 @@ class TestUsageAndDeterminism:
         )
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, check=True)
         assert proc.stdout == b"False\n"
+
+    @pytest.mark.parametrize(
+        "module", ["fields", "multiplier", "bounds", "curves", "primes", "ntheory", "jsonout", "record"]
+    )
+    def test_library_reads_no_clock(self, module):
+        # only cli and selftest, which own the --timing flags, read a clock:
+        # a library module binds neither the time module nor a name from it
+        namespace = vars(importlib.import_module(f"symrank.{module}")).values()
+        assert not [v for v in namespace if v is time or getattr(v, "__module__", None) == "time"]
 
     def test_failing_random_verification_imports_no_random(self):
         # random mode reports a wrong algorithm at its first failing basis

@@ -8,7 +8,7 @@ import pytest
 from gf_oracle import ExtOracle, oracle_of
 
 from symrank import fields, multiplier
-from symrank.fields import make_field, poly_eval
+from symrank.fields import make_field
 from symrank.multiplier import (
     BilinearAlgorithm,
     EvalPlan,
@@ -328,7 +328,10 @@ class TestBuild:
             coeffs = algo.ext.digits(algo.ext.random(rng))
             fx = algo.forms.matvec(coeffs)
             for i, a in enumerate(algo.plan.rational_nodes):
-                assert fx[i] == poly_eval(base, coeffs, a)
+                value = 0
+                for c in reversed(coeffs):  # Horner's rule
+                    value = base.add(base.mul(value, a), c)
+                assert fx[i] == value
 
 
 # canonical modulus codes and the sha256 of emit_tensor, as computed by the
@@ -655,10 +658,10 @@ class TestRowTableKernel:
 
 
 class TestCodeTables:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 81, 251, 256])
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 256])
     def test_tables_match_scalar_arithmetic(self, q):
-        # the list tables that small fields compute in and the modulus
-        # search walks, against the scalar arithmetic of the oracle
+        # the list tables that small extensions compute in, against the
+        # scalar arithmetic of the oracle (a prime field has none)
         F = oracle_of(make_field(q))
         add, mul, neg, inv = fields._list_tables(make_field(q))
         assert add == [[F.add(a, b) for b in range(q)] for a in range(q)]

@@ -105,14 +105,17 @@ class TestVerifyGaps:
     def test_max_gap_and_json(self):
         scan = verify_gaps(100, Fraction(2, 3))
         assert scan.max_gap_seen == 8  # gap 89 -> 97
-        doc = scan.to_json_dict(include_timing=False)
-        assert doc == {
+        assert scan.to_json_dict() == {
             "limit": 100,
             "alpha": "2/3",
             "violations": [7],
             "max_gap_seen": 8,
         }
-        assert "runtime_ms" in scan.to_json_dict(include_timing=True)
+
+    def test_scan_is_a_value(self):
+        # the scan reads no clock: two scans of one input are equal
+        first, second = verify_gaps(10**5, Fraction(2, 3)), verify_gaps(10**5, Fraction(2, 3))
+        assert first == second and hash(first) == hash(second)
 
     @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(21, 40)])
     def test_monotone_in_limit(self, alpha):

@@ -24,10 +24,10 @@ ALGO = build_algorithm(2, 2)
 
 CASES = {
     "GapScan": (
-        GapScan(100, Fraction(2, 3), (7, 23), 8, 0.5),
-        "GapScan(limit=100, alpha=Fraction(2, 3), violations=(7, 23), max_gap_seen=8, runtime_ms=0.5)",
-        ("limit", "alpha", "violations", "max_gap_seen", "runtime_ms"),
-        ("runtime_ms", 0.75),
+        GapScan(100, Fraction(2, 3), (7, 23), 8),
+        "GapScan(limit=100, alpha=Fraction(2, 3), violations=(7, 23), max_gap_seen=8)",
+        ("limit", "alpha", "violations", "max_gap_seen"),
+        ("max_gap_seen", 9),
     ),
     "GapPolicy": (
         GapPolicy("empirical", Fraction(1, 2), 11, 1000),
