@@ -4,10 +4,12 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import random
 import re
 import resource
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from symrank import cli, primes
+from symrank import cli, multiplier, primes
 from symrank.multiplier import VerificationError
 
 
@@ -506,6 +508,88 @@ class TestMultCommand:
         assert out == json.dumps(VerificationError(2, 2, 1, 2, 3, 0).to_json_dict(), indent=2) + "\n"
 
 
+class TestEmitTensorFile:
+    """`mult --emit-tensor PATH` writes over an existing file in place; the
+    bytes, the new file's mode and the error replies are those of
+    `open(PATH, "w")`."""
+
+    def test_empty_path_is_usage_error(self, capsys):
+        code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--emit-tensor", "")
+        assert code == 1
+        assert out == json.dumps(
+            {"error": "usage", "reason": "[Errno 2] No such file or directory: ''"}, indent=2
+        ) + "\n"
+
+    def test_shorter_tensor_over_longer_leaves_only_the_shorter(self, capsys, tmp_path):
+        path = tmp_path / "tensor.json"
+        for q, n in ((5, 8), (5, 2)):
+            argv = ("mult", "--q", str(q), "--n", str(n), "--allow-deg2", "--emit-tensor", str(path))
+            assert run(capsys, *argv)[0] == 0
+        algo = multiplier.build_algorithm(5, 2, multiplier.plan_evaluation(5, 2, True))
+        text = path.read_text()
+        assert text == multiplier.emit_tensor(algo)
+        assert multiplier.verify(multiplier.parse_tensor(text), "exhaustive").failures == 0
+
+    def test_rewrite_never_truncates_to_zero(self, capsys, monkeypatch, tmp_path):
+        # the file is opened without O_TRUNC and cut only to the new
+        # length, and only when its old content was longer
+        path = tmp_path / "tensor.json"
+        argv = ("mult", "--q", "2", "--n", "2", "--emit-tensor", str(path))
+        opens, truncates = [], []
+        real_open, real_ftruncate = os.open, os.ftruncate
+
+        def spy_open(file, flags, *rest, **kwargs):
+            if os.fspath(file) == str(path):
+                opens.append(flags)
+            return real_open(file, flags, *rest, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            truncates.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+        for old in ("x" * 100_000, "x"):
+            with open(path, "w") as fh:
+                fh.write(old)
+            assert run(capsys, *argv)[0] == 0
+        tensor = path.read_bytes()
+        assert len(opens) == 2 and not any(flags & os.O_TRUNC for flags in opens)
+        assert truncates == [len(tensor)]
+        assert tensor.decode() == multiplier.emit_tensor(
+            multiplier.build_algorithm(2, 2, multiplier.plan_evaluation(2, 2, False))
+        )
+
+    def test_dev_null_answers(self, capsys):
+        code, out = run(capsys, "mult", "--q", "3", "--n", "2", "--emit-tensor", os.devnull)
+        assert code == 0
+        assert json.loads(out)["tensor_path"] == os.devnull
+
+    @pytest.mark.parametrize(
+        "where,reason",
+        [(".", "[Errno 21] Is a directory: "), ("missing/tensor.json", "[Errno 2] No such file or directory: ")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unopenable_path_replies_as_open_does(self, capsys, tmp_path, where, reason):
+        target = tmp_path / where
+        code, out = run(capsys, "mult", "--q", "2", "--n", "2", "--emit-tensor", str(target))
+        with pytest.raises(OSError) as exc:
+            open(target, "w")
+        assert code == 1 and reason in out
+        assert out == json.dumps({"error": "usage", "reason": str(exc.value)}, indent=2) + "\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_new_file_mode_follows_the_umask(self, capsys, tmp_path):
+        emitted, opened = tmp_path / "emitted.json", tmp_path / "opened.json"
+        old = os.umask(0o027)
+        try:
+            assert run(capsys, "mult", "--q", "2", "--n", "2", "--emit-tensor", str(emitted))[0] == 0
+            open(opened, "w").close()
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(emitted.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode) == 0o640
+
+
 class TestCompareCommand:
     def test_example(self, capsys, monkeypatch):
         # the reply renders no gap policy, so compare builds no empirical one
@@ -869,6 +953,27 @@ class TestUsageAndDeterminism:
                     if tensor:
                         tensor.unlink()
                 assert replies[0] == replies[1] and replies[0][0] == 0, argv
+
+    def test_benchmark_requests_rewrite_byte_identical(self, capsys, monkeypatch, tmp_path):
+        # every mult request of the benchmark's workloads, run twice to the
+        # same path with no unlink in between, writes the same bytes
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS
+
+        rewritten = 0
+        for workload in WORKLOADS.values():
+            for request in workload.requests(1, tmp_path):
+                argv = list(request.argv)
+                if "--emit-tensor" not in argv:
+                    continue
+                tensor = Path(argv[argv.index("--emit-tensor") + 1])
+                replies = []
+                for _ in range(2):
+                    code, out = run(capsys, *argv)
+                    replies.append((code, out, tensor.read_bytes()))
+                assert replies[0] == replies[1] and replies[0][0] == 0, argv
+                rewritten += 1
+        assert rewritten
 
     def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
         # after a usage error, later calls in the same process still reply

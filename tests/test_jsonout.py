@@ -78,6 +78,13 @@ def test_seeded_random_documents_match_json_dumps(block):
         [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 2**64, -(2**64)],
         "top-level é",
         42,
+        # lists of exact ints are joined without the encoder; a bool among
+        # them sends the list back to it
+        [1, True, 0, False],
+        [-1, 0, -(2**70), 2**64],
+        [[], [1, -2], [[]], [[3, 4], []], [[5]]],
+        {"a": [1, 2], "b": [True]},
+        ([1, 2], (3,), [[-4, 5], (6, 7)]),
     ],
 )
 def test_edge_documents_match_json_dumps(doc):
@@ -100,7 +107,8 @@ def test_scalar_subclasses_match_json_dumps():
     # scalars that are not exact str, int, float, bool or None still take
     # the encoder, as members and as keys of a walked container
     doc = {"nested": [[]], "s": _Str("é"), "f": _Float(2.5), "e": _Level.ELEVEN,
-           _Str("k"): [_Str("x"), {}], _Level.ELEVEN: _Float(math.nan)}
+           _Str("k"): [_Str("x"), {}], _Level.ELEVEN: _Float(math.nan),
+           "ints": [_Level.ELEVEN, 3, _Level.ELEVEN], "enum": [_Level.ELEVEN]}
     assert jsonout.dumps(doc) == json.dumps(doc, indent=2)
 
 
@@ -132,3 +140,12 @@ def test_unserializable_documents_raise_type_error(doc):
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError):
         jsonout.dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [[10**5000], [1, 10**5000], {"a": [[2, -(10**5000)]]}])
+def test_integer_past_the_int_text_limit_raises_as_json_dumps(doc):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(ValueError) as got:
+        jsonout.dumps(doc)
+    assert str(got.value) == str(expected.value)
